@@ -23,7 +23,14 @@ from .frontends import (
     parse_minioo_declarations,
 )
 from .metrics import compute_all
-from .model import ModelError, PackageDef, build_model
+from .model import (
+    DUPLICATE_CLASS,
+    DUPLICATE_MEMBER,
+    DUPLICATE_PACKAGE,
+    ModelError,
+    PackageDef,
+    build_model,
+)
 from .principles import (
     RULE_ADP,
     RULE_DIP,
@@ -106,6 +113,8 @@ def load_config(path: str | None) -> GateConfig:
         data = json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not well-formed JSON: {exc.msg} (line {exc.lineno})") from None
+    except RecursionError:
+        raise ConfigError("config is not well-formed JSON: nesting is too deep") from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     for key in data:
@@ -302,10 +311,19 @@ def _load_inputs(paths: list[str], stderr: TextIO) -> tuple[_Loaded, int]:
 
 
 def _locate_errors(exc: ModelError, loaded: _Loaded) -> list[str]:
+    """Prefix each error with the file and position of the declaration it concerns.
+
+    A duplicate is the last declaration of its locus, so it is looked up in the
+    last file declaring exactly that locus; any other error in the first file
+    declaring the locus or a prefix of it.
+    """
     messages = []
     for error in exc.errors:
         message = str(error)
-        for path, _, positions in loaded:
+        duplicate = error.code in (DUPLICATE_PACKAGE, DUPLICATE_CLASS, DUPLICATE_MEMBER)
+        for path, _, positions in reversed(loaded) if duplicate else loaded:
+            if duplicate and error.locus not in positions:
+                continue
             located = attach_positions([error], positions)[0]
             if located.position is not None:
                 message = f"{path}:{located}"

@@ -110,9 +110,9 @@ def tokenize(source: str) -> tuple[list[Token], list[ParseError]]:
                 tokens.append(Token("name", word, line, start_col))
             column += j - i
             i = j
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":  # INT is ASCII; str.isdigit() also accepts other scripts
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and "0" <= source[j] <= "9":
                 j += 1
             tokens.append(Token("int", source[i:j], line, start_col))
             column += j - i
@@ -164,6 +164,14 @@ class _MiniOOParser:
         tok = self._cur()
         return "end of input" if tok.kind == "eof" else f"'{tok.text}'"
 
+    def _declare(self, locus: str, name_tok: Token, names: set[str]) -> None:
+        """Index where `locus` is declared.  The first declaration is kept, except
+        that a name repeated in its namespace `names` takes over, so a duplicate
+        error points at the redeclaration."""
+        if locus not in self.positions or name_tok.text in names:
+            self.positions[locus] = name_tok.position
+        names.add(name_tok.text)
+
     def _fail(self, expected: str) -> None:
         self.errors.append(ParseError(self._cur().position, expected, self._found()))
         raise _Panic()
@@ -190,10 +198,11 @@ class _MiniOOParser:
 
     def parse_model(self) -> list[PackageDef]:
         packages: list[PackageDef] = []
+        package_names: set[str] = set()
         while self._cur().kind != "eof":
             if self._at("package"):
                 try:
-                    packages.append(self._package())
+                    packages.append(self._package(package_names))
                 except _Panic:
                     self._synchronize()
             else:
@@ -206,12 +215,13 @@ class _MiniOOParser:
                 self._cur().position, "at least one package declaration", "end of input"))
         return packages
 
-    def _package(self) -> PackageDef:
+    def _package(self, package_names: set[str]) -> PackageDef:
         self._expect("package")
         name_tok = self._expect_name("a package name")
-        self.positions.setdefault(name_tok.text, name_tok.position)
+        self._declare(name_tok.text, name_tok, package_names)
         self._expect("{")
         classes: list[ClassDef] = []
+        class_names: set[str] = set()
         closed = False
         while not closed:
             if self._match("}"):
@@ -221,7 +231,7 @@ class _MiniOOParser:
                 closed = True
             elif self._at("class") or self._at("abstract"):
                 try:
-                    classes.append(self._class(name_tok.text))
+                    classes.append(self._class(name_tok.text, class_names))
                 except _Panic:
                     closed = self._synchronize() is None
             else:
@@ -231,11 +241,11 @@ class _MiniOOParser:
                     closed = self._synchronize() is None
         return PackageDef(name_tok.text, tuple(classes))
 
-    def _class(self, package: str) -> ClassDef:
+    def _class(self, package: str, class_names: set[str]) -> ClassDef:
         is_abstract = self._match("abstract")
         self._expect("class")
         name_tok = self._expect_name("a class name")
-        self.positions.setdefault(f"{package}.{name_tok.text}", name_tok.position)
+        self._declare(f"{package}.{name_tok.text}", name_tok, class_names)
         parents: list[QualifiedName] = []
         if self._match("extends"):
             parents.append(self._typeref(package))
@@ -244,6 +254,8 @@ class _MiniOOParser:
         self._expect("{")
         attributes: list[AttributeDef] = []
         methods: list[MethodDef] = []
+        field_names: set[str] = set()
+        method_names: set[str] = set()
         closed = False
         while not closed:
             if self._match("}"):
@@ -254,7 +266,10 @@ class _MiniOOParser:
                 closed = True
             elif self._at("field") or self._at("method") or self._at("abstract"):
                 try:
-                    self._member(package, name_tok.text, attributes, methods)
+                    if self._at("field"):
+                        attributes.append(self._field(package, name_tok.text, field_names))
+                    else:
+                        methods.append(self._method(package, name_tok.text, method_names))
                 except _Panic:
                     if self._synchronize() in ("}", None):
                         closed = True
@@ -266,17 +281,10 @@ class _MiniOOParser:
                         closed = True
         return ClassDef(name_tok.text, is_abstract, tuple(parents), tuple(attributes), tuple(methods))
 
-    def _member(self, package: str, cls: str,
-                attributes: list[AttributeDef], methods: list[MethodDef]) -> None:
-        if self._at("field"):
-            attributes.append(self._field(package, cls))
-        else:
-            methods.append(self._method(package, cls))
-
-    def _field(self, package: str, cls: str) -> AttributeDef:
+    def _field(self, package: str, cls: str, field_names: set[str]) -> AttributeDef:
         self._expect("field")
         name_tok = self._expect_name("a field name")
-        self.positions.setdefault(f"{package}.{cls}.{name_tok.text}", name_tok.position)
+        self._declare(f"{package}.{cls}.{name_tok.text}", name_tok, field_names)
         self._expect(":")
         if self._cur().kind == "name" and self._cur().text in _PRIMITIVES:
             self._advance()
@@ -296,11 +304,11 @@ class _MiniOOParser:
         self._expect(";")
         return AttributeDef(name_tok.text, target, kind)
 
-    def _method(self, package: str, cls: str) -> MethodDef:
+    def _method(self, package: str, cls: str, method_names: set[str]) -> MethodDef:
         is_abstract = self._match("abstract")
         self._expect("method")
         name_tok = self._expect_name("a method name")
-        self.positions.setdefault(f"{package}.{cls}.{name_tok.text}", name_tok.position)
+        self._declare(f"{package}.{cls}.{name_tok.text}", name_tok, method_names)
         weight = 1
         if self._match("weight"):
             weight_tok = self._cur()
@@ -448,6 +456,9 @@ def decode_interchange(document: str) -> list[PackageDef]:
     except json.JSONDecodeError as exc:
         raise ModelError([ValidationError(
             MALFORMED_DOCUMENT, f"line {exc.lineno}", f"not well-formed JSON: {exc.msg}")]) from None
+    except RecursionError:
+        raise ModelError([ValidationError(
+            MALFORMED_DOCUMENT, "document", "JSON nesting is too deep")]) from None
 
     walker = _SchemaWalker()
     packages: list[PackageDef] = []

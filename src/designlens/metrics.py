@@ -11,15 +11,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import (
     INHERIT,
     ClassDef,
     CodeModel,
-    DependencyGraph,
     PackageDef,
     QualifiedName,
-    class_graph,
+    class_edges,
+    once_per_model,
     resolve,
 )
 
@@ -63,42 +64,21 @@ def wmc(cls: ClassDef) -> int:
 
 def dit(model: CodeModel, name: QualifiedName) -> int:
     """Depth of inheritance tree: longest inherit path from the class to a root."""
-    depth: dict[QualifiedName, int] = {}
-    stack = [name]
-    while stack:
-        node = stack[-1]
-        if node in depth:
-            stack.pop()
-            continue
-        parents = resolve(model, node).parents
-        pending = [p for p in parents if p not in depth]
-        if pending:
-            stack.extend(pending)
-            continue
-        depth[node] = (1 + max(depth[p] for p in parents)) if parents else 0
-        stack.pop()
-    return depth[name]
+    resolve(model, name)
+    return _counts(model).dit[name]
 
 
 def noc(model: CodeModel, name: QualifiedName) -> int:
     """Number of children: classes anywhere in the model listing this class as a direct parent."""
     resolve(model, name)
-    return sum(1 for _, cls in model.iter_classes() if name in cls.parents)
+    return _counts(model).noc[name]
 
 
 def cbo(model: CodeModel, name: QualifiedName) -> int:
     """Coupling between object classes: distinct other classes linked by a
     non-inherit edge in either direction."""
     resolve(model, name)
-    coupled: set[QualifiedName] = set()
-    for edge in class_graph(model).edges:
-        if edge.kind == INHERIT or edge.source == edge.target:
-            continue
-        if edge.source == name:
-            coupled.add(edge.target)
-        elif edge.target == name:
-            coupled.add(edge.source)
-    return len(coupled)
+    return _counts(model).cbo[name]
 
 
 def lcom(cls: ClassDef) -> int:
@@ -119,19 +99,13 @@ def lcom(cls: ClassDef) -> int:
 def afferent(model: CodeModel, package: str) -> int:
     """Ca: distinct classes outside the package with any edge into it (inherit included)."""
     _require_package(model, package)
-    sources = {edge.source
-               for edge in class_graph(model).edges
-               if edge.target.package == package and edge.source.package != package}
-    return len(sources)
+    return _counts(model).ca[package]
 
 
 def efferent(model: CodeModel, package: str) -> int:
     """Ce: distinct classes outside the package that its classes have any edge toward."""
     _require_package(model, package)
-    targets = {edge.target
-               for edge in class_graph(model).edges
-               if edge.source.package == package and edge.target.package != package}
-    return len(targets)
+    return _counts(model).ce[package]
 
 
 def instability(ca: int, ce: int) -> Fraction | None:
@@ -155,39 +129,53 @@ def main_sequence_distance(a: Fraction, i: Fraction) -> Fraction:
 
 
 def compute_all(model: CodeModel) -> MetricsReport:
-    """Every metric for every class and package; identical to the individual calls."""
-    graph = class_graph(model)
-    depths = _dit_table(model)
-    children = _noc_table(model)
-    coupled = _cbo_table(graph)
-
+    """Every metric for every class and package; reads the table the single-metric calls read."""
+    counts = _counts(model)
     per_class: dict[QualifiedName, ClassMetrics] = {}
-    for name in graph.nodes:
-        cls = resolve(model, name)
-        per_class[name] = ClassMetrics(
-            name=name,
-            wmc=wmc(cls),
-            dit=depths[name],
-            noc=children.get(name, 0),
-            cbo=len(coupled.get(name, ())),
-            lcom=lcom(cls),
-        )
-
-    incoming: dict[str, set[QualifiedName]] = {pkg.name: set() for pkg in model.packages}
-    outgoing: dict[str, set[QualifiedName]] = {pkg.name: set() for pkg in model.packages}
-    for edge in graph.edges:
-        if edge.source.package != edge.target.package:
-            incoming[edge.target.package].add(edge.source)
-            outgoing[edge.source.package].add(edge.target)
+    for name, cls in sorted(model.iter_classes()):
+        per_class[name] = ClassMetrics(name, wmc(cls), counts.dit[name], counts.noc[name],
+                                       counts.cbo[name], lcom(cls))
 
     per_package: dict[str, PackageMetrics] = {}
     for pkg in sorted(model.packages, key=lambda p: p.name):
-        ca, ce = len(incoming[pkg.name]), len(outgoing[pkg.name])
+        ca, ce = counts.ca[pkg.name], counts.ce[pkg.name]
         i = instability(ca, ce)
         a = abstractness(pkg)
         d = main_sequence_distance(a, i) if a is not None and i is not None else None
         per_package[pkg.name] = PackageMetrics(pkg.name, ca, ce, i, a, d)
     return MetricsReport(per_class, per_package)
+
+
+class _Counts(NamedTuple):
+    dit: dict[QualifiedName, int]
+    noc: dict[QualifiedName, int]
+    cbo: dict[QualifiedName, int]
+    ca: dict[str, int]
+    ce: dict[str, int]
+
+
+@once_per_model
+def _counts(model: CodeModel) -> _Counts:
+    """DIT, NOC and CBO of every class, Ca and Ce of every package."""
+    children = {name: 0 for name, _ in model.iter_classes()}
+    coupled: dict[QualifiedName, set[QualifiedName]] = {name: set() for name in children}
+    incoming: dict[str, set[QualifiedName]] = {pkg.name: set() for pkg in model.packages}
+    outgoing: dict[str, set[QualifiedName]] = {pkg.name: set() for pkg in model.packages}
+    for source, target, kind in class_edges(model):
+        if source.package != target.package:
+            incoming[target.package].add(source)
+            outgoing[source.package].add(target)
+        if kind != INHERIT and source != target:
+            coupled[source].add(target)
+            coupled[target].add(source)
+    for _, cls in model.iter_classes():
+        for parent in dict.fromkeys(cls.parents):
+            children[parent] += 1
+
+    def sizes(sets: dict) -> dict:
+        return {key: len(members) for key, members in sets.items()}
+
+    return _Counts(_dit_table(model), children, sizes(coupled), sizes(incoming), sizes(outgoing))
 
 
 def _dit_table(model: CodeModel) -> dict[QualifiedName, int]:
@@ -208,24 +196,6 @@ def _dit_table(model: CodeModel) -> dict[QualifiedName, int]:
                 depths[node] = (1 + max(depths[p] for p in parents)) if parents else 0
                 stack.pop()
     return depths
-
-
-def _noc_table(model: CodeModel) -> dict[QualifiedName, int]:
-    children: dict[QualifiedName, int] = {}
-    for _, cls in model.iter_classes():
-        for parent in dict.fromkeys(cls.parents):
-            children[parent] = children.get(parent, 0) + 1
-    return children
-
-
-def _cbo_table(graph: DependencyGraph) -> dict[QualifiedName, set[QualifiedName]]:
-    coupled: dict[QualifiedName, set[QualifiedName]] = {}
-    for edge in graph.edges:
-        if edge.kind == INHERIT or edge.source == edge.target:
-            continue
-        coupled.setdefault(edge.source, set()).add(edge.target)
-        coupled.setdefault(edge.target, set()).add(edge.source)
-    return coupled
 
 
 def _require_package(model: CodeModel, package: str) -> None:

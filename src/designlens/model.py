@@ -7,9 +7,10 @@ other operation assumes (and may rely on) a valid model.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .tarjan import strongly_connected_components
 
@@ -37,22 +38,29 @@ ABSTRACT_METHOD_IN_CONCRETE_CLASS = "AbstractMethodInConcreteClass"
 UNKNOWN_READ_ATTRIBUTE = "UnknownReadAttribute"
 
 
-@dataclass(frozen=True, order=True)
-class QualifiedName:
-    """A `package.Class` name; the empty class segment denotes a package-level node.
-
-    Ordering is lexicographic on (package, cls) and fixes all deterministic
-    output ordering across the analyzer.
-    """
-
+# The fields of QualifiedName.  A NamedTuple cannot override __new__ in its own
+# body, so the validating constructor lives in the subclass.
+class _Name(NamedTuple):
     package: str
     cls: str = ""
 
-    def __post_init__(self) -> None:
-        if not IDENTIFIER_RE.match(self.package):
-            raise ValueError(f"invalid package segment {self.package!r}")
-        if self.cls and not IDENTIFIER_RE.match(self.cls):
-            raise ValueError(f"invalid class segment {self.cls!r}")
+
+class QualifiedName(_Name):
+    """A `package.Class` name; the empty class segment denotes a package-level node.
+
+    A tuple, so it compares equal to `(package, cls)`.  Ordering is
+    lexicographic on (package, cls) and fixes all deterministic output
+    ordering across the analyzer.
+    """
+
+    __slots__ = ()
+
+    def __new__(_type, package: str, cls: str = "") -> QualifiedName:
+        if not IDENTIFIER_RE.match(package):
+            raise ValueError(f"invalid package segment {package!r}")
+        if cls and not IDENTIFIER_RE.match(cls):
+            raise ValueError(f"invalid class segment {cls!r}")
+        return tuple.__new__(_type, (package, cls))
 
     def __str__(self) -> str:
         return f"{self.package}.{self.cls}" if self.cls else self.package
@@ -114,32 +122,49 @@ class PackageDef:
         object.__setattr__(self, "classes", tuple(self.classes))
 
 
+_T = TypeVar("_T")
+
+
 @dataclass(frozen=True)
 class CodeModel:
-    """Validated universe of packages and classes.  Construct via `build_model`."""
+    """Validated universe of packages and classes.  Construct via `build_model`.
+
+    Immutable, so whatever is derived from it is computed once, on first use,
+    and kept on the model (see `once_per_model`).
+    """
 
     packages: tuple[PackageDef, ...]
     _index: dict = field(init=False, repr=False, compare=False)
+    _packages: dict = field(init=False, repr=False, compare=False)
+    _derived: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "packages", tuple(self.packages))
-        index: dict[QualifiedName, ClassDef] = {}
-        for pkg in self.packages:
-            for cls in pkg.classes:
-                index[QualifiedName(pkg.name, cls.name)] = cls
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_index", {QualifiedName(pkg.name, cls.name): cls
+                                            for pkg in self.packages for cls in pkg.classes})
+        # reversed, so the first of two same-named packages wins, as in a scan
+        object.__setattr__(self, "_packages", {pkg.name: pkg for pkg in reversed(self.packages)})
 
     def iter_classes(self) -> Iterator[tuple[QualifiedName, ClassDef]]:
         """Yield (name, class) pairs in declaration order."""
-        for pkg in self.packages:
-            for cls in pkg.classes:
-                yield QualifiedName(pkg.name, cls.name), cls
+        return iter(self._index.items())
 
     def package(self, name: str) -> PackageDef | None:
-        for pkg in self.packages:
-            if pkg.name == name:
-                return pkg
-        return None
+        return self._packages.get(name)
+
+
+def once_per_model(build: Callable[[CodeModel], _T]) -> Callable[[CodeModel], _T]:
+    """Make `build(model)` run once per model; later calls return the result kept on it."""
+    key = f"{build.__module__}.{build.__qualname__}"  # a name, so a model still pickles
+
+    @functools.wraps(build)
+    def once(model: CodeModel) -> _T:
+        try:
+            return model._derived[key]
+        except KeyError:
+            result = model._derived[key] = build(model)
+            return result
+    return once
 
 
 @dataclass(frozen=True)
@@ -169,8 +194,7 @@ class NotFoundError(KeyError):
     """A qualified name does not resolve to a declared class."""
 
 
-@dataclass(frozen=True, order=True)
-class DependencyEdge:
+class DependencyEdge(NamedTuple):
     source: QualifiedName
     target: QualifiedName
     kind: str
@@ -187,9 +211,6 @@ class DependencyGraph:
     nodes: tuple[QualifiedName, ...]
     edges: tuple[DependencyEdge, ...]
     granularity: str  # "class" | "package"
-
-    def successors(self, node: QualifiedName) -> list[QualifiedName]:
-        return [e.target for e in self.edges if e.source == node]
 
 
 def validate_packages(packages: Iterable[PackageDef]) -> list[ValidationError]:
@@ -310,32 +331,39 @@ def resolve(model: CodeModel, name: QualifiedName) -> ClassDef:
         raise NotFoundError(f"class '{name}' is not declared") from None
 
 
-def class_graph(model: CodeModel) -> DependencyGraph:
-    """Class-granularity dependency graph: inherit, aggregation, association, and use edges."""
-    nodes = sorted(qn for qn, _ in model.iter_classes())
-    edges: set[DependencyEdge] = set()
+def class_edges(model: CodeModel) -> Iterator[DependencyEdge]:
+    """Every declared class edge: parents (inherit), attribute targets (their
+    kind) and method uses (use), in declaration order.  An edge declared more
+    than once is yielded more than once."""
     for qn, cls in model.iter_classes():
         for parent in cls.parents:
-            edges.add(DependencyEdge(qn, parent, INHERIT))
+            yield DependencyEdge(qn, parent, INHERIT)
         for attr in cls.attributes:
             if attr.target is not None:
-                edges.add(DependencyEdge(qn, attr.target, attr.kind))
+                yield DependencyEdge(qn, attr.target, attr.kind)
         for method in cls.methods:
             for target in method.uses:
-                edges.add(DependencyEdge(qn, target, USE))
-    return DependencyGraph(tuple(nodes), tuple(sorted(edges)), "class")
+                yield DependencyEdge(qn, target, USE)
 
 
+@once_per_model
+def class_graph(model: CodeModel) -> DependencyGraph:
+    """Class-granularity dependency graph: inherit, aggregation, association, and use edges."""
+    return DependencyGraph(tuple(sorted(model._index)), tuple(sorted(set(class_edges(model)))),
+                           "class")
+
+
+@once_per_model
 def package_graph(model: CodeModel) -> DependencyGraph:
     """Package-granularity graph: P->Q iff some class edge crosses from P to Q (P != Q)."""
     nodes = sorted(QualifiedName(pkg.name) for pkg in model.packages)
     crossing: dict[tuple[str, str], str] = {}
-    for edge in class_graph(model).edges:
-        if edge.source.package != edge.target.package:
-            key = (edge.source.package, edge.target.package)
+    for source, target, kind in class_edges(model):
+        if source.package != target.package:
+            key = (source.package, target.package)
             # collapse duplicates; keep the lexicographically smallest kind
-            if key not in crossing or edge.kind < crossing[key]:
-                crossing[key] = edge.kind
+            if key not in crossing or kind < crossing[key]:
+                crossing[key] = kind
     edges = tuple(sorted(
         DependencyEdge(QualifiedName(src), QualifiedName(dst), kind)
         for (src, dst), kind in crossing.items()))

@@ -139,11 +139,10 @@ def srp_advisories(model: CodeModel, report: MetricsReport, thresholds: Threshol
 
 def dip_advisories(model: CodeModel) -> list[Finding]:
     """DIP: an abstract class should not depend on a concrete one (non-inherit edges)."""
+    abstract = {name: cls.is_abstract for name, cls in model.iter_classes()}
     findings = []
     for edge in class_graph(model).edges:
-        if edge.kind == INHERIT:
-            continue
-        if resolve(model, edge.source).is_abstract and not resolve(model, edge.target).is_abstract:
+        if edge.kind != INHERIT and abstract[edge.source] and not abstract[edge.target]:
             findings.append(_finding(
                 RULE_DIP, f"{edge.source}->{edge.target}", {"kind": edge.kind}))
     return findings

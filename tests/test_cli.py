@@ -142,7 +142,33 @@ def test_same_package_in_two_files_is_rejected(tmp_path):
     code, out, err = invoke("analyze", str(tmp_path / "a.minioo"), str(tmp_path / "b.minioo"))
     assert code == EXIT_INPUT
     assert out == ""
-    assert "DuplicatePackage" in err
+    assert err.startswith(f"{tmp_path / 'b.minioo'}:1:9: DuplicatePackage at p:")
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("package p {\n  class A { }\n  class A { }\n}\n",
+     "3:9: DuplicateClass at p.A: class 'A' is declared more than once in package 'p'"),
+    ("package p { class A {\n  field x: int;\n  method x;\n  field x: int;\n} }\n",
+     "4:9: DuplicateMember at p.A.x: attribute 'x' is declared more than once"),
+    ("package p { class A {\n  method m;\n  field m: int;\n  method m;\n} }\n",
+     "4:10: DuplicateMember at p.A.m: method 'm' is declared more than once"),
+], ids=["class", "field", "method"])
+def test_duplicate_in_one_file_is_blamed_on_the_redeclaration(tmp_path, source, expected):
+    path = tmp_path / "dup.minioo"
+    path.write_text(source, encoding="utf-8")
+    code, out, err = invoke("analyze", str(path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"{path}:{expected}\n"
+
+
+def test_deeply_nested_json_input_exits_three(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000, encoding="utf-8")
+    code, out, err = invoke("analyze", str(path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"{path}: MalformedDocument at document: JSON nesting is too deep\n"
 
 
 def test_out_flag_writes_report_to_file(tmp_path):
@@ -229,6 +255,7 @@ def test_unknown_config_key_is_rejected(tmp_path):
     ('{"thresholds":{"mystery":1}}', "mystery"),
     ('{"fail_on":["bogus_rule"]}', "bogus_rule"),
     ('not json', "JSON"),
+    pytest.param("[" * 200000, "nesting is too deep", id="deeply-nested"),
 ])
 def test_malformed_configs_are_usage_errors(tmp_path, document, needle):
     config = tmp_path / "bad.json"

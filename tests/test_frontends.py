@@ -1,7 +1,9 @@
+import io
 import random
 
 import pytest
 
+from designlens import cli
 from designlens.frontends import (
     MALFORMED_DOCUMENT,
     SCHEMA_ERROR,
@@ -133,6 +135,22 @@ def test_weight_zero_is_a_syntax_error():
     with pytest.raises(ParseFailure) as excinfo:
         parse_minioo("package p { class A { method m weight 0; } }")
     assert excinfo.value.errors[0].expected == "a positive integer"
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # superscript two, Arabic-Indic three
+def test_non_ascii_digit_weight_is_a_positioned_syntax_error(tmp_path, digit):
+    source = f"package p {{ class A {{ method m weight {digit}; }} }}"
+    with pytest.raises(ParseFailure) as excinfo:
+        parse_minioo(source)
+    assert [error.message for error in excinfo.value.errors] == [
+        f"1:39: expected a token, found '{digit}'",
+        "1:40: expected a positive integer, found ';'",
+    ]
+    path = tmp_path / "digit.minioo"
+    path.write_text(source, encoding="utf-8")
+    stderr = io.StringIO()
+    assert cli.run(["analyze", str(path)], stdout=io.StringIO(), stderr=stderr) == cli.EXIT_INPUT
+    assert stderr.getvalue().startswith(f"{path}:1:39: expected a token")
 
 
 def test_keywords_are_contextual_names():

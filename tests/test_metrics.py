@@ -1,9 +1,13 @@
+import io
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from designlens import cli
+from designlens import metrics as metrics_module
+from designlens import model as model_module
 from designlens.frontends import parse_minioo
 from designlens.metrics import (
     UnknownPackageError,
@@ -22,15 +26,19 @@ from designlens.metrics import (
 )
 from designlens.model import (
     ASSOCIATION,
+    INHERIT,
     AttributeDef,
     ClassDef,
     CodeModel,
     MethodDef,
+    NotFoundError,
     PackageDef,
     QualifiedName,
     build_model,
+    class_graph,
     resolve,
 )
+from conftest import FIXTURES
 from modelgen import random_model
 
 
@@ -92,6 +100,54 @@ def package_coupling_oracle(model, package):
             elif cls_qn.package != package and ref.package == package:
                 sources.add(cls_qn)
     return len(sources), len(targets)
+
+
+# -- reference scans: a full walk or edge scan per call, the implementations the
+# -- per-model metric table replaced --------------------------------------------------
+
+
+def scan_dit(model, name):
+    depth = {}
+    stack = [name]
+    while stack:
+        node = stack[-1]
+        if node in depth:
+            stack.pop()
+            continue
+        parents = resolve(model, node).parents
+        pending = [p for p in parents if p not in depth]
+        if pending:
+            stack.extend(pending)
+            continue
+        depth[node] = (1 + max(depth[p] for p in parents)) if parents else 0
+        stack.pop()
+    return depth[name]
+
+
+def scan_noc(model, name):
+    return sum(1 for _, cls in model.iter_classes() if name in cls.parents)
+
+
+def scan_cbo(model, name):
+    coupled = set()
+    for edge in class_graph(model).edges:
+        if edge.kind == INHERIT or edge.source == edge.target:
+            continue
+        if edge.source == name:
+            coupled.add(edge.target)
+        elif edge.target == name:
+            coupled.add(edge.source)
+    return len(coupled)
+
+
+def scan_afferent(model, package):
+    return len({edge.source for edge in class_graph(model).edges
+                if edge.target.package == package and edge.source.package != package})
+
+
+def scan_efferent(model, package):
+    return len({edge.target for edge in class_graph(model).edges
+                if edge.source.package == package and edge.target.package != package})
 
 
 # -- WMC ------------------------------------------------------------------------------
@@ -415,6 +471,73 @@ def test_compute_all_equals_individual_metric_calls():
                 assert pm.distance == main_sequence_distance(pm.abstractness, pm.instability)
             else:
                 assert pm.distance is None
+
+
+def test_metric_table_matches_reference_scans_for_calls_and_compute_all():
+    rng = random.Random(59)
+    for _ in range(100):
+        model = random_model(rng, max_packages=5, max_classes=6)
+        report = compute_all(model)
+        for name, _ in model.iter_classes():
+            expected = (scan_dit(model, name), scan_noc(model, name), scan_cbo(model, name))
+            assert (dit(model, name), noc(model, name), cbo(model, name)) == expected
+            cm = report.per_class[name]
+            assert (cm.dit, cm.noc, cm.cbo) == expected
+        for pkg in model.packages:
+            expected = (scan_afferent(model, pkg.name), scan_efferent(model, pkg.name))
+            assert (afferent(model, pkg.name), efferent(model, pkg.name)) == expected
+            assert (report.per_package[pkg.name].ca, report.per_package[pkg.name].ce) == expected
+
+
+def test_unknown_subjects_raise_after_the_table_is_built():
+    model = _hierarchy((), (0,))
+    assert dit(model, qn("p", "C1")) == 1
+    for metric in (dit, noc, cbo):
+        with pytest.raises(NotFoundError):
+            metric(model, qn("p", "Missing"))
+    for metric in (afferent, efferent):
+        with pytest.raises(UnknownPackageError):
+            metric(model, "missing")
+
+
+def test_point_queries_derive_class_edges_once_per_model(monkeypatch):
+    model = random_model(random.Random(61), max_packages=4, max_classes=6)
+    real = model_module.class_edges
+    calls = []
+
+    def counting(model):
+        calls.append(model)
+        return real(model)
+
+    monkeypatch.setattr(metrics_module, "class_edges", counting)
+    monkeypatch.setattr(model_module, "class_edges", counting)
+    for name, _ in model.iter_classes():
+        cbo(model, name)
+    for pkg in model.packages:
+        afferent(model, pkg.name)
+        efferent(model, pkg.name)
+    assert calls == [model]
+
+
+def test_one_cli_run_builds_the_class_graph_once(monkeypatch):
+    real_edges, real_graph = model_module.class_edges, model_module.DependencyGraph
+    edge_calls, graphs = [], []
+
+    def counting_edges(model):
+        edge_calls.append(model)
+        return real_edges(model)
+
+    def counting_graph(nodes, edges, granularity):
+        graphs.append(granularity)
+        return real_graph(nodes, edges, granularity)
+
+    monkeypatch.setattr(metrics_module, "class_edges", counting_edges)
+    monkeypatch.setattr(model_module, "class_edges", counting_edges)
+    monkeypatch.setattr(model_module, "DependencyGraph", counting_graph)
+    assert cli.run(["analyze", str(FIXTURES / "reference.minioo")], stdout=io.StringIO()) == 0
+    # one derivation each for the metric table, the class graph and the package graph
+    assert len(edge_calls) == 3 and len(set(map(id, edge_calls))) == 1
+    assert sorted(graphs) == ["class", "package"]
 
 
 def test_compute_all_iterates_in_name_order():

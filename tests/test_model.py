@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -16,6 +17,8 @@ from designlens.model import (
     USE,
     AttributeDef,
     ClassDef,
+    CodeModel,
+    DependencyEdge,
     MethodDef,
     ModelError,
     NotFoundError,
@@ -53,6 +56,17 @@ def test_qualified_name_rejects_bad_segments():
         QualifiedName("1bad", "A")
     with pytest.raises(ValueError):
         QualifiedName("p", "has space")
+
+
+def test_qualified_name_and_edge_are_plain_tuples():
+    name = qn("a", "B")
+    assert name == ("a", "B") and hash(name) == hash(("a", "B"))
+    assert (name.package, name.cls) == ("a", "B")
+    assert repr(name) == "QualifiedName(package='a', cls='B')"
+    assert not hasattr(name, "__dict__")
+    edge = DependencyEdge(name, qn("a", "C"), USE)
+    assert edge == (("a", "B"), ("a", "C"), USE) and not hasattr(edge, "__dict__")
+    assert sorted([DependencyEdge(qn("b"), qn("a"), USE), edge]) == [edge, (qn("b"), qn("a"), USE)]
 
 
 def test_method_weight_must_be_positive():
@@ -263,6 +277,19 @@ def test_class_graph_node_count_and_determinism():
         assert repr(graph) == repr(class_graph(model))
         # self-edges may exist for other kinds, never for inherit
         assert not any(e.source == e.target for e in graph.edges if e.kind == INHERIT)
+
+
+def test_graphs_are_built_once_per_model_and_leave_equality_alone():
+    rng = random.Random(17)
+    for _ in range(20):
+        model = random_model(rng)
+        twin = CodeModel(model.packages)
+        assert class_graph(model) is class_graph(model)
+        assert package_graph(model) is package_graph(model)
+        assert model == twin and repr(model) == repr(twin) and hash(model) == hash(twin)
+        assert class_graph(twin) == class_graph(model)
+        assert package_graph(twin) == package_graph(model)
+        assert pickle.loads(pickle.dumps(model)) == model
 
 
 def test_inherit_edges_admit_topological_order():
