@@ -19,8 +19,10 @@ from .frontends import (
     ParseFailure,
     SourcePosition,
     attach_positions,
+    declared_prefix,
     decode_interchange,
     parse_minioo_declarations,
+    unique_keys,
 )
 from .metrics import compute_all
 from .model import (
@@ -110,9 +112,11 @@ def load_config(path: str | None) -> GateConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
-        data = json.loads(text, parse_float=Fraction)
+        data = json.loads(text, parse_float=Fraction, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not well-formed JSON: {exc.msg} (line {exc.lineno})") from None
+    except ValueError as exc:  # a repeated key, or an integer too long to convert
+        raise ConfigError(f"config is rejected: {exc}") from None
     except RecursionError:
         raise ConfigError("config is not well-formed JSON: nesting is too deep") from None
     if not isinstance(data, dict):
@@ -314,24 +318,22 @@ def _locate_errors(exc: ModelError, loaded: _Loaded) -> list[str]:
     """Prefix each error with the file and position of the declaration it concerns.
 
     A duplicate is the last declaration of its locus, so it is looked up in the
-    last file declaring exactly that locus; any other error in the first file
-    declaring the locus or a prefix of it.
+    last file declaring exactly that locus; any other error in the file
+    declaring the longest prefix of its locus, the first such file on a tie.
     """
     messages = []
     for error in exc.errors:
-        message = str(error)
-        duplicate = error.code in (DUPLICATE_PACKAGE, DUPLICATE_CLASS, DUPLICATE_MEMBER)
-        for path, _, positions in reversed(loaded) if duplicate else loaded:
-            if duplicate and error.locus not in positions:
-                continue
-            located = attach_positions([error], positions)[0]
-            if located.position is not None:
-                message = f"{path}:{located}"
-                break
+        declared = [(declared_prefix(error.locus, positions), path, positions)
+                    for path, _, positions in loaded]
+        if error.code in (DUPLICATE_PACKAGE, DUPLICATE_CLASS, DUPLICATE_MEMBER):
+            declared = [entry for entry in declared if entry[0] == error.locus][-1:]
+        if any(prefix for prefix, _, _ in declared):
+            _, path, positions = max(declared, key=lambda entry: len(entry[0]))
+            messages.append(f"{path}:{attach_positions([error], positions)[0]}")
+        elif len(loaded) == 1:
+            messages.append(f"{loaded[0][0]}: {error}")
         else:
-            if len(loaded) == 1:
-                message = f"{loaded[0][0]}: {message}"
-        messages.append(message)
+            messages.append(str(error))
     return messages
 
 

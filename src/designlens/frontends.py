@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NoReturn
 
 from .model import (
     AGGREGATION,
@@ -25,6 +27,7 @@ from .model import (
     PackageDef,
     QualifiedName,
     ValidationError,
+    build_model,
     validate_packages,
 )
 
@@ -32,7 +35,6 @@ MALFORMED_DOCUMENT = "MalformedDocument"
 SCHEMA_ERROR = "SchemaError"
 
 _PRIMITIVES = ("int", "real", "text", "bool")
-_PUNCTUATION = "{}();:,."
 _ATTRIBUTE_KINDS = {"assoc": ASSOCIATION, "aggr": AGGREGATION}
 
 
@@ -63,70 +65,56 @@ class ParseFailure(Exception):
         super().__init__(f"{len(self.errors)} syntax error(s): {head}")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "name" | "int" | a punctuation character | "eof"
-    text: str
-    line: int
-    column: int
+# One alternative per token class, tried in order: skipped text, an ASCII INT,
+# a word, punctuation, and any other single character.  `\w` is exactly
+# `str.isalnum()` or "_", the span of a MiniOO word.
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*)"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<name>\w+)"
+    r"|(?P<punctuation>[{}();:,.])"
+    r"|(?P<bad>.)", re.DOTALL)
+_NEWLINE_RE = re.compile("\n")
 
-    @property
-    def position(self) -> SourcePosition:
-        return SourcePosition(self.line, self.column)
+# A token is (kind, text, offset): kind is "name", "int", "eof" or the
+# punctuation character itself; offset indexes the source in code points.
+_Token = tuple[str, str, int]
 
 
-def tokenize(source: str) -> tuple[list[Token], list[ParseError]]:
+def _line_starts(source: str) -> list[int]:
+    return [0, *(newline.end() for newline in _NEWLINE_RE.finditer(source))]
+
+
+def _position(line_starts: list[int], offset: int) -> SourcePosition:
+    """The line and column of a source offset, given the offsets where lines start."""
+    line = bisect_right(line_starts, offset)
+    return SourcePosition(line, offset - line_starts[line - 1] + 1)
+
+
+def tokenize(source: str) -> tuple[list[_Token], list[ParseError]]:
     """Split MiniOO source into tokens; illegal characters become errors and are skipped."""
-    tokens: list[Token] = []
-    errors: list[ParseError] = []
-    line, column = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                i += 1
-                column += 1
-            continue
-        start_col = column
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            if not IDENTIFIER_RE.match(word):
-                # isalpha() accepts non-ASCII letters the grammar does not
-                errors.append(ParseError(SourcePosition(line, start_col), "a name", repr(word)))
+    tokens: list[_Token] = []
+    bad: list[tuple[int, str, str]] = []  # (offset, expected, found)
+    pos, end, scan = 0, len(source), _TOKEN_RE.match
+    while pos < end:
+        match = scan(source, pos)
+        kind, text = match.lastgroup, match.group()
+        start, pos = pos, match.end()
+        if kind == "name" and not text.isascii():
+            # INT is tried first, so a word never starts with an ASCII digit
+            if text[0].isalpha() or text[0] == "_":
+                bad.append((start, "a name", repr(text)))
             else:
-                tokens.append(Token("name", word, line, start_col))
-            column += j - i
-            i = j
-        elif "0" <= ch <= "9":  # INT is ASCII; str.isdigit() also accepts other scripts
-            j = i
-            while j < n and "0" <= source[j] <= "9":
-                j += 1
-            tokens.append(Token("int", source[i:j], line, start_col))
-            column += j - i
-            i = j
-        elif ch in _PUNCTUATION:
-            tokens.append(Token(ch, ch, line, start_col))
-            i += 1
-            column += 1
-        else:
-            errors.append(ParseError(SourcePosition(line, start_col), "a token", repr(ch)))
-            i += 1
-            column += 1
-    tokens.append(Token("eof", "", line, column))
-    return tokens, errors
+                bad.append((start, "a token", repr(text[0])))
+                pos = start + 1
+        elif kind == "bad":
+            bad.append((start, "a token", repr(text)))
+        elif kind is not None:
+            tokens.append((text if kind == "punctuation" else kind, text, start))
+    tokens.append(("eof", "", end))
+    line_starts = _line_starts(source) if bad else []
+    return tokens, [ParseError(_position(line_starts, offset), expected, found)
+                    for offset, expected, found in bad]
 
 
 class _Panic(Exception):
@@ -137,22 +125,23 @@ class _MiniOOParser:
     def __init__(self, source: str):
         self.tokens, self.errors = tokenize(source)
         self.pos = 0
+        self.line_starts = _line_starts(source)
         # locus ("pkg", "pkg.Cls", "pkg.Cls.member") -> declaration position
         self.positions: dict[str, SourcePosition] = {}
 
     # -- token stream helpers ------------------------------------------------
 
-    def _cur(self) -> Token:
+    def _cur(self) -> _Token:
         return self.tokens[self.pos]
 
-    def _advance(self) -> Token:
+    def _advance(self) -> _Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
     def _at(self, text: str) -> bool:
-        return self._cur().text == text and self._cur().kind != "eof"
+        return self.tokens[self.pos][1] == text
 
     def _match(self, text: str) -> bool:
         if self._at(text):
@@ -160,38 +149,45 @@ class _MiniOOParser:
             return True
         return False
 
-    def _found(self) -> str:
-        tok = self._cur()
-        return "end of input" if tok.kind == "eof" else f"'{tok.text}'"
+    def _error(self, expected: str) -> None:
+        kind, text, offset = self._cur()
+        found = "end of input" if kind == "eof" else f"'{text}'"
+        self.errors.append(ParseError(_position(self.line_starts, offset), expected, found))
 
-    def _declare(self, locus: str, name_tok: Token, names: set[str]) -> None:
-        """Index where `locus` is declared.  The first declaration is kept, except
-        that a name repeated in its namespace `names` takes over, so a duplicate
-        error points at the redeclaration."""
-        if locus not in self.positions or name_tok.text in names:
-            self.positions[locus] = name_tok.position
-        names.add(name_tok.text)
-
-    def _fail(self, expected: str) -> None:
-        self.errors.append(ParseError(self._cur().position, expected, self._found()))
+    def _fail(self, expected: str) -> NoReturn:
+        self._error(expected)
         raise _Panic()
 
-    def _expect(self, text: str) -> Token:
+    def _expect(self, text: str) -> None:
         if not self._at(text):
             self._fail(f"'{text}'")
-        return self._advance()
+        self._advance()
 
-    def _expect_name(self, expected: str) -> Token:
-        if self._cur().kind != "name":
+    def _expect_name(self, expected: str) -> str:
+        if self._cur()[0] != "name":
             self._fail(expected)
-        return self._advance()
+        return self._advance()[1]
+
+    def _declare(self, scope: str, names: set[str], expected: str) -> str:
+        """Read the name declared in `scope` and index where its locus is declared.
+
+        The first declaration is kept, except that a name repeated in its
+        namespace `names` takes over, so a duplicate error points at the
+        redeclaration."""
+        offset = self._cur()[2]
+        name = self._expect_name(expected)
+        locus = f"{scope}.{name}" if scope else name
+        if locus not in self.positions or name in names:
+            self.positions[locus] = _position(self.line_starts, offset)
+        names.add(name)
+        return name
 
     def _synchronize(self) -> str | None:
         """Skip ahead past the next ';' or '}'; returns the consumed terminator."""
-        while self._cur().kind != "eof":
-            tok = self._advance()
-            if tok.text in (";", "}"):
-                return tok.text
+        while self._cur()[0] != "eof":
+            text = self._advance()[1]
+            if text in (";", "}"):
+                return text
         return None
 
     # -- grammar productions -------------------------------------------------
@@ -199,26 +195,22 @@ class _MiniOOParser:
     def parse_model(self) -> list[PackageDef]:
         packages: list[PackageDef] = []
         package_names: set[str] = set()
-        while self._cur().kind != "eof":
+        while self._cur()[0] != "eof":
             if self._at("package"):
                 try:
                     packages.append(self._package(package_names))
                 except _Panic:
                     self._synchronize()
             else:
-                try:
-                    self._fail("'package'")
-                except _Panic:
-                    self._synchronize()
+                self._error("'package'")
+                self._synchronize()
         if not packages and not self.errors:
-            self.errors.append(ParseError(
-                self._cur().position, "at least one package declaration", "end of input"))
+            self._error("at least one package declaration")
         return packages
 
     def _package(self, package_names: set[str]) -> PackageDef:
         self._expect("package")
-        name_tok = self._expect_name("a package name")
-        self._declare(name_tok.text, name_tok, package_names)
+        name = self._declare("", package_names, "a package name")
         self._expect("{")
         classes: list[ClassDef] = []
         class_names: set[str] = set()
@@ -226,26 +218,23 @@ class _MiniOOParser:
         while not closed:
             if self._match("}"):
                 closed = True
-            elif self._cur().kind == "eof":
-                self.errors.append(ParseError(self._cur().position, "'class' or '}'", "end of input"))
+            elif self._cur()[0] == "eof":
+                self._error("'class' or '}'")
                 closed = True
             elif self._at("class") or self._at("abstract"):
                 try:
-                    classes.append(self._class(name_tok.text, class_names))
+                    classes.append(self._class(name, class_names))
                 except _Panic:
                     closed = self._synchronize() is None
             else:
-                try:
-                    self._fail("'class', 'abstract' or '}'")
-                except _Panic:
-                    closed = self._synchronize() is None
-        return PackageDef(name_tok.text, tuple(classes))
+                self._error("'class', 'abstract' or '}'")
+                closed = self._synchronize() is None
+        return PackageDef(name, tuple(classes))
 
     def _class(self, package: str, class_names: set[str]) -> ClassDef:
         is_abstract = self._match("abstract")
         self._expect("class")
-        name_tok = self._expect_name("a class name")
-        self._declare(f"{package}.{name_tok.text}", name_tok, class_names)
+        name = self._declare(package, class_names, "a class name")
         parents: list[QualifiedName] = []
         if self._match("extends"):
             parents.append(self._typeref(package))
@@ -256,73 +245,67 @@ class _MiniOOParser:
         methods: list[MethodDef] = []
         field_names: set[str] = set()
         method_names: set[str] = set()
+        scope = f"{package}.{name}"
         closed = False
         while not closed:
             if self._match("}"):
                 closed = True
-            elif self._cur().kind == "eof":
-                self.errors.append(ParseError(
-                    self._cur().position, "'field', 'method' or '}'", "end of input"))
+            elif self._cur()[0] == "eof":
+                self._error("'field', 'method' or '}'")
                 closed = True
             elif self._at("field") or self._at("method") or self._at("abstract"):
                 try:
                     if self._at("field"):
-                        attributes.append(self._field(package, name_tok.text, field_names))
+                        attributes.append(self._field(package, scope, field_names))
                     else:
-                        methods.append(self._method(package, name_tok.text, method_names))
+                        methods.append(self._method(package, scope, method_names))
                 except _Panic:
-                    if self._synchronize() in ("}", None):
-                        closed = True
+                    closed = self._synchronize() in ("}", None)
             else:
-                try:
-                    self._fail("'field', 'method' or '}'")
-                except _Panic:
-                    if self._synchronize() in ("}", None):
-                        closed = True
-        return ClassDef(name_tok.text, is_abstract, tuple(parents), tuple(attributes), tuple(methods))
+                self._error("'field', 'method' or '}'")
+                closed = self._synchronize() in ("}", None)
+        return ClassDef(name, is_abstract, tuple(parents), tuple(attributes), tuple(methods))
 
-    def _field(self, package: str, cls: str, field_names: set[str]) -> AttributeDef:
+    def _field(self, package: str, scope: str, field_names: set[str]) -> AttributeDef:
         self._expect("field")
-        name_tok = self._expect_name("a field name")
-        self._declare(f"{package}.{cls}.{name_tok.text}", name_tok, field_names)
+        name = self._declare(scope, field_names, "a field name")
         self._expect(":")
-        if self._cur().kind == "name" and self._cur().text in _PRIMITIVES:
+        kind, text, _ = self._cur()
+        if kind == "name" and text in _PRIMITIVES:
             self._advance()
-            target, kind = None, NO_TARGET
-        elif self._cur().kind == "name":
+            target, attribute_kind = None, NO_TARGET
+        elif kind == "name":
             target = self._typeref(package)
-            kind = ASSOCIATION
+            attribute_kind = ASSOCIATION
             if self._match(","):
-                kind_tok = self._cur()
-                if kind_tok.kind == "name" and kind_tok.text in _ATTRIBUTE_KINDS:
-                    self._advance()
-                    kind = _ATTRIBUTE_KINDS[kind_tok.text]
-                else:
+                kind, text, _ = self._cur()
+                if kind != "name" or text not in _ATTRIBUTE_KINDS:
                     self._fail("'assoc' or 'aggr'")
+                self._advance()
+                attribute_kind = _ATTRIBUTE_KINDS[text]
         else:
             self._fail("a type name")
         self._expect(";")
-        return AttributeDef(name_tok.text, target, kind)
+        return AttributeDef(name, target, attribute_kind)
 
-    def _method(self, package: str, cls: str, method_names: set[str]) -> MethodDef:
+    def _method(self, package: str, scope: str, method_names: set[str]) -> MethodDef:
         is_abstract = self._match("abstract")
         self._expect("method")
-        name_tok = self._expect_name("a method name")
-        self._declare(f"{package}.{cls}.{name_tok.text}", name_tok, method_names)
+        name = self._declare(scope, method_names, "a method name")
         weight = 1
         if self._match("weight"):
-            weight_tok = self._cur()
+            kind, text, _ = self._cur()
             # INT must match [1-9][0-9]*
-            if weight_tok.kind != "int" or weight_tok.text[0] == "0":
+            if kind != "int" or text[0] == "0":
                 self._fail("a positive integer")
             self._advance()
-            weight = int(weight_tok.text)
+            weight = int(text)
         reads: list[str] = []
         if self._match("reads"):
             self._expect("(")
-            reads.append(self._expect_name("an attribute name").text)
+            reads.append(self._expect_name("an attribute name"))
             while self._match(","):
-                reads.append(self._expect_name("an attribute name").text)
+                reads.append(self._expect_name("an attribute name"))
             self._expect(")")
         uses: list[QualifiedName] = []
         if self._match("uses"):
@@ -332,14 +315,13 @@ class _MiniOOParser:
                 uses.append(self._typeref(package))
             self._expect(")")
         self._expect(";")
-        return MethodDef(name_tok.text, is_abstract, weight, frozenset(reads), frozenset(uses))
+        return MethodDef(name, is_abstract, weight, frozenset(reads), frozenset(uses))
 
     def _typeref(self, default_package: str) -> QualifiedName:
         first = self._expect_name("a type name")
         if self._match("."):
-            second = self._expect_name("a class name")
-            return QualifiedName(first.text, second.text)
-        return QualifiedName(default_package, first.text)
+            return QualifiedName(first, self._expect_name("a class name"))
+        return QualifiedName(default_package, first)
 
 
 def parse_minioo_declarations(source: str) -> tuple[list[PackageDef], dict[str, SourcePosition]]:
@@ -355,21 +337,19 @@ def parse_minioo_declarations(source: str) -> tuple[list[PackageDef], dict[str, 
     return packages, parser.positions
 
 
+def declared_prefix(locus: str, positions: dict[str, SourcePosition]) -> str:
+    """The longest prefix of `locus` (at a '.') that `positions` holds, or ''."""
+    while locus and locus not in positions:
+        locus = locus.rpartition(".")[0]
+    return locus
+
+
 def attach_positions(
     errors: list[ValidationError], positions: dict[str, SourcePosition],
 ) -> list[ValidationError]:
     """Give each validation error the source position of its locus (best prefix match)."""
-    located = []
-    for error in errors:
-        locus = error.locus
-        position = None
-        while locus:
-            position = positions.get(locus)
-            if position is not None:
-                break
-            locus, _, _ = locus.rpartition(".")
-        located.append(dataclasses.replace(error, position=position))
-    return located
+    return [dataclasses.replace(error, position=positions.get(declared_prefix(error.locus, positions)))
+            for error in errors]
 
 
 def parse_minioo(source: str) -> CodeModel:
@@ -445,6 +425,18 @@ class _SchemaWalker:
         return QualifiedName(package, cls)
 
 
+def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """`object_pairs_hook` for the strict JSON readers: a repeated key is a ValueError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def decode_interchange(document: str) -> list[PackageDef]:
     """Decode an interchange document to declarations, without semantic validation.
 
@@ -452,10 +444,12 @@ def decode_interchange(document: str) -> list[PackageDef]:
     is the JSON path of the offending field).
     """
     try:
-        data = json.loads(document)
+        data = json.loads(document, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ModelError([ValidationError(
             MALFORMED_DOCUMENT, f"line {exc.lineno}", f"not well-formed JSON: {exc.msg}")]) from None
+    except ValueError as exc:  # a repeated key, or an integer too long to convert
+        raise ModelError([ValidationError(MALFORMED_DOCUMENT, "document", str(exc))]) from None
     except RecursionError:
         raise ModelError([ValidationError(
             MALFORMED_DOCUMENT, "document", "JSON nesting is too deep")]) from None
@@ -567,11 +561,7 @@ def read_interchange(document: str) -> CodeModel:
     Raises ModelError for malformed documents, schema violations, and
     semantic validation failures.
     """
-    packages = decode_interchange(document)
-    errors = validate_packages(packages)
-    if errors:
-        raise ModelError(errors)
-    return CodeModel(tuple(packages))
+    return build_model(decode_interchange(document))
 
 
 def write_interchange(model: CodeModel) -> str:

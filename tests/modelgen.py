@@ -12,6 +12,7 @@ import random
 from designlens.model import (
     AGGREGATION,
     ASSOCIATION,
+    NO_TARGET,
     AttributeDef,
     ClassDef,
     CodeModel,
@@ -75,3 +76,36 @@ def random_packages(rng: random.Random, max_packages: int = 4, max_classes: int 
 
 def random_model(rng: random.Random, **kwargs) -> CodeModel:
     return build_model(random_packages(rng, **kwargs))
+
+
+_ATTRIBUTE_KIND_WORDS = {ASSOCIATION: "assoc", AGGREGATION: "aggr"}
+
+
+def write_minioo(model: CodeModel) -> str:
+    """MiniOO source that parses back to `model`: every reference qualified,
+    every weight explicit, primitive attributes typed `int`."""
+    lines = []
+    for pkg in model.packages:
+        lines.append(f"package {pkg.name} {{")
+        for cls in pkg.classes:
+            header = f"  {'abstract ' if cls.is_abstract else ''}class {cls.name}"
+            if cls.parents:
+                header += " extends " + ", ".join(str(parent) for parent in cls.parents)
+            lines.append(header + " {")
+            for attr in cls.attributes:
+                if attr.kind == NO_TARGET:
+                    lines.append(f"    field {attr.name}: int;")
+                else:
+                    lines.append(f"    field {attr.name}: {attr.target}, "
+                                 f"{_ATTRIBUTE_KIND_WORDS[attr.kind]};")
+            for method in cls.methods:
+                line = (f"    {'abstract ' if method.is_abstract else ''}method {method.name}"
+                        f" weight {method.weight}")
+                if method.reads:
+                    line += f" reads ({', '.join(sorted(method.reads))})"
+                if method.uses:
+                    line += f" uses ({', '.join(str(use) for use in sorted(method.uses))})"
+                lines.append(line + ";")
+            lines.append("  }")
+        lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -1,7 +1,10 @@
 import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from designlens.cli import (
     EXIT_GATE_FAILURE,
@@ -145,6 +148,17 @@ def test_same_package_in_two_files_is_rejected(tmp_path):
     assert err.startswith(f"{tmp_path / 'b.minioo'}:1:9: DuplicatePackage at p:")
 
 
+def test_error_is_blamed_on_the_file_declaring_the_longest_prefix(tmp_path):
+    (tmp_path / "a.minioo").write_text("package p { class A { } }", encoding="utf-8")
+    (tmp_path / "b.minioo").write_text(
+        "package p {\n  class B extends q.Gone { }\n}", encoding="utf-8")
+    code, out, err = invoke("analyze", str(tmp_path / "a.minioo"), str(tmp_path / "b.minioo"))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert f"{tmp_path / 'b.minioo'}:2:9: UnresolvedReference at p.B: " in err
+    assert "a.minioo:1:9" not in err
+
+
 @pytest.mark.parametrize("source,expected", [
     ("package p {\n  class A { }\n  class A { }\n}\n",
      "3:9: DuplicateClass at p.A: class 'A' is declared more than once in package 'p'"),
@@ -169,6 +183,32 @@ def test_deeply_nested_json_input_exits_three(tmp_path):
     assert code == EXIT_INPUT
     assert out == ""
     assert err == f"{path}: MalformedDocument at document: JSON nesting is too deep\n"
+
+
+def test_duplicate_json_key_input_exits_three(tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text('{"packages":[],"packages":[{"name":"p","classes":[]}]}', encoding="utf-8")
+    code, out, err = invoke("analyze", str(path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"{path}: MalformedDocument at document: duplicate key 'packages'\n"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python converts integers of any length")
+def test_overlong_json_integer_is_an_input_or_usage_error(tmp_path):
+    # int() refuses more digits than sys.get_int_max_str_digits() with a ValueError
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    path = tmp_path / "long.json"
+    path.write_text('{"packages":' + digits + "}", encoding="utf-8")
+    code, out, err = invoke("analyze", str(path))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith(f"{path}: MalformedDocument at document: ")
+    config = tmp_path / "long-config.json"
+    config.write_text('{"gates":[["max_dit","<=",' + digits + "]]}", encoding="utf-8")
+    code, _, err = invoke("analyze", REFERENCE, "--config", str(config))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: config is rejected: ")
 
 
 def test_out_flag_writes_report_to_file(tmp_path):
@@ -256,6 +296,7 @@ def test_unknown_config_key_is_rejected(tmp_path):
     ('{"fail_on":["bogus_rule"]}', "bogus_rule"),
     ('not json', "JSON"),
     pytest.param("[" * 200000, "nesting is too deep", id="deeply-nested"),
+    pytest.param('{"fail_on":["adp"],"fail_on":[]}', "duplicate key 'fail_on'", id="duplicate-key"),
 ])
 def test_malformed_configs_are_usage_errors(tmp_path, document, needle):
     config = tmp_path / "bad.json"
@@ -335,6 +376,51 @@ def test_exit_codes_are_total_under_fuzzed_input(tmp_path):
         path.write_text(text, encoding="utf-8")
         code, _, _ = invoke("analyze", str(path))
         assert code in (EXIT_OK, EXIT_GATE_FAILURE, EXIT_USAGE, EXIT_INPUT)
+
+
+_EXIT_CODES = (EXIT_OK, EXIT_GATE_FAILURE, EXIT_USAGE, EXIT_INPUT)
+
+_MINIOO_WORDS = st.lists(st.sampled_from([
+    "package", "abstract", "class", "extends", "field", "method", "weight", "reads", "uses",
+    "int", "assoc", "aggr", "p", "A", "q.B", "x", "{", "}", "(", ")", ";", ":", ",", ".",
+    "0", "7", "\u00b2", "\u00e9", "//", "\n"])).map(" ".join)
+_JSON_KEYS = st.sampled_from([
+    "packages", "name", "classes", "abstract", "parents", "attributes", "methods", "target",
+    "kind", "weight", "reads", "uses", "thresholds", "gates", "fail_on", "srp_lcom_min",
+    "sap_extreme"])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.sampled_from(["p", "p.A", "A", "association", "none", "max_dit", "<=", "adp"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_KEYS, inner, max_size=5),
+    max_leaves=30)
+# Arbitrary bytes, and arbitrary text with lone surrogates kept as invalid UTF-8.
+_ANY_BYTES = st.binary() | st.text().map(lambda text: text.encode("utf-8", "surrogatepass"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_ANY_BYTES | _MINIOO_WORDS.map(str.encode))
+def test_any_minioo_input_exits_with_a_contract_code(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("minioo") / "input.minioo"
+    path.write_bytes(data)
+    assert run(["analyze", str(path)], stdout=io.StringIO(), stderr=io.StringIO()) in _EXIT_CODES
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_ANY_BYTES | _JSON_VALUES.map(json.dumps).map(str.encode))
+def test_any_json_input_exits_with_a_contract_code(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("json") / "input.json"
+    path.write_bytes(data)
+    assert run(["analyze", str(path)], stdout=io.StringIO(), stderr=io.StringIO()) in _EXIT_CODES
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_ANY_BYTES | _JSON_VALUES.map(json.dumps).map(str.encode))
+def test_any_config_exits_with_a_contract_code(tmp_path_factory, data):
+    config = tmp_path_factory.mktemp("config") / "config.json"
+    config.write_bytes(data)
+    code = run(["analyze", REFERENCE, "--config", str(config)],
+               stdout=io.StringIO(), stderr=io.StringIO())
+    assert code in _EXIT_CODES
 
 
 # -- warnings and strict mode ---------------------------------------------------------

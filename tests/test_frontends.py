@@ -2,12 +2,16 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from designlens import cli
 from designlens.frontends import (
     MALFORMED_DOCUMENT,
     SCHEMA_ERROR,
+    ParseError,
     ParseFailure,
+    SourcePosition,
     parse_minioo,
     parse_minioo_declarations,
     read_interchange,
@@ -17,6 +21,7 @@ from designlens.frontends import (
 from designlens.model import (
     AGGREGATION,
     ASSOCIATION,
+    IDENTIFIER_RE,
     UNRESOLVED_REFERENCE,
     AttributeDef,
     ClassDef,
@@ -26,7 +31,7 @@ from designlens.model import (
     PackageDef,
     QualifiedName,
 )
-from modelgen import random_model
+from modelgen import random_model, write_minioo
 
 
 def qn(package, cls):
@@ -187,12 +192,8 @@ def test_parse_is_deterministic():
     assert parse_minioo("package p { class A { } }") == parse_minioo("package p { class A { } }")
 
 
-def _delete_token(source, token):
-    lines = source.split("\n")
-    line = lines[token.line - 1]
-    start = token.column - 1
-    lines[token.line - 1] = line[:start] + line[start + len(token.text):]
-    return "\n".join(lines)
+def _line(source, offset):
+    return source.count("\n", 0, offset) + 1
 
 
 def test_first_error_position_stays_near_every_deleted_token(reference_source):
@@ -202,18 +203,114 @@ def test_first_error_position_stays_near_every_deleted_token(reference_source):
     tokens, lex_errors = tokenize(reference_source)
     assert lex_errors == []
     tokens = tokens[:-1]  # drop EOF
-    for index, token in enumerate(tokens):
-        mutated = _delete_token(reference_source, token)
-        next_line = tokens[index + 1].line if index + 1 < len(tokens) else None
+    for index, (_, text, offset) in enumerate(tokens):
+        mutated = reference_source[:offset] + reference_source[offset + len(text):]
+        line = _line(reference_source, offset)
+        next_line = _line(reference_source, tokens[index + 1][2]) if index + 1 < len(tokens) else None
         try:
             parse_minioo(mutated)
         except ParseFailure as failure:
             reported = failure.errors[0].position.line
-            assert reported >= token.line, (token, failure.errors[0])
-            if next_line is not None and token.text != "}":
-                assert reported <= next_line, (token, failure.errors[0])
+            assert reported >= line, (text, offset, failure.errors[0])
+            if next_line is not None and text != "}":
+                assert reported <= next_line, (text, offset, failure.errors[0])
         except ModelError as failure:
             assert failure.errors  # semantic-only outcome: complete error list
+
+
+# -- the lexer against the character loop it replaced ---------------------------------
+
+
+def reference_tokenize(source):
+    """The character-by-character MiniOO lexer that `tokenize` replaced: tokens
+    as (kind, text, line, column) and the same ParseError list."""
+    tokens = []
+    errors = []
+    line, column = 1, 1
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            column = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            column += 1
+            continue
+        if ch == "/" and i + 1 < n and source[i + 1] == "/":
+            while i < n and source[i] != "\n":
+                i += 1
+                column += 1
+            continue
+        start_col = column
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            word = source[i:j]
+            if not IDENTIFIER_RE.match(word):
+                errors.append(ParseError(SourcePosition(line, start_col), "a name", repr(word)))
+            else:
+                tokens.append(("name", word, line, start_col))
+            column += j - i
+            i = j
+        elif "0" <= ch <= "9":
+            j = i
+            while j < n and "0" <= source[j] <= "9":
+                j += 1
+            tokens.append(("int", source[i:j], line, start_col))
+            column += j - i
+            i = j
+        elif ch in "{}();:,.":
+            tokens.append((ch, ch, line, start_col))
+            i += 1
+            column += 1
+        else:
+            errors.append(ParseError(SourcePosition(line, start_col), "a token", repr(ch)))
+            i += 1
+            column += 1
+    tokens.append(("eof", "", line, column))
+    return tokens, errors
+
+
+def _with_line_and_column(source, tokens):
+    return [(kind, text, _line(source, offset), offset - source.rfind("\n", 0, offset))
+            for kind, text, offset in tokens]
+
+
+# Lexically interesting characters: punctuation, the comment slash, whitespace,
+# a superscript digit, an Arabic-Indic digit, a non-ASCII letter and a Roman
+# numeral, each of which `str.isalnum()` accepts or rejects differently.
+_LEXICAL = st.text(alphabet=st.sampled_from(
+    list("{}();:,./") * 3 + list("//\t\r\n  ") + ["\u00b2", "\u0663", "\u00e9", "\u216b"]
+    + list("aZ_09")))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), _LEXICAL))
+def test_tokenize_matches_the_reference_character_loop(source):
+    tokens, errors = tokenize(source)
+    expected_tokens, expected_errors = reference_tokenize(source)
+    assert _with_line_and_column(source, tokens) == expected_tokens
+    assert errors == expected_errors
+
+
+@pytest.mark.parametrize("source", [
+    "\u00b2", "a\u00b2", "1\u00b2", "\u00b2a1", "\u0663\u00e9", "\u216ba", "_\u00e9", "x/y", "a//b\nc",
+    "\r\n\t\u00e9x 12ab", "\u00a0", "",
+])
+def test_tokenize_matches_the_reference_on_word_edges(source):
+    tokens, errors = tokenize(source)
+    assert (_with_line_and_column(source, tokens), errors) == reference_tokenize(source)
+
+
+def test_random_models_round_trip_through_minioo():
+    rng = random.Random(29)
+    for _ in range(120):
+        model = random_model(rng)
+        assert parse_minioo(write_minioo(model)) == model
 
 
 # -- interchange documents -----------------------------------------------------------
