@@ -15,24 +15,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TextIO
 
-from .frontends import (
-    ParseFailure,
-    SourcePosition,
-    attach_positions,
-    declared_prefix,
-    decode_interchange,
-    parse_minioo_declarations,
-    unique_keys,
-)
+from .frontends import ParseFailure, decode_interchange, parse_minioo_declarations, unique_keys
 from .metrics import compute_all
-from .model import (
-    DUPLICATE_CLASS,
-    DUPLICATE_MEMBER,
-    DUPLICATE_PACKAGE,
-    ModelError,
-    PackageDef,
-    build_model,
-)
+from .model import ModelError, PackageDef, ValidationError, build_model
 from .principles import (
     RULE_ADP,
     RULE_DIP,
@@ -215,18 +200,14 @@ def run(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = N
         print(f"error: {exc}", file=stderr)
         return EXIT_USAGE
 
-    loaded, code = _load_inputs(args.paths, stderr)
+    packages, code = _load_inputs(args.paths, stderr)
     if code != EXIT_OK:
         return code
-
-    all_packages: list[PackageDef] = []
-    for _, packages, _ in loaded:
-        all_packages.extend(packages)
     try:
-        model = build_model(all_packages)
+        model = build_model(packages)
     except ModelError as exc:
-        for error in _locate_errors(exc, loaded):
-            print(error, file=stderr)
+        for error in exc.errors:
+            print(_located(error, args.paths), file=stderr)
         return EXIT_INPUT
 
     metrics = compute_all(model)
@@ -276,11 +257,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_Loaded = list[tuple[str, list[PackageDef], dict[str, SourcePosition]]]
-
-
-def _load_inputs(paths: list[str], stderr: TextIO) -> tuple[_Loaded, int]:
-    loaded: _Loaded = []
+def _load_inputs(paths: list[str], stderr: TextIO) -> tuple[list[PackageDef], int]:
+    packages: list[PackageDef] = []
     input_errors = False
     for path in paths:
         suffix = Path(path).suffix
@@ -297,10 +275,9 @@ def _load_inputs(paths: list[str], stderr: TextIO) -> tuple[_Loaded, int]:
             return [], EXIT_USAGE
         try:
             if suffix == ".minioo":
-                packages, positions = parse_minioo_declarations(text)
+                packages.extend(parse_minioo_declarations(text, path))
             else:
-                packages, positions = decode_interchange(text), {}
-            loaded.append((path, packages, positions))
+                packages.extend(decode_interchange(text))
         except ParseFailure as exc:
             for error in exc.errors:
                 print(f"{path}:{error.message}", file=stderr)
@@ -311,30 +288,15 @@ def _load_inputs(paths: list[str], stderr: TextIO) -> tuple[_Loaded, int]:
             input_errors = True
     if input_errors:
         return [], EXIT_INPUT
-    return loaded, EXIT_OK
+    return packages, EXIT_OK
 
 
-def _locate_errors(exc: ModelError, loaded: _Loaded) -> list[str]:
-    """Prefix each error with the file and position of the declaration it concerns.
-
-    A duplicate is the last declaration of its locus, so it is looked up in the
-    last file declaring exactly that locus; any other error in the file
-    declaring the longest prefix of its locus, the first such file on a tie.
-    """
-    messages = []
-    for error in exc.errors:
-        declared = [(declared_prefix(error.locus, positions), path, positions)
-                    for path, _, positions in loaded]
-        if error.code in (DUPLICATE_PACKAGE, DUPLICATE_CLASS, DUPLICATE_MEMBER):
-            declared = [entry for entry in declared if entry[0] == error.locus][-1:]
-        if any(prefix for prefix, _, _ in declared):
-            _, path, positions = max(declared, key=lambda entry: len(entry[0]))
-            messages.append(f"{path}:{attach_positions([error], positions)[0]}")
-        elif len(loaded) == 1:
-            messages.append(f"{loaded[0][0]}: {error}")
-        else:
-            messages.append(str(error))
-    return messages
+def _located(error: ValidationError, paths: list[str]) -> str:
+    """The error prefixed with the file it was declared in; an unpositioned
+    (interchange) error is prefixed with the input file only if there is one."""
+    if error.position is not None:
+        return f"{error.position.path}:{error}"
+    return f"{paths[0]}: {error}" if len(paths) == 1 else str(error)
 
 
 def _evaluate_gates(report: LayeredReport,

@@ -7,7 +7,6 @@ interchange document (strict schema, byte-stable writer).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 from bisect import bisect_right
@@ -28,7 +27,6 @@ from .model import (
     QualifiedName,
     ValidationError,
     build_model,
-    validate_packages,
 )
 
 MALFORMED_DOCUMENT = "MalformedDocument"
@@ -42,6 +40,7 @@ _ATTRIBUTE_KINDS = {"assoc": ASSOCIATION, "aggr": AGGREGATION}
 class SourcePosition:
     line: int    # 1-based
     column: int  # 1-based, in Unicode scalar values
+    path: str | None = None  # the file read, if any
 
 
 @dataclass(frozen=True)
@@ -85,10 +84,10 @@ def _line_starts(source: str) -> list[int]:
     return [0, *(newline.end() for newline in _NEWLINE_RE.finditer(source))]
 
 
-def _position(line_starts: list[int], offset: int) -> SourcePosition:
+def _position(line_starts: list[int], offset: int, path: str | None = None) -> SourcePosition:
     """The line and column of a source offset, given the offsets where lines start."""
     line = bisect_right(line_starts, offset)
-    return SourcePosition(line, offset - line_starts[line - 1] + 1)
+    return SourcePosition(line, offset - line_starts[line - 1] + 1, path)
 
 
 def tokenize(source: str) -> tuple[list[_Token], list[ParseError]]:
@@ -122,12 +121,11 @@ class _Panic(Exception):
 
 
 class _MiniOOParser:
-    def __init__(self, source: str):
+    def __init__(self, source: str, path: str | None):
         self.tokens, self.errors = tokenize(source)
         self.pos = 0
         self.line_starts = _line_starts(source)
-        # locus ("pkg", "pkg.Cls", "pkg.Cls.member") -> declaration position
-        self.positions: dict[str, SourcePosition] = {}
+        self.path = path
 
     # -- token stream helpers ------------------------------------------------
 
@@ -168,19 +166,10 @@ class _MiniOOParser:
             self._fail(expected)
         return self._advance()[1]
 
-    def _declare(self, scope: str, names: set[str], expected: str) -> str:
-        """Read the name declared in `scope` and index where its locus is declared.
-
-        The first declaration is kept, except that a name repeated in its
-        namespace `names` takes over, so a duplicate error points at the
-        redeclaration."""
+    def _declare(self, expected: str) -> tuple[str, SourcePosition]:
+        """Read a declared name and the position where it is declared."""
         offset = self._cur()[2]
-        name = self._expect_name(expected)
-        locus = f"{scope}.{name}" if scope else name
-        if locus not in self.positions or name in names:
-            self.positions[locus] = _position(self.line_starts, offset)
-        names.add(name)
-        return name
+        return self._expect_name(expected), _position(self.line_starts, offset, self.path)
 
     def _synchronize(self) -> str | None:
         """Skip ahead past the next ';' or '}'; returns the consumed terminator."""
@@ -194,11 +183,10 @@ class _MiniOOParser:
 
     def parse_model(self) -> list[PackageDef]:
         packages: list[PackageDef] = []
-        package_names: set[str] = set()
         while self._cur()[0] != "eof":
             if self._at("package"):
                 try:
-                    packages.append(self._package(package_names))
+                    packages.append(self._package())
                 except _Panic:
                     self._synchronize()
             else:
@@ -208,12 +196,11 @@ class _MiniOOParser:
             self._error("at least one package declaration")
         return packages
 
-    def _package(self, package_names: set[str]) -> PackageDef:
+    def _package(self) -> PackageDef:
         self._expect("package")
-        name = self._declare("", package_names, "a package name")
+        name, position = self._declare("a package name")
         self._expect("{")
         classes: list[ClassDef] = []
-        class_names: set[str] = set()
         closed = False
         while not closed:
             if self._match("}"):
@@ -223,18 +210,18 @@ class _MiniOOParser:
                 closed = True
             elif self._at("class") or self._at("abstract"):
                 try:
-                    classes.append(self._class(name, class_names))
+                    classes.append(self._class(name))
                 except _Panic:
                     closed = self._synchronize() is None
             else:
                 self._error("'class', 'abstract' or '}'")
                 closed = self._synchronize() is None
-        return PackageDef(name, tuple(classes))
+        return PackageDef(name, tuple(classes), position)
 
-    def _class(self, package: str, class_names: set[str]) -> ClassDef:
+    def _class(self, package: str) -> ClassDef:
         is_abstract = self._match("abstract")
         self._expect("class")
-        name = self._declare(package, class_names, "a class name")
+        name, position = self._declare("a class name")
         parents: list[QualifiedName] = []
         if self._match("extends"):
             parents.append(self._typeref(package))
@@ -243,9 +230,6 @@ class _MiniOOParser:
         self._expect("{")
         attributes: list[AttributeDef] = []
         methods: list[MethodDef] = []
-        field_names: set[str] = set()
-        method_names: set[str] = set()
-        scope = f"{package}.{name}"
         closed = False
         while not closed:
             if self._match("}"):
@@ -256,19 +240,20 @@ class _MiniOOParser:
             elif self._at("field") or self._at("method") or self._at("abstract"):
                 try:
                     if self._at("field"):
-                        attributes.append(self._field(package, scope, field_names))
+                        attributes.append(self._field(package))
                     else:
-                        methods.append(self._method(package, scope, method_names))
+                        methods.append(self._method(package))
                 except _Panic:
                     closed = self._synchronize() in ("}", None)
             else:
                 self._error("'field', 'method' or '}'")
                 closed = self._synchronize() in ("}", None)
-        return ClassDef(name, is_abstract, tuple(parents), tuple(attributes), tuple(methods))
+        return ClassDef(name, is_abstract, tuple(parents), tuple(attributes), tuple(methods),
+                        position)
 
-    def _field(self, package: str, scope: str, field_names: set[str]) -> AttributeDef:
+    def _field(self, package: str) -> AttributeDef:
         self._expect("field")
-        name = self._declare(scope, field_names, "a field name")
+        name, position = self._declare("a field name")
         self._expect(":")
         kind, text, _ = self._cur()
         if kind == "name" and text in _PRIMITIVES:
@@ -286,12 +271,12 @@ class _MiniOOParser:
         else:
             self._fail("a type name")
         self._expect(";")
-        return AttributeDef(name, target, attribute_kind)
+        return AttributeDef(name, target, attribute_kind, position)
 
-    def _method(self, package: str, scope: str, method_names: set[str]) -> MethodDef:
+    def _method(self, package: str) -> MethodDef:
         is_abstract = self._match("abstract")
         self._expect("method")
-        name = self._declare(scope, method_names, "a method name")
+        name, position = self._declare("a method name")
         weight = 1
         if self._match("weight"):
             kind, text, _ = self._cur()
@@ -315,7 +300,7 @@ class _MiniOOParser:
                 uses.append(self._typeref(package))
             self._expect(")")
         self._expect(";")
-        return MethodDef(name, is_abstract, weight, frozenset(reads), frozenset(uses))
+        return MethodDef(name, is_abstract, weight, frozenset(reads), frozenset(uses), position)
 
     def _typeref(self, default_package: str) -> QualifiedName:
         first = self._expect_name("a type name")
@@ -324,45 +309,26 @@ class _MiniOOParser:
         return QualifiedName(default_package, first)
 
 
-def parse_minioo_declarations(source: str) -> tuple[list[PackageDef], dict[str, SourcePosition]]:
-    """Syntax-only MiniOO parse: declarations plus a locus -> position index.
+def parse_minioo_declarations(source: str, path: str | None = None) -> list[PackageDef]:
+    """Syntax-only MiniOO parse: declarations, each with its source position in `path`.
 
     Raises ParseFailure on any syntax error; semantic validation is the
     caller's job (see parse_minioo).
     """
-    parser = _MiniOOParser(source)
+    parser = _MiniOOParser(source, path)
     packages = parser.parse_model()
     if parser.errors:
         raise ParseFailure(parser.errors)
-    return packages, parser.positions
-
-
-def declared_prefix(locus: str, positions: dict[str, SourcePosition]) -> str:
-    """The longest prefix of `locus` (at a '.') that `positions` holds, or ''."""
-    while locus and locus not in positions:
-        locus = locus.rpartition(".")[0]
-    return locus
-
-
-def attach_positions(
-    errors: list[ValidationError], positions: dict[str, SourcePosition],
-) -> list[ValidationError]:
-    """Give each validation error the source position of its locus (best prefix match)."""
-    return [dataclasses.replace(error, position=positions.get(declared_prefix(error.locus, positions)))
-            for error in errors]
+    return packages
 
 
 def parse_minioo(source: str) -> CodeModel:
     """Parse MiniOO source and validate it into a CodeModel.
 
-    Raises ParseFailure for syntax errors, ModelError (with source positions
-    attached) for semantic ones.
+    Raises ParseFailure for syntax errors, ModelError (each error at the
+    source position of the declaration it concerns) for semantic ones.
     """
-    packages, positions = parse_minioo_declarations(source)
-    errors = validate_packages(packages)
-    if errors:
-        raise ModelError(attach_positions(errors, positions))
-    return CodeModel(tuple(packages))
+    return build_model(parse_minioo_declarations(source))
 
 
 # -- interchange documents ---------------------------------------------------

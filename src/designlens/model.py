@@ -3,6 +3,10 @@
 The model is the single input to all analysis.  It is immutable after
 construction and only `build_model` produces a validated instance; every
 other operation assumes (and may rely on) a valid model.
+
+Declarations read from MiniOO source carry the `position` they were declared
+at, so a validation error can name it.  Positions are left out of equality,
+hashing and repr: a model is the same whichever frontend it was read from.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ class AttributeDef:
     name: str
     target: QualifiedName | None = None
     kind: str = NO_TARGET
+    position: SourcePosition | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.target is None:
@@ -91,6 +96,7 @@ class MethodDef:
     weight: int = 1
     reads: frozenset[str] = frozenset()
     uses: frozenset[QualifiedName] = frozenset()
+    position: SourcePosition | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "reads", frozenset(self.reads))
@@ -106,6 +112,7 @@ class ClassDef:
     parents: tuple[QualifiedName, ...] = ()
     attributes: tuple[AttributeDef, ...] = ()
     methods: tuple[MethodDef, ...] = ()
+    position: SourcePosition | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parents", tuple(self.parents))
@@ -117,6 +124,7 @@ class ClassDef:
 class PackageDef:
     name: str
     classes: tuple[ClassDef, ...] = ()
+    position: SourcePosition | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "classes", tuple(self.classes))
@@ -174,7 +182,7 @@ class ValidationError:
     code: str
     locus: str
     message: str
-    position: "SourcePosition | None" = None
+    position: SourcePosition | None = None
 
     def __str__(self) -> str:
         prefix = f"{self.position.line}:{self.position.column}: " if self.position else ""
@@ -223,7 +231,7 @@ def validate_packages(packages: Iterable[PackageDef]) -> list[ValidationError]:
         if pkg.name in seen_packages:
             errors.append(ValidationError(
                 DUPLICATE_PACKAGE, pkg.name,
-                f"package '{pkg.name}' is declared more than once"))
+                f"package '{pkg.name}' is declared more than once", pkg.position))
         seen_packages.add(pkg.name)
 
     declared: set[QualifiedName] = set()
@@ -234,7 +242,8 @@ def validate_packages(packages: Iterable[PackageDef]) -> list[ValidationError]:
             if cls.name in seen_classes:
                 errors.append(ValidationError(
                     DUPLICATE_CLASS, str(qn),
-                    f"class '{cls.name}' is declared more than once in package '{pkg.name}'"))
+                    f"class '{cls.name}' is declared more than once in package '{pkg.name}'",
+                    cls.position))
             seen_classes.add(cls.name)
             declared.add(qn)
 
@@ -246,12 +255,12 @@ def validate_packages(packages: Iterable[PackageDef]) -> list[ValidationError]:
                 if attr.name in attr_names:
                     errors.append(ValidationError(
                         DUPLICATE_MEMBER, f"{cls_locus}.{attr.name}",
-                        f"attribute '{attr.name}' is declared more than once"))
+                        f"attribute '{attr.name}' is declared more than once", attr.position))
                 attr_names.add(attr.name)
                 if attr.target is not None and attr.target not in declared:
                     errors.append(ValidationError(
                         UNRESOLVED_REFERENCE, f"{cls_locus}.{attr.name}",
-                        f"attribute type '{attr.target}' is not declared"))
+                        f"attribute type '{attr.target}' is not declared", attr.position))
 
             method_names: set[str] = set()
             for method in cls.methods:
@@ -259,28 +268,30 @@ def validate_packages(packages: Iterable[PackageDef]) -> list[ValidationError]:
                 if method.name in method_names:
                     errors.append(ValidationError(
                         DUPLICATE_MEMBER, locus,
-                        f"method '{method.name}' is declared more than once"))
+                        f"method '{method.name}' is declared more than once", method.position))
                 method_names.add(method.name)
                 if method.is_abstract and not cls.is_abstract:
                     errors.append(ValidationError(
                         ABSTRACT_METHOD_IN_CONCRETE_CLASS, locus,
-                        f"abstract method '{method.name}' in concrete class '{cls.name}'"))
+                        f"abstract method '{method.name}' in concrete class '{cls.name}'",
+                        method.position))
                 for read in sorted(method.reads):
                     if read not in attr_names:
                         errors.append(ValidationError(
                             UNKNOWN_READ_ATTRIBUTE, locus,
-                            f"method '{method.name}' reads unknown attribute '{read}'"))
+                            f"method '{method.name}' reads unknown attribute '{read}'",
+                            method.position))
                 for target in sorted(method.uses):
                     if target not in declared:
                         errors.append(ValidationError(
                             UNRESOLVED_REFERENCE, locus,
-                            f"used class '{target}' is not declared"))
+                            f"used class '{target}' is not declared", method.position))
 
             for parent in cls.parents:
                 if parent not in declared:
                     errors.append(ValidationError(
                         UNRESOLVED_REFERENCE, cls_locus,
-                        f"parent class '{parent}' is not declared"))
+                        f"parent class '{parent}' is not declared", cls.position))
 
     errors.extend(_inheritance_cycle_errors(packages, declared))
     return errors
@@ -290,9 +301,12 @@ def _inheritance_cycle_errors(
     packages: list[PackageDef], declared: set[QualifiedName],
 ) -> list[ValidationError]:
     parents: dict[QualifiedName, list[QualifiedName]] = {}
+    # a cycle is reported at the first declaration of its smallest member
+    first: dict[QualifiedName, ClassDef] = {}
     for pkg in packages:
         for cls in pkg.classes:
             qn = QualifiedName(pkg.name, cls.name)
+            first.setdefault(qn, cls)
             parents.setdefault(qn, [])
             parents[qn].extend(p for p in cls.parents if p in declared)
 
@@ -306,7 +320,7 @@ def _inheritance_cycle_errors(
         names = ", ".join(str(m) for m in members)
         errors.append(ValidationError(
             INHERITANCE_CYCLE, str(members[0]),
-            f"inheritance cycle involving {{{names}}}"))
+            f"inheritance cycle involving {{{names}}}", first[members[0]].position))
     return errors
 
 

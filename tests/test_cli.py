@@ -1,6 +1,11 @@
 import io
 import json
+import os
+import random
+import re
 import sys
+from collections import defaultdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +21,10 @@ from designlens.cli import (
     load_config,
     run,
 )
+from designlens.frontends import tokenize
 from designlens.principles import Thresholds
 from conftest import FIXTURES, GOLDEN
+from modelgen import random_model, write_minioo
 
 REFERENCE = str(FIXTURES / "reference.minioo")
 CYCLIC = str(FIXTURES / "cyclic.minioo")
@@ -148,7 +155,7 @@ def test_same_package_in_two_files_is_rejected(tmp_path):
     assert err.startswith(f"{tmp_path / 'b.minioo'}:1:9: DuplicatePackage at p:")
 
 
-def test_error_is_blamed_on_the_file_declaring_the_longest_prefix(tmp_path):
+def test_error_is_blamed_on_the_file_declaring_its_class(tmp_path):
     (tmp_path / "a.minioo").write_text("package p { class A { } }", encoding="utf-8")
     (tmp_path / "b.minioo").write_text(
         "package p {\n  class B extends q.Gone { }\n}", encoding="utf-8")
@@ -174,6 +181,91 @@ def test_duplicate_in_one_file_is_blamed_on_the_redeclaration(tmp_path, source, 
     assert code == EXIT_INPUT
     assert out == ""
     assert err == f"{path}:{expected}\n"
+
+
+@pytest.mark.parametrize("files,expected", [
+    ({"f.minioo": "package p {\n class A { field x: int;\n method x uses (q.Missing); }\n}"},
+     "f.minioo:3:9: UnresolvedReference at p.A.x: used class 'q.Missing' is not declared"),
+    ({"f.minioo": "package p { class A { } }\npackage p {\n  class A extends q.Gone { }\n}"},
+     "f.minioo:3:9: UnresolvedReference at p.A: parent class 'q.Gone' is not declared"),
+    ({"a1.minioo": "package p { class A { } }",
+      "b1.minioo": "package p {\n  class A extends q.Gone { }\n}"},
+     "b1.minioo:2:9: UnresolvedReference at p.A: parent class 'q.Gone' is not declared"),
+], ids=["field-and-method", "package-repeated-in-one-file", "class-repeated-in-two-files"])
+def test_error_is_reported_at_the_declaration_it_concerns(tmp_path, files, expected):
+    # each locus is declared twice; the error belongs to the second declaration
+    for name, source in files.items():
+        (tmp_path / name).write_text(source, encoding="utf-8")
+    code, out, err = invoke("analyze", *(str(tmp_path / name) for name in files))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert [line for line in err.splitlines() if "UnresolvedReference" in line] == [
+        f"{tmp_path}{os.sep}{expected}"]
+
+
+_DECLARING = ("package", "class", "field", "method")
+_KEYWORDS = {*_DECLARING, "abstract", "extends", "weight", "reads", "uses",
+             "int", "real", "text", "bool", "assoc", "aggr"}
+_COLLIDING_NAMES = ("p", "q", "A", "B", "x", "y", "Gone")
+_LOCATED_ERROR = re.compile(r"(.+):(\d+):(\d+): [A-Za-z]+ at ([\w.]+): (\w+)")
+
+
+def _collide(source, rng):
+    """`source` with every name renamed onto a few shared ones: mostly one new name per
+    old name, so references still resolve and declarations collide, sometimes a stray one."""
+    renames, pieces, end = {}, [], 0
+    for kind, text, offset in tokenize(source)[0]:
+        if kind == "name" and text not in _KEYWORDS:
+            new = (renames.setdefault(text, rng.choice(_COLLIDING_NAMES)) if rng.random() < 0.9
+                   else rng.choice(_COLLIDING_NAMES))
+            pieces += [source[end:offset], new]
+            end = offset + len(text)
+    return "".join(pieces) + source[end:]
+
+
+def _declarations(files):
+    """(locus, keyword) -> [(file, line, column)] of every declaration, found by
+    walking the tokens with a stack of the loci whose braces are open."""
+    index = defaultdict(list)
+    for path, source in files.items():
+        tokens = tokenize(source)[0]
+        scopes, declared = [], None
+        for (_, text, _), (kind, name, offset) in zip(tokens, tokens[1:]):
+            if text in _DECLARING and kind == "name":
+                declared = f"{scopes[-1]}.{name}" if scopes else name
+                line_start = source.rfind("\n", 0, offset) + 1
+                index[declared, text].append(
+                    (path, source.count("\n", 0, offset) + 1, offset - line_start + 1))
+            elif text == "{":
+                scopes.append(declared)
+            elif text == "}":
+                scopes.pop()
+    return index
+
+
+_SOURCES = st.just(Path(REFERENCE).read_text(encoding="utf-8")) | st.integers(0, 2**16).map(
+    lambda seed: write_minioo(random_model(random.Random(seed), max_packages=2, max_classes=3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sources=st.lists(_SOURCES, min_size=1, max_size=3), rng=st.randoms(use_true_random=False))
+def test_every_error_names_a_declaration_of_its_locus(tmp_path_factory, sources, rng):
+    directory = tmp_path_factory.mktemp("blame")
+    files = {str(directory / f"f{index}.minioo"): _collide(source, rng)
+             for index, source in enumerate(sources)}
+    for path, source in files.items():
+        Path(path).write_text(source, encoding="utf-8")
+    code, _, err = invoke("analyze", *files)
+    assert code in (EXIT_OK, EXIT_INPUT)
+    index = _declarations(files)
+    for line in err.splitlines():
+        path, row, column, locus, subject = _LOCATED_ERROR.match(line).groups()
+        # a member error is about a field when its message starts "attribute ..."
+        keyword = _DECLARING[locus.count(".")]
+        if keyword == "field" and subject != "attribute":
+            keyword = "method"
+        # one of the declarations of the locus: the only one, if it is declared once
+        assert (path, int(row), int(column)) in index[locus, keyword], line
 
 
 def test_deeply_nested_json_input_exits_three(tmp_path):
@@ -341,9 +433,7 @@ def test_fail_on_from_config_document(tmp_path):
 
 
 def test_gate_outcome_matches_brute_force_report_scan(tmp_path):
-    import random
     from designlens.frontends import write_interchange
-    from modelgen import random_model
 
     rng = random.Random(127)
     gate_checked = {"passed": 0, "failed": 0}
@@ -367,7 +457,6 @@ def test_gate_outcome_matches_brute_force_report_scan(tmp_path):
 
 
 def test_exit_codes_are_total_under_fuzzed_input(tmp_path):
-    import random
     rng = random.Random(131)
     alphabet = "packge clsmthod{};:,.()abstrct// \n\twigh123"
     for index in range(60):

@@ -166,11 +166,12 @@ def test_keywords_are_contextual_names():
 
 
 def test_declaration_parse_exposes_a_position_index(reference_source):
-    packages, positions = parse_minioo_declarations(reference_source)
+    packages = parse_minioo_declarations(reference_source, "reference.minioo")
     assert [pkg.name for pkg in packages] == ["core", "app"]
-    assert positions["core"].line == 1
-    assert positions["core.Circle"].line == 3
-    assert positions["app.Main.run"].line == 7
+    assert packages[0].position.line == 1
+    assert packages[0].classes[1].position.line == 3
+    assert packages[1].classes[1].methods[0].position.line == 7
+    assert packages[1].classes[1].methods[0].position.path == "reference.minioo"
 
 
 def test_semantic_errors_carry_source_positions():
@@ -393,7 +394,12 @@ def test_write_is_byte_stable(reference_source):
 
 def test_reference_fixture_round_trips(reference_source):
     model = parse_minioo(reference_source)
-    assert read_interchange(write_interchange(model)) == model
+    decoded = read_interchange(write_interchange(model))
+    assert decoded == model
+    # source positions are carried along but left out of equality, hashing and repr
+    assert model.packages[0].position is not None and decoded.packages[0].position is None
+    assert hash(decoded) == hash(model)
+    assert "position" not in repr(model.packages[0].classes[1])
 
 
 def test_random_models_round_trip():
