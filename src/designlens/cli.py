@@ -207,7 +207,7 @@ def run(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = N
         model = build_model(packages)
     except ModelError as exc:
         for error in exc.errors:
-            print(_located(error, args.paths), file=stderr)
+            print(_located(error), file=stderr)
         return EXIT_INPUT
 
     metrics = compute_all(model)
@@ -277,7 +277,7 @@ def _load_inputs(paths: list[str], stderr: TextIO) -> tuple[list[PackageDef], in
             if suffix == ".minioo":
                 packages.extend(parse_minioo_declarations(text, path))
             else:
-                packages.extend(decode_interchange(text))
+                packages.extend(decode_interchange(text, path))
         except ParseFailure as exc:
             for error in exc.errors:
                 print(f"{path}:{error.message}", file=stderr)
@@ -291,12 +291,11 @@ def _load_inputs(paths: list[str], stderr: TextIO) -> tuple[list[PackageDef], in
     return packages, EXIT_OK
 
 
-def _located(error: ValidationError, paths: list[str]) -> str:
-    """The error prefixed with the file it was declared in; an unpositioned
-    (interchange) error is prefixed with the input file only if there is one."""
-    if error.position is not None:
-        return f"{error.position.path}:{error}"
-    return f"{paths[0]}: {error}" if len(paths) == 1 else str(error)
+def _located(error: ValidationError) -> str:
+    """The error prefixed with the file declaring what it concerns: `path:line:col: `
+    for MiniOO, `path: ` for an interchange document."""
+    position = error.position
+    return f"{position.path}:{error}" if position.line else f"{position.path}: {error}"
 
 
 def _evaluate_gates(report: LayeredReport,

@@ -11,7 +11,7 @@ import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, NoReturn
+from typing import Any, Callable, NoReturn
 
 from .model import (
     AGGREGATION,
@@ -38,8 +38,8 @@ _ATTRIBUTE_KINDS = {"assoc": ASSOCIATION, "aggr": AGGREGATION}
 
 @dataclass(frozen=True)
 class SourcePosition:
-    line: int    # 1-based
-    column: int  # 1-based, in Unicode scalar values
+    line: int | None    # 1-based; None in an interchange document
+    column: int | None  # 1-based, in Unicode scalar values
     path: str | None = None  # the file read, if any
 
 
@@ -234,9 +234,6 @@ class _MiniOOParser:
         while not closed:
             if self._match("}"):
                 closed = True
-            elif self._cur()[0] == "eof":
-                self._error("'field', 'method' or '}'")
-                closed = True
             elif self._at("field") or self._at("method") or self._at("abstract"):
                 try:
                     if self._at("field"):
@@ -335,10 +332,15 @@ def parse_minioo(source: str) -> CodeModel:
 
 
 class _SchemaWalker:
-    """Strict walk of the interchange document; collects every schema error."""
+    """Strict walk of the interchange document; collects every schema error.
 
-    def __init__(self) -> None:
+    Any error rejects the whole document, so a declaration is built only while
+    there is none.
+    """
+
+    def __init__(self, path: str | None) -> None:
         self.errors: list[ValidationError] = []
+        self.position = SourcePosition(None, None, path) if path is not None else None
 
     def error(self, path: str, message: str) -> None:
         self.errors.append(ValidationError(SCHEMA_ERROR, path, message))
@@ -355,11 +357,12 @@ class _SchemaWalker:
             self.error(f"{path}.{key}" if path else str(key), "missing field")
         return None if missing else value
 
-    def array(self, value: Any, path: str) -> list | None:
+    def items(self, value: Any, path: str, decode: Callable[[Any, str], Any]) -> list:
+        """Decode each element of an array at `path[i]`."""
         if not isinstance(value, list):
             self.error(path, f"expected an array, got {type(value).__name__}")
-            return None
-        return value
+            return []
+        return [decode(item, f"{path}[{i}]") for i, item in enumerate(value)]
 
     def string(self, value: Any, path: str) -> str | None:
         if not isinstance(value, str):
@@ -390,6 +393,59 @@ class _SchemaWalker:
             return None
         return QualifiedName(package, cls)
 
+    def package(self, value: Any, path: str) -> PackageDef | None:
+        obj = self.obj(value, path, ("name", "classes"))
+        if obj is None:
+            return None
+        name = self.identifier(obj["name"], f"{path}.name")
+        classes = self.items(obj["classes"], f"{path}.classes", self.class_)
+        return None if self.errors else PackageDef(name, tuple(classes), self.position)
+
+    def class_(self, value: Any, path: str) -> ClassDef | None:
+        obj = self.obj(value, path, ("name", "abstract", "parents", "attributes", "methods"))
+        if obj is None:
+            return None
+        name = self.identifier(obj["name"], f"{path}.name")
+        is_abstract = self.boolean(obj["abstract"], f"{path}.abstract")
+        parents = self.items(obj["parents"], f"{path}.parents", self.qualified)
+        attributes = self.items(obj["attributes"], f"{path}.attributes", self.attribute)
+        methods = self.items(obj["methods"], f"{path}.methods", self.method)
+        return None if self.errors else ClassDef(
+            name, is_abstract, tuple(parents), tuple(attributes), tuple(methods), self.position)
+
+    def attribute(self, value: Any, path: str) -> AttributeDef | None:
+        obj = self.obj(value, path, ("name", "target", "kind"))
+        if obj is None:
+            return None
+        name = self.identifier(obj["name"], f"{path}.name")
+        target = None
+        if obj["target"] is not None:
+            target = self.qualified(obj["target"], f"{path}.target")
+            if target is None:
+                return None
+        kind = obj["kind"]
+        if kind not in (ASSOCIATION, AGGREGATION, NO_TARGET):
+            self.error(f"{path}.kind",
+                       f"expected 'association', 'aggregation' or 'none', got {kind!r}")
+            return None
+        if (kind == NO_TARGET) != (target is None):
+            self.error(f"{path}.kind", "kind 'none' is required exactly when target is null")
+        return None if self.errors else AttributeDef(name, target, kind, self.position)
+
+    def method(self, value: Any, path: str) -> MethodDef | None:
+        obj = self.obj(value, path, ("name", "abstract", "weight", "reads", "uses"))
+        if obj is None:
+            return None
+        name = self.identifier(obj["name"], f"{path}.name")
+        is_abstract = self.boolean(obj["abstract"], f"{path}.abstract")
+        weight = obj["weight"]
+        if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
+            self.error(f"{path}.weight", f"expected a positive integer, got {weight!r}")
+        reads = self.items(obj["reads"], f"{path}.reads", self.identifier)
+        uses = self.items(obj["uses"], f"{path}.uses", self.qualified)
+        return None if self.errors else MethodDef(
+            name, is_abstract, weight, frozenset(reads), frozenset(uses), self.position)
+
 
 def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     """`object_pairs_hook` for the strict JSON readers: a repeated key is a ValueError."""
@@ -403,9 +459,10 @@ def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
-def decode_interchange(document: str) -> list[PackageDef]:
+def decode_interchange(document: str, path: str | None = None) -> list[PackageDef]:
     """Decode an interchange document to declarations, without semantic validation.
 
+    Given a `path`, each declaration's position names that file (no line or column).
     Raises ModelError with MalformedDocument / SchemaError entries (the locus
     is the JSON path of the offending field).
     """
@@ -420,105 +477,12 @@ def decode_interchange(document: str) -> list[PackageDef]:
         raise ModelError([ValidationError(
             MALFORMED_DOCUMENT, "document", "JSON nesting is too deep")]) from None
 
-    walker = _SchemaWalker()
-    packages: list[PackageDef] = []
+    walker = _SchemaWalker(path)
     root = walker.obj(data, "", ("packages",))
-    if root is not None:
-        package_array = walker.array(root["packages"], "packages")
-        for p, package_value in enumerate(package_array or []):
-            package = _decode_package(walker, package_value, f"packages[{p}]")
-            if package is not None:
-                packages.append(package)
+    packages = [] if root is None else walker.items(root["packages"], "packages", walker.package)
     if walker.errors:
         raise ModelError(walker.errors)
     return packages
-
-
-def _decode_package(walker: _SchemaWalker, value: Any, path: str) -> PackageDef | None:
-    obj = walker.obj(value, path, ("name", "classes"))
-    if obj is None:
-        return None
-    name = walker.identifier(obj["name"], f"{path}.name")
-    class_array = walker.array(obj["classes"], f"{path}.classes")
-    classes = []
-    for c, class_value in enumerate(class_array or []):
-        cls = _decode_class(walker, class_value, f"{path}.classes[{c}]")
-        if cls is not None:
-            classes.append(cls)
-    if name is None or class_array is None or len(classes) != len(class_array):
-        return None
-    return PackageDef(name, tuple(classes))
-
-
-def _decode_class(walker: _SchemaWalker, value: Any, path: str) -> ClassDef | None:
-    obj = walker.obj(value, path, ("name", "abstract", "parents", "attributes", "methods"))
-    if obj is None:
-        return None
-    name = walker.identifier(obj["name"], f"{path}.name")
-    is_abstract = walker.boolean(obj["abstract"], f"{path}.abstract")
-    parents: list[QualifiedName | None] = []
-    parent_array = walker.array(obj["parents"], f"{path}.parents")
-    for i, parent in enumerate(parent_array or []):
-        parents.append(walker.qualified(parent, f"{path}.parents[{i}]"))
-    attributes = []
-    attribute_array = walker.array(obj["attributes"], f"{path}.attributes")
-    for i, attribute in enumerate(attribute_array or []):
-        attributes.append(_decode_attribute(walker, attribute, f"{path}.attributes[{i}]"))
-    methods = []
-    method_array = walker.array(obj["methods"], f"{path}.methods")
-    for i, method in enumerate(method_array or []):
-        methods.append(_decode_method(walker, method, f"{path}.methods[{i}]"))
-    parts = [name, is_abstract, parent_array, attribute_array, method_array, *parents,
-             *attributes, *methods]
-    if any(part is None for part in parts):
-        return None
-    return ClassDef(name, is_abstract, tuple(parents), tuple(attributes), tuple(methods))
-
-
-def _decode_attribute(walker: _SchemaWalker, value: Any, path: str) -> AttributeDef | None:
-    obj = walker.obj(value, path, ("name", "target", "kind"))
-    if obj is None:
-        return None
-    name = walker.identifier(obj["name"], f"{path}.name")
-    target = None
-    if obj["target"] is not None:
-        target = walker.qualified(obj["target"], f"{path}.target")
-        if target is None:
-            return None
-    kind = obj["kind"]
-    if kind not in (ASSOCIATION, AGGREGATION, NO_TARGET):
-        walker.error(f"{path}.kind", f"expected 'association', 'aggregation' or 'none', got {kind!r}")
-        return None
-    if (kind == NO_TARGET) != (obj["target"] is None):
-        walker.error(f"{path}.kind", "kind 'none' is required exactly when target is null")
-        return None
-    if name is None:
-        return None
-    return AttributeDef(name, target, kind)
-
-
-def _decode_method(walker: _SchemaWalker, value: Any, path: str) -> MethodDef | None:
-    obj = walker.obj(value, path, ("name", "abstract", "weight", "reads", "uses"))
-    if obj is None:
-        return None
-    name = walker.identifier(obj["name"], f"{path}.name")
-    is_abstract = walker.boolean(obj["abstract"], f"{path}.abstract")
-    weight = obj["weight"]
-    if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
-        walker.error(f"{path}.weight", f"expected a positive integer, got {weight!r}")
-        weight = None
-    reads: list[str | None] = []
-    read_array = walker.array(obj["reads"], f"{path}.reads")
-    for i, read in enumerate(read_array or []):
-        reads.append(walker.identifier(read, f"{path}.reads[{i}]"))
-    uses: list[QualifiedName | None] = []
-    use_array = walker.array(obj["uses"], f"{path}.uses")
-    for i, use in enumerate(use_array or []):
-        uses.append(walker.qualified(use, f"{path}.uses[{i}]"))
-    parts = [name, is_abstract, weight, read_array, use_array, *reads, *uses]
-    if any(part is None for part in parts):
-        return None
-    return MethodDef(name, is_abstract, weight, frozenset(reads), frozenset(uses))
 
 
 def read_interchange(document: str) -> CodeModel:

@@ -5,8 +5,9 @@ construction and only `build_model` produces a validated instance; every
 other operation assumes (and may rely on) a valid model.
 
 Declarations read from MiniOO source carry the `position` they were declared
-at, so a validation error can name it.  Positions are left out of equality,
-hashing and repr: a model is the same whichever frontend it was read from.
+at, and those decoded from a named interchange file carry the file, so a
+validation error can name it.  Positions are left out of equality, hashing
+and repr: a model is the same whichever frontend it was read from.
 """
 
 from __future__ import annotations
@@ -185,7 +186,8 @@ class ValidationError:
     position: SourcePosition | None = None
 
     def __str__(self) -> str:
-        prefix = f"{self.position.line}:{self.position.column}: " if self.position else ""
+        position = self.position
+        prefix = f"{position.line}:{position.column}: " if position and position.line else ""
         return f"{prefix}{self.code} at {self.locus}: {self.message}"
 
 

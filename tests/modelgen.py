@@ -3,12 +3,18 @@
 Models are valid by construction: names are unique, parents only reference
 classes declared earlier (keeping inheritance acyclic), read-sets only name
 declared attributes, and abstract methods only appear in abstract classes.
+`MUTATED_DOCUMENTS` breaks them on purpose, in their interchange form.
 """
 
 from __future__ import annotations
 
+import copy
+import json
 import random
 
+from hypothesis import strategies as st
+
+from designlens.frontends import write_interchange
 from designlens.model import (
     AGGREGATION,
     ASSOCIATION,
@@ -109,3 +115,47 @@ def write_minioo(model: CodeModel) -> str:
             lines.append("  }")
         lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# What a mutated document may hold in place of a value: each JSON type, valid
+# and invalid names, and attribute kinds valid or not.
+_JUNK = (None, True, 0, 2, -1, 1.5, "", "p", "1x", "p.A", "pkg0.C0_0", "association", "none",
+         "friend", [], [0], ["p.A"], {}, {"name": "p"})
+_SCHEMA_KEYS = ("packages", "name", "classes", "abstract", "parents", "attributes", "methods",
+                "target", "kind", "weight", "reads", "uses", "bogus")
+
+
+def mutate_document(document: str, rng: random.Random) -> str:
+    """`document` with one to three random edits: a value swapped for junk or
+    deleted, or a junk key or element added to an object or array."""
+    data = json.loads(document)
+    for _ in range(rng.randint(1, 3)):
+        slots = []  # (container, key) of every value, and (container, None) to add to it
+        stack = [data]
+        while stack:
+            node = stack.pop()
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            slots += [(node, None), *((node, key) for key in keys)]
+            stack += [node[key] for key in keys if isinstance(node[key], (dict, list))]
+        node, key = rng.choice(slots)
+        junk = copy.deepcopy(rng.choice(_JUNK))
+        if key is None and isinstance(node, dict):
+            node[rng.choice(_SCHEMA_KEYS)] = junk
+        elif key is None:
+            node.insert(rng.randint(0, len(node)), junk)
+        elif rng.random() < 0.7:
+            node[key] = junk
+        else:
+            del node[key]
+    return json.dumps(data)
+
+
+def _mutated_document(seed: int) -> str:
+    rng = random.Random(seed)
+    model = random_model(rng, max_packages=2, max_classes=3)
+    return mutate_document(write_interchange(model), rng)
+
+
+# Interchange documents of small random models, each mutated a little, so most
+# get past the root object and many into a class or member.
+MUTATED_DOCUMENTS = st.integers(0, 2**32).map(_mutated_document)

@@ -24,7 +24,7 @@ from designlens.cli import (
 from designlens.frontends import tokenize
 from designlens.principles import Thresholds
 from conftest import FIXTURES, GOLDEN
-from modelgen import random_model, write_minioo
+from modelgen import MUTATED_DOCUMENTS, random_model, write_minioo
 
 REFERENCE = str(FIXTURES / "reference.minioo")
 CYCLIC = str(FIXTURES / "cyclic.minioo")
@@ -201,6 +201,25 @@ def test_error_is_reported_at_the_declaration_it_concerns(tmp_path, files, expec
     assert out == ""
     assert [line for line in err.splitlines() if "UnresolvedReference" in line] == [
         f"{tmp_path}{os.sep}{expected}"]
+
+
+_ORPHAN_CLASS = ('{"packages":[{"name":"q","classes":[{"name":"B","abstract":false,'
+                 '"parents":["z.Gone"],"attributes":[],"methods":[]}]}]}')
+
+
+@pytest.mark.parametrize("files,expected", [
+    ({"a.minioo": "package p { class A { } }",
+      "b.json": '{"packages":[{"name":"p","classes":[]}]}'},
+     "b.json: DuplicatePackage at p: package 'p' is declared more than once"),
+    ({"a.minioo": "package p { class A { } }", "c.json": _ORPHAN_CLASS},
+     "c.json: UnresolvedReference at q.B: parent class 'z.Gone' is not declared"),
+], ids=["duplicate-package", "unresolved-parent"])
+def test_interchange_error_names_its_file_among_several_inputs(tmp_path, files, expected):
+    for name, source in files.items():
+        (tmp_path / name).write_text(source, encoding="utf-8")
+    code, out, err = invoke("analyze", *(str(tmp_path / name) for name in files))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"{tmp_path}{os.sep}{expected}\n"
 
 
 _DECLARING = ("package", "class", "field", "method")
@@ -389,6 +408,11 @@ def test_unknown_config_key_is_rejected(tmp_path):
     ('not json', "JSON"),
     pytest.param("[" * 200000, "nesting is too deep", id="deeply-nested"),
     pytest.param('{"fail_on":["adp"],"fail_on":[]}', "duplicate key 'fail_on'", id="duplicate-key"),
+    ('{"thresholds":[]}', "'thresholds' must be an object"),
+    ('{"thresholds":{"sap_extreme":"high"}}',
+     "'thresholds.sap_extreme' must be a non-negative number"),
+    ('{"gates":[["max_dit","<="]]}', "'gates[0]' must be [name, comparator, limit]"),
+    ('{"fail_on":"adp"}', "'fail_on' must be an array of strings"),
 ])
 def test_malformed_configs_are_usage_errors(tmp_path, document, needle):
     config = tmp_path / "bad.json"
@@ -500,6 +524,17 @@ def test_any_json_input_exits_with_a_contract_code(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("json") / "input.json"
     path.write_bytes(data)
     assert run(["analyze", str(path)], stdout=io.StringIO(), stderr=io.StringIO()) in _EXIT_CODES
+
+
+@settings(max_examples=150, deadline=None)
+@given(document=MUTATED_DOCUMENTS)
+def test_mutated_json_input_exits_with_a_contract_code(tmp_path_factory, document):
+    path = tmp_path_factory.mktemp("mutated") / "input.json"
+    path.write_text(document, encoding="utf-8")
+    code, _, err = invoke("analyze", str(path))
+    assert code in _EXIT_CODES
+    # every error, schema or semantic, names the document
+    assert all(line.startswith(f"{path}: ") for line in err.splitlines())
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,7 @@
 import io
+import json
 import random
+from typing import Any
 
 import pytest
 from hypothesis import given, settings
@@ -12,16 +14,19 @@ from designlens.frontends import (
     ParseError,
     ParseFailure,
     SourcePosition,
+    decode_interchange,
     parse_minioo,
     parse_minioo_declarations,
     read_interchange,
     tokenize,
+    unique_keys,
     write_interchange,
 )
 from designlens.model import (
     AGGREGATION,
     ASSOCIATION,
     IDENTIFIER_RE,
+    NO_TARGET,
     UNRESOLVED_REFERENCE,
     AttributeDef,
     ClassDef,
@@ -30,8 +35,9 @@ from designlens.model import (
     ModelError,
     PackageDef,
     QualifiedName,
+    ValidationError,
 )
-from modelgen import random_model, write_minioo
+from modelgen import MUTATED_DOCUMENTS, random_model, write_minioo
 
 
 def qn(package, cls):
@@ -156,6 +162,15 @@ def test_non_ascii_digit_weight_is_a_positioned_syntax_error(tmp_path, digit):
     stderr = io.StringIO()
     assert cli.run(["analyze", str(path)], stdout=io.StringIO(), stderr=stderr) == cli.EXIT_INPUT
     assert stderr.getvalue().startswith(f"{path}:1:39: expected a token")
+
+
+def test_class_body_cut_at_end_of_input_reports_both_open_blocks():
+    with pytest.raises(ParseFailure) as excinfo:
+        parse_minioo("package p { class A { field x: int;")
+    assert [error.message for error in excinfo.value.errors] == [
+        "1:36: expected 'field', 'method' or '}', found end of input",
+        "1:36: expected 'class' or '}', found end of input",
+    ]
 
 
 def test_keywords_are_contextual_names():
@@ -352,13 +367,29 @@ def test_malformed_json_reports_malformed_document():
 def test_mistyped_method_fields_report_their_paths(field, value, path):
     method = {"name": "m", "abstract": False, "weight": 1, "reads": [], "uses": []}
     method[field] = value
-    import json
     document = json.dumps({"packages": [{"name": "p", "classes": [
         {"name": "A", "abstract": False, "parents": [], "attributes": [], "methods": [method]}]}]})
     with pytest.raises(ModelError) as excinfo:
         read_interchange(document)
     assert excinfo.value.errors[0].code == SCHEMA_ERROR
     assert excinfo.value.errors[0].locus == path
+
+
+@pytest.mark.parametrize("field,value,locus,message", [
+    ("name", "1A", "packages[0].classes[0].name", "not a valid identifier: '1A'"),
+    ("parents", [3], "packages[0].classes[0].parents[0]", "expected a string, got int"),
+    ("attributes", [{"name": "x", "target": None, "kind": "friend"}],
+     "packages[0].classes[0].attributes[0].kind",
+     "expected 'association', 'aggregation' or 'none', got 'friend'"),
+])
+def test_mistyped_class_fields_report_their_paths_and_messages(field, value, locus, message):
+    cls = {"name": "A", "abstract": False, "parents": [], "attributes": [], "methods": []}
+    cls[field] = value
+    document = json.dumps({"packages": [{"name": "p", "classes": [cls]}]})
+    with pytest.raises(ModelError) as excinfo:
+        read_interchange(document)
+    assert [(e.code, e.locus, e.message) for e in excinfo.value.errors] == [
+        (SCHEMA_ERROR, locus, message)]
 
 
 def test_attribute_kind_target_mismatch_is_a_schema_error():
@@ -378,6 +409,197 @@ def test_schema_errors_are_collected_not_first_only():
         read_interchange(document)
     loci = {e.locus for e in excinfo.value.errors}
     assert loci == {"packages[0].classes[0].abstract", "packages[0].classes[1].name"}
+
+
+# -- the decoder against the one it replaced ------------------------------------------
+
+
+class _ReferenceWalker:
+    """The schema walker of the replaced decoder."""
+
+    def __init__(self) -> None:
+        self.errors: list[ValidationError] = []
+
+    def error(self, path: str, message: str) -> None:
+        self.errors.append(ValidationError(SCHEMA_ERROR, path, message))
+
+    def obj(self, value: Any, path: str, keys: tuple[str, ...]) -> dict | None:
+        if not isinstance(value, dict):
+            self.error(path or "document", f"expected an object, got {type(value).__name__}")
+            return None
+        for key in value:
+            if key not in keys:
+                self.error(f"{path}.{key}" if path else str(key), "unknown field")
+        missing = [k for k in keys if k not in value]
+        for key in missing:
+            self.error(f"{path}.{key}" if path else str(key), "missing field")
+        return None if missing else value
+
+    def array(self, value: Any, path: str) -> list | None:
+        if not isinstance(value, list):
+            self.error(path, f"expected an array, got {type(value).__name__}")
+            return None
+        return value
+
+    def string(self, value: Any, path: str) -> str | None:
+        if not isinstance(value, str):
+            self.error(path, f"expected a string, got {type(value).__name__}")
+            return None
+        return value
+
+    def identifier(self, value: Any, path: str) -> str | None:
+        text = self.string(value, path)
+        if text is not None and not IDENTIFIER_RE.match(text):
+            self.error(path, f"not a valid identifier: {text!r}")
+            return None
+        return text
+
+    def boolean(self, value: Any, path: str) -> bool | None:
+        if not isinstance(value, bool):
+            self.error(path, f"expected a boolean, got {type(value).__name__}")
+            return None
+        return value
+
+    def qualified(self, value: Any, path: str) -> QualifiedName | None:
+        text = self.string(value, path)
+        if text is None:
+            return None
+        package, dot, cls = text.partition(".")
+        if not dot or not IDENTIFIER_RE.match(package) or not IDENTIFIER_RE.match(cls):
+            self.error(path, f"expected 'pkg.Class', got {text!r}")
+            return None
+        return QualifiedName(package, cls)
+
+
+
+def reference_decode_interchange(document: str) -> list[PackageDef]:
+    """The interchange decoder that `decode_interchange` replaced: it carries a
+    None upward for every invalid field and checks each part before building."""
+    try:
+        data = json.loads(document, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ModelError([ValidationError(
+            MALFORMED_DOCUMENT, f"line {exc.lineno}", f"not well-formed JSON: {exc.msg}")]) from None
+    except ValueError as exc:  # a repeated key, or an integer too long to convert
+        raise ModelError([ValidationError(MALFORMED_DOCUMENT, "document", str(exc))]) from None
+    except RecursionError:
+        raise ModelError([ValidationError(
+            MALFORMED_DOCUMENT, "document", "JSON nesting is too deep")]) from None
+
+    walker = _ReferenceWalker()
+    packages: list[PackageDef] = []
+    root = walker.obj(data, "", ("packages",))
+    if root is not None:
+        package_array = walker.array(root["packages"], "packages")
+        for p, package_value in enumerate(package_array or []):
+            package = _reference_package(walker, package_value, f"packages[{p}]")
+            if package is not None:
+                packages.append(package)
+    if walker.errors:
+        raise ModelError(walker.errors)
+    return packages
+
+
+def _reference_package(walker: _ReferenceWalker, value: Any, path: str) -> PackageDef | None:
+    obj = walker.obj(value, path, ("name", "classes"))
+    if obj is None:
+        return None
+    name = walker.identifier(obj["name"], f"{path}.name")
+    class_array = walker.array(obj["classes"], f"{path}.classes")
+    classes = []
+    for c, class_value in enumerate(class_array or []):
+        cls = _reference_class(walker, class_value, f"{path}.classes[{c}]")
+        if cls is not None:
+            classes.append(cls)
+    if name is None or class_array is None or len(classes) != len(class_array):
+        return None
+    return PackageDef(name, tuple(classes))
+
+
+def _reference_class(walker: _ReferenceWalker, value: Any, path: str) -> ClassDef | None:
+    obj = walker.obj(value, path, ("name", "abstract", "parents", "attributes", "methods"))
+    if obj is None:
+        return None
+    name = walker.identifier(obj["name"], f"{path}.name")
+    is_abstract = walker.boolean(obj["abstract"], f"{path}.abstract")
+    parents: list[QualifiedName | None] = []
+    parent_array = walker.array(obj["parents"], f"{path}.parents")
+    for i, parent in enumerate(parent_array or []):
+        parents.append(walker.qualified(parent, f"{path}.parents[{i}]"))
+    attributes = []
+    attribute_array = walker.array(obj["attributes"], f"{path}.attributes")
+    for i, attribute in enumerate(attribute_array or []):
+        attributes.append(_reference_attribute(walker, attribute, f"{path}.attributes[{i}]"))
+    methods = []
+    method_array = walker.array(obj["methods"], f"{path}.methods")
+    for i, method in enumerate(method_array or []):
+        methods.append(_reference_method(walker, method, f"{path}.methods[{i}]"))
+    parts = [name, is_abstract, parent_array, attribute_array, method_array, *parents,
+             *attributes, *methods]
+    if any(part is None for part in parts):
+        return None
+    return ClassDef(name, is_abstract, tuple(parents), tuple(attributes), tuple(methods))
+
+
+def _reference_attribute(walker: _ReferenceWalker, value: Any, path: str) -> AttributeDef | None:
+    obj = walker.obj(value, path, ("name", "target", "kind"))
+    if obj is None:
+        return None
+    name = walker.identifier(obj["name"], f"{path}.name")
+    target = None
+    if obj["target"] is not None:
+        target = walker.qualified(obj["target"], f"{path}.target")
+        if target is None:
+            return None
+    kind = obj["kind"]
+    if kind not in (ASSOCIATION, AGGREGATION, NO_TARGET):
+        walker.error(f"{path}.kind", f"expected 'association', 'aggregation' or 'none', got {kind!r}")
+        return None
+    if (kind == NO_TARGET) != (obj["target"] is None):
+        walker.error(f"{path}.kind", "kind 'none' is required exactly when target is null")
+        return None
+    if name is None:
+        return None
+    return AttributeDef(name, target, kind)
+
+
+def _reference_method(walker: _ReferenceWalker, value: Any, path: str) -> MethodDef | None:
+    obj = walker.obj(value, path, ("name", "abstract", "weight", "reads", "uses"))
+    if obj is None:
+        return None
+    name = walker.identifier(obj["name"], f"{path}.name")
+    is_abstract = walker.boolean(obj["abstract"], f"{path}.abstract")
+    weight = obj["weight"]
+    if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
+        walker.error(f"{path}.weight", f"expected a positive integer, got {weight!r}")
+        weight = None
+    reads: list[str | None] = []
+    read_array = walker.array(obj["reads"], f"{path}.reads")
+    for i, read in enumerate(read_array or []):
+        reads.append(walker.identifier(read, f"{path}.reads[{i}]"))
+    uses: list[QualifiedName | None] = []
+    use_array = walker.array(obj["uses"], f"{path}.uses")
+    for i, use in enumerate(use_array or []):
+        uses.append(walker.qualified(use, f"{path}.uses[{i}]"))
+    parts = [name, is_abstract, weight, read_array, use_array, *reads, *uses]
+    if any(part is None for part in parts):
+        return None
+    return MethodDef(name, is_abstract, weight, frozenset(reads), frozenset(uses))
+
+
+def _decoded(decode, document):
+    try:
+        return decode(document)
+    except ModelError as error:
+        return error.errors
+
+
+@settings(max_examples=500, deadline=None)
+@given(document=MUTATED_DOCUMENTS)
+def test_decoder_matches_the_reference_on_mutated_documents(document):
+    # the same declarations, or the same errors in the same order
+    expected = _decoded(reference_decode_interchange, document)
+    assert _decoded(decode_interchange, document) == expected
 
 
 # -- canonical writing and round trips ------------------------------------------------

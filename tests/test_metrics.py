@@ -186,20 +186,29 @@ def test_dit_of_chain_is_path_length():
     assert dit(model, qn("p", "C2")) == 2
 
 
+def _children_first(model):
+    """The same model with packages and classes declared in reverse order, so
+    every class comes before the classes it extends."""
+    return build_model([PackageDef(pkg.name, pkg.classes[::-1])
+                        for pkg in reversed(model.packages)])
+
+
 def test_dit_of_diamond_is_longest_path():
     # C3 extends {C1, C2}; C1 and C2 extend C0
-    model = _hierarchy((), (0,), (0,), (1, 2))
-    assert dit(model, qn("p", "C3")) == 2
-    assert dit(model, qn("p", "C3")) == longest_root_path(model, qn("p", "C3"))
+    diamond = _hierarchy((), (0,), (0,), (1, 2))
+    for model in (diamond, _children_first(diamond)):
+        assert [dit(model, qn("p", f"C{i}")) for i in range(4)] == [0, 1, 1, 2]
+        assert dit(model, qn("p", "C3")) == longest_root_path(model, qn("p", "C3"))
 
 
 def test_dit_matches_exhaustive_oracle_on_random_dags():
     rng = random.Random(31)
     for _ in range(80):
-        model = random_model(rng, max_packages=2, max_classes=4)
-        for name, cls in model.iter_classes():
-            assert dit(model, name) == longest_root_path(model, name)
-            assert (dit(model, name) == 0) == (not cls.parents)
+        generated = random_model(rng, max_packages=2, max_classes=4)
+        for model in (generated, _children_first(generated)):
+            for name, cls in model.iter_classes():
+                assert dit(model, name) == longest_root_path(model, name)
+                assert (dit(model, name) == 0) == (not cls.parents)
 
 
 # -- NOC ------------------------------------------------------------------------------
