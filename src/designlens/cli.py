@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import TextIO
@@ -64,6 +64,10 @@ GATE_NAMES = tuple(sorted(
     [f"{kind}_{metric}" for kind in _AGGREGATE_KINDS for metric in _METRIC_NAMES]
     + list(_COUNT_GATES)))
 
+# The most digits a config number may take written out in full: room for any
+# threshold or limit, and far below the longest integer Python converts to text.
+_MAX_NUMBER_DIGITS = 1000
+
 _RULE_TOKENS = {rule.lower(): rule for rule in SEVERITY_BY_RULE}
 _SEVERITY_TOKENS = ("violation", "advisory", "warning")
 
@@ -97,10 +101,10 @@ def load_config(path: str | None) -> GateConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
-        data = json.loads(text, parse_float=Fraction, object_pairs_hook=unique_keys)
+        data = json.loads(text, parse_float=_config_number, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not well-formed JSON: {exc.msg} (line {exc.lineno})") from None
-    except ValueError as exc:  # a repeated key, or an integer too long to convert
+    except ValueError as exc:  # a repeated key, or a number too long to convert
         raise ConfigError(f"config is rejected: {exc}") from None
     except RecursionError:
         raise ConfigError("config is not well-formed JSON: nesting is too deep") from None
@@ -116,10 +120,20 @@ def load_config(path: str | None) -> GateConfig:
     return GateConfig(thresholds, gates, fail_on)
 
 
+def _config_number(text: str) -> Fraction:
+    """`parse_float` hook: the exact value of a JSON number with a fraction or an
+    exponent, refused before it is built if it takes too many digits written out."""
+    mantissa, _, exponent = text.lower().partition("e")
+    magnitude = exponent.lstrip("+-0")  # converted only when it has few digits
+    if (len(magnitude) > len(str(_MAX_NUMBER_DIGITS))
+            or len(mantissa) + int(magnitude or 0) > _MAX_NUMBER_DIGITS):
+        raise ValueError(f"number {text:.40} takes more than {_MAX_NUMBER_DIGITS} digits")
+    return Fraction(text)
+
+
 def _load_thresholds(data: object) -> Thresholds:
     if not isinstance(data, dict):
         raise ConfigError("'thresholds' must be an object")
-    defaults = Thresholds()
     values: dict[str, int | Fraction] = {}
     for key, value in data.items():
         if key in ("srp_lcom_min", "srp_method_min"):
@@ -133,12 +147,7 @@ def _load_thresholds(data: object) -> Thresholds:
         else:
             raise ConfigError(f"unknown config key 'thresholds.{key}'")
     try:
-        return Thresholds(
-            srp_lcom_min=values.get("srp_lcom_min", defaults.srp_lcom_min),
-            srp_method_min=values.get("srp_method_min", defaults.srp_method_min),
-            sap_distance_min=values.get("sap_distance_min", defaults.sap_distance_min),
-            sap_extreme=values.get("sap_extreme", defaults.sap_extreme),
-        )
+        return replace(Thresholds(), **values)
     except ValueError as exc:
         raise ConfigError(f"'thresholds': {exc}") from None
 

@@ -17,6 +17,7 @@ from .model import (
     AGGREGATION,
     ASSOCIATION,
     IDENTIFIER_RE,
+    MAX_WEIGHT,
     NO_TARGET,
     AttributeDef,
     ClassDef,
@@ -33,6 +34,7 @@ MALFORMED_DOCUMENT = "MalformedDocument"
 SCHEMA_ERROR = "SchemaError"
 
 _PRIMITIVES = ("int", "real", "text", "bool")
+_MAX_WEIGHT_DIGITS = len(str(MAX_WEIGHT))
 _ATTRIBUTE_KINDS = {"assoc": ASSOCIATION, "aggr": AGGREGATION}
 
 
@@ -277,11 +279,13 @@ class _MiniOOParser:
         weight = 1
         if self._match("weight"):
             kind, text, _ = self._cur()
-            # INT must match [1-9][0-9]*
+            # INT must match [1-9][0-9]*; one longer than MAX_WEIGHT is never converted
             if kind != "int" or text[0] == "0":
                 self._fail("a positive integer")
+            weight = int(text) if len(text) <= _MAX_WEIGHT_DIGITS else MAX_WEIGHT + 1
+            if weight > MAX_WEIGHT:
+                self._fail(f"a weight of at most {MAX_WEIGHT}")
             self._advance()
-            weight = int(text)
         reads: list[str] = []
         if self._match("reads"):
             self._expect("(")
@@ -441,6 +445,8 @@ class _SchemaWalker:
         weight = obj["weight"]
         if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
             self.error(f"{path}.weight", f"expected a positive integer, got {weight!r}")
+        elif weight > MAX_WEIGHT:
+            self.error(f"{path}.weight", f"expected a weight of at most {MAX_WEIGHT}")
         reads = self.items(obj["reads"], f"{path}.reads", self.identifier)
         uses = self.items(obj["uses"], f"{path}.uses", self.qualified)
         return None if self.errors else MethodDef(

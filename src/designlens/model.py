@@ -33,6 +33,11 @@ USE = "use"
 # Attribute kind for primitive-typed attributes (no class target).
 NO_TARGET = "none"
 
+# The largest method weight, the largest signed 64-bit integer: any tool writing an
+# interchange document can hold it, and no WMC sum comes near the longest integer
+# Python converts to text (sys.get_int_max_str_digits()).
+MAX_WEIGHT = 2**63 - 1
+
 # Validation error codes (stable, part of the public contract).
 DUPLICATE_PACKAGE = "DuplicatePackage"
 DUPLICATE_CLASS = "DuplicateClass"
@@ -102,8 +107,8 @@ class MethodDef:
     def __post_init__(self) -> None:
         object.__setattr__(self, "reads", frozenset(self.reads))
         object.__setattr__(self, "uses", frozenset(self.uses))
-        if self.weight < 1:
-            raise ValueError(f"method {self.name!r}: weight must be >= 1, got {self.weight}")
+        if not 1 <= self.weight <= MAX_WEIGHT:
+            raise ValueError(f"method {self.name!r}: weight must be from 1 to {MAX_WEIGHT}")
 
 
 @dataclass(frozen=True)

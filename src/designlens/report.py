@@ -35,22 +35,16 @@ _SEVERITY_COLOR = {"violation": "\x1b[31m", "advisory": "\x1b[33m", "warning": "
 
 
 @dataclass(frozen=True)
-class MetricItem:
-    subject: str
-    name: str
-    value: int | Fraction | None
-
-
-@dataclass(frozen=True)
 class Layer:
+    """A subject-by-metric table: `rows` are `(subject, values)` in subject-name order,
+    one value per name in `columns` (None for UNDEFINED), aggregated per column.
+    The principles layer has no columns or rows, only findings."""
+
     name: str
-    metrics: tuple[MetricItem, ...]
+    columns: tuple[str, ...]
+    rows: tuple[tuple[str, tuple[int | Fraction | None, ...]], ...]
     aggregates: dict[str, dict[str, int | Fraction]]
     findings: tuple[Finding, ...]
-
-    @property
-    def finding_count(self) -> int:
-        return len(self.findings)
 
 
 @dataclass(frozen=True)
@@ -61,38 +55,31 @@ class LayeredReport:
 def build_report(model: CodeModel, metrics: MetricsReport,
                  findings: list[Finding]) -> LayeredReport:
     """Assemble the four-layer report; every value and finding lands in exactly one layer."""
-    class_names = sorted(name for name, _ in model.iter_classes())
-    package_names = sorted(pkg.name for pkg in model.packages)
-
-    def class_items(metric_names: tuple[str, ...]) -> tuple[MetricItem, ...]:
-        return tuple(MetricItem(str(name), metric, getattr(metrics.per_class[name], metric))
-                     for name in class_names for metric in metric_names)
-
-    packaging_items = tuple(
-        MetricItem(name, metric, getattr(metrics.per_package[name], metric))
-        for name in package_names for metric in PACKAGING_METRICS)
-
-    layers = (
-        _layer(LAYER_CLASS_DESIGN, class_items(CLASS_DESIGN_METRICS), CLASS_DESIGN_METRICS, ()),
-        _layer(LAYER_RELATIONSHIPS, class_items(RELATIONSHIP_METRICS), RELATIONSHIP_METRICS, ()),
-        _layer(LAYER_PACKAGING, packaging_items, PACKAGING_METRICS, ()),
-        _layer(LAYER_PRINCIPLES, (), (), tuple(findings)),
-    )
-    return LayeredReport(layers)
+    classes = [(str(name), metrics.per_class[name])
+               for name in sorted(name for name, _ in model.iter_classes())]
+    packages = [(name, metrics.per_package[name])
+                for name in sorted(pkg.name for pkg in model.packages)]
+    return LayeredReport((
+        _layer(LAYER_CLASS_DESIGN, CLASS_DESIGN_METRICS, classes),
+        _layer(LAYER_RELATIONSHIPS, RELATIONSHIP_METRICS, classes),
+        _layer(LAYER_PACKAGING, PACKAGING_METRICS, packages),
+        Layer(LAYER_PRINCIPLES, (), (), {}, tuple(findings)),
+    ))
 
 
-def _layer(name: str, items: tuple[MetricItem, ...], metric_names: tuple[str, ...],
-           findings: tuple[Finding, ...]) -> Layer:
+def _layer(name: str, columns: tuple[str, ...], subjects: list[tuple[str, object]]) -> Layer:
+    rows = tuple((subject, tuple(getattr(values, column) for column in columns))
+                 for subject, values in subjects)
     aggregates: dict[str, dict[str, int | Fraction]] = {}
-    for metric in metric_names:
-        defined = [item.value for item in items if item.name == metric and item.value is not None]
+    for column, cells in zip(columns, zip(*(values for _, values in rows))):
+        defined = [value for value in cells if value is not None]
         if defined:
-            aggregates[metric] = {
+            aggregates[column] = {
                 "min": min(defined),
                 "max": max(defined),
                 "mean": Fraction(sum(defined), len(defined)),
             }
-    return Layer(name, items, aggregates, findings)
+    return Layer(name, columns, rows, aggregates, ())
 
 
 def render(report: LayeredReport, format: str, color: bool = False) -> str:
@@ -112,8 +99,9 @@ def render(report: LayeredReport, format: str, color: bool = False) -> str:
 def _render_json(report: LayeredReport) -> str:
     document = {"layers": [
         {"name": layer.name,
-         "metrics": [{"subject": item.subject, "name": item.name, "value": item.value}
-                     for item in layer.metrics],
+         "metrics": [{"subject": subject, "name": column, "value": value}
+                     for subject, values in layer.rows
+                     for column, value in zip(layer.columns, values)],
          "aggregates": {metric: {key: stats[key] for key in ("min", "max", "mean")}
                         for metric, stats in layer.aggregates.items()},
          "findings": [{"rule": f.rule, "severity": f.severity, "locus": f.locus,
@@ -160,14 +148,16 @@ def _render_csv(report: LayeredReport) -> str:
                                  _format_evidence(finding.evidence)])
         else:
             writer.writerow(["subject", "metric", "value"])
-            for item in layer.metrics:
-                writer.writerow([item.subject, item.name, _cell(item.value)])
+            for subject, values in layer.rows:
+                for column, value in zip(layer.columns, values):
+                    writer.writerow([subject, column, _format_value(value, "")])
     return out.getvalue()
 
 
-def _cell(value: int | Fraction | None) -> str:
+def _format_value(value: int | Fraction | None, undefined: str) -> str:
+    """A metric value as rendered in every format; `undefined` stands for None."""
     if value is None:
-        return ""
+        return undefined
     if isinstance(value, Fraction):
         return format_rational(value)
     return str(value)
@@ -204,22 +194,19 @@ def _render_text(report: LayeredReport, color: bool) -> str:
 
 
 def _text_metrics(layer: Layer) -> list[str]:
-    metric_names = list(dict.fromkeys(item.name for item in layer.metrics))
-    subjects = list(dict.fromkeys(item.subject for item in layer.metrics))
-    if not subjects:
+    if not layer.rows:
         return ["  (no data)"]
-    values = {(item.subject, item.name): _text_value(item.value) for item in layer.metrics}
-    header = ["subject"] + metric_names
-    rows = [[subject] + [values[(subject, name)] for name in metric_names]
-            for subject in subjects]
-    widths = [max(len(row[i]) for row in [header] + rows) for i in range(len(header))]
+    table = [["subject", *layer.columns]]
+    table += [[subject, *(_format_value(value, "-") for value in values)]
+              for subject, values in layer.rows]
+    widths = [max(len(cell) for cell in column) for column in zip(*table)]
     lines = ["  " + "  ".join(
         cell.ljust(widths[i]) if i == 0 else cell.rjust(widths[i])
         for i, cell in enumerate(row)).rstrip()
-        for row in [header] + rows]
+        for row in table]
     for metric, stats in layer.aggregates.items():
-        lines.append(f"  {metric}: min {_text_value(stats['min'])}"
-                     f"  max {_text_value(stats['max'])}"
+        lines.append(f"  {metric}: min {_format_value(stats['min'], '-')}"
+                     f"  max {_format_value(stats['max'], '-')}"
                      f"  mean {format_rational(stats['mean'])}")
     return lines
 
@@ -238,10 +225,3 @@ def _text_findings(findings: tuple[Finding, ...], color: bool) -> list[str]:
                      f"  {row[3]}".rstrip())
     return lines
 
-
-def _text_value(value: int | Fraction | None) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    return str(value)

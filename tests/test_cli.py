@@ -22,6 +22,7 @@ from designlens.cli import (
     run,
 )
 from designlens.frontends import tokenize
+from designlens.model import MAX_WEIGHT
 from designlens.principles import Thresholds
 from conftest import FIXTURES, GOLDEN
 from modelgen import MUTATED_DOCUMENTS, random_model, write_minioo
@@ -322,6 +323,51 @@ def test_overlong_json_integer_is_an_input_or_usage_error(tmp_path):
     assert err.startswith("error: config is rejected: ")
 
 
+def _weighted_input(directory, suffix, weight_text):
+    """A file declaring `p.A` with methods `m` and `n` of the given weight."""
+    path = directory / f"weights{suffix}"
+    if suffix == ".minioo":
+        path.write_text(f"package p {{ class A {{ method m weight {weight_text}; "
+                        f"method n weight {weight_text}; }} }}", encoding="utf-8")
+    else:
+        methods = ",".join(f'{{"name":"{name}","abstract":false,"weight":{weight_text},'
+                           f'"reads":[],"uses":[]}}' for name in "mn")
+        path.write_text('{"packages":[{"name":"p","classes":[{"name":"A","abstract":false,'
+                        f'"parents":[],"attributes":[],"methods":[{methods}]}}]}}]}}',
+                        encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("suffix", [".minioo", ".json"])
+def test_method_weight_bound_in_both_frontends(tmp_path, suffix):
+    path = _weighted_input(tmp_path, suffix, str(MAX_WEIGHT))
+    code, out, err = invoke("analyze", str(path), "--format", "csv")
+    assert (code, err) == (EXIT_OK, "")
+    assert f"p.A,wmc,{2 * MAX_WEIGHT}\n" in out
+
+    path = _weighted_input(tmp_path, suffix, str(MAX_WEIGHT + 1))
+    code, out, err = invoke("analyze", str(path))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "Traceback" not in err
+    if suffix == ".minioo":
+        assert err.splitlines() == [
+            f"{path}:1:39: expected a weight of at most {MAX_WEIGHT}, found '{MAX_WEIGHT + 1}'",
+            f"{path}:1:76: expected a weight of at most {MAX_WEIGHT}, found '{MAX_WEIGHT + 1}'"]
+    else:
+        assert err.splitlines() == [
+            f"{path}: SchemaError at packages[0].classes[0].methods[{index}].weight: "
+            f"expected a weight of at most {MAX_WEIGHT}" for index in (0, 1)]
+
+
+def test_minioo_weight_beyond_python_int_text_limit_is_a_syntax_error(tmp_path):
+    # more digits than int() converts under the default sys.get_int_max_str_digits()
+    path = _weighted_input(tmp_path, ".minioo", "9" * 5000)
+    code, out, err = invoke("analyze", str(path))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith(f"{path}:1:39: expected a weight of at most {MAX_WEIGHT}, found '999")
+    assert "Traceback" not in err
+
+
 def test_out_flag_writes_report_to_file(tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = invoke("analyze", REFERENCE, "--format", "json", "--out", str(target))
@@ -387,6 +433,23 @@ def test_rational_gate_limits_compare_exactly(tmp_path):
     config.write_text('{"gates":[["mean_instability","<=",0.4999]]}', encoding="utf-8")
     code, _, err = invoke("analyze", REFERENCE, "--config", str(config))
     assert code == EXIT_GATE_FAILURE
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_config_numbers_are_bounded_in_digits(tmp_path, sign):
+    config = tmp_path / "gates.json"
+    # written out in full, 1e999 and 1e-999 take 1000 digits: the most accepted
+    config.write_text(f'{{"gates":[["max_wmc","=",1e{sign}999]]}}', encoding="utf-8")
+    code, out, err = invoke("analyze", REFERENCE, "--config", str(config))
+    limit = f"1{'0' * 999}" if not sign else f"1/1{'0' * 999}"
+    assert (code, err) == (EXIT_GATE_FAILURE, f"gate failed: max_wmc = {limit} (actual 3)\n")
+    assert out
+    for exponent in (f"{sign}1000", f"{sign}5000", f"{sign}3000000", f"{sign}{'9' * 5000}"):
+        config.write_text(f'{{"gates":[["max_wmc","=",1e{exponent}]]}}', encoding="utf-8")
+        code, out, err = invoke("analyze", REFERENCE, "--config", str(config))
+        assert (code, out) == (EXIT_USAGE, "")
+        number = f"1e{exponent}"[:40]
+        assert err == f"error: config is rejected: number {number} takes more than 1000 digits\n"
 
 
 def test_unknown_config_key_is_rejected(tmp_path):

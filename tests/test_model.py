@@ -12,6 +12,7 @@ from designlens.model import (
     DUPLICATE_PACKAGE,
     INHERIT,
     INHERITANCE_CYCLE,
+    MAX_WEIGHT,
     UNKNOWN_READ_ATTRIBUTE,
     UNRESOLVED_REFERENCE,
     USE,
@@ -72,6 +73,12 @@ def test_qualified_name_and_edge_are_plain_tuples():
 def test_method_weight_must_be_positive():
     with pytest.raises(ValueError):
         MethodDef("m", weight=0)
+
+
+def test_method_weight_is_at_most_max_weight():
+    assert MethodDef("m", weight=MAX_WEIGHT).weight == MAX_WEIGHT
+    with pytest.raises(ValueError, match="weight must be from 1 to 9223372036854775807"):
+        MethodDef("m", weight=MAX_WEIGHT + 1)
 
 
 def test_attribute_kind_matches_target():

@@ -2,19 +2,25 @@ import csv
 import io
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from designlens.frontends import parse_minioo
 from designlens.metrics import compute_all, format_rational
 from designlens.model import ClassDef, CodeModel, PackageDef, build_model
 from designlens.principles import run_all
 from designlens.report import (
+    CLASS_DESIGN_METRICS,
     LAYER_CLASS_DESIGN,
     LAYER_PACKAGING,
     LAYER_PRINCIPLES,
     LAYER_RELATIONSHIPS,
+    PACKAGING_METRICS,
+    RELATIONSHIP_METRICS,
     build_report,
     render,
 )
@@ -34,16 +40,19 @@ def test_empty_model_produces_four_layers_with_absent_aggregates():
     report = full_report(CodeModel(()))
     assert [layer.name for layer in report.layers] == [
         LAYER_CLASS_DESIGN, LAYER_RELATIONSHIPS, LAYER_PACKAGING, LAYER_PRINCIPLES]
+    assert [layer.columns for layer in report.layers] == [
+        CLASS_DESIGN_METRICS, RELATIONSHIP_METRICS, PACKAGING_METRICS, ()]
     for layer in report.layers:
-        assert layer.metrics == ()
+        assert layer.rows == ()
         assert layer.aggregates == {}
-        assert layer.finding_count == 0
+        assert len(layer.findings) == 0
 
 
 def test_reference_fixture_packaging_layer_values(reference_source):
     report = full_report(parse_minioo(reference_source))
     packaging = report.layers[2]
-    values = {(item.subject, item.name): item.value for item in packaging.metrics}
+    values = {(subject, column): value for subject, row in packaging.rows
+              for column, value in zip(packaging.columns, row)}
     assert values[("core", "instability")] == 0
     assert values[("core", "abstractness")] == Fraction(1, 2)
     assert values[("core", "distance")] == Fraction(1, 2)
@@ -54,7 +63,7 @@ def test_finding_count_is_conserved(cyclic_source):
     metrics = compute_all(model)
     findings = run_all(model, metrics)
     report = build_report(model, metrics, findings)
-    assert sum(layer.finding_count for layer in report.layers) == len(findings)
+    assert sum(len(layer.findings) for layer in report.layers) == len(findings)
     assert report.layers[3].findings == tuple(findings)
 
 
@@ -65,12 +74,14 @@ def test_every_subject_appears_exactly_once_per_layer():
         report = full_report(model)
         class_names = sorted(str(name) for name, _ in model.iter_classes())
         for layer, per_subject in ((report.layers[0], 2), (report.layers[1], 3)):
-            subjects = [item.subject for item in layer.metrics]
-            assert sorted(set(subjects)) == class_names
-            for name in class_names:
-                assert subjects.count(name) == per_subject
-        package_subjects = [item.subject for item in report.layers[2].metrics]
-        assert sorted(set(package_subjects)) == sorted(p.name for p in model.packages)
+            assert [subject for subject, _ in layer.rows] == class_names
+            assert len(layer.columns) == per_subject
+            for _, values in layer.rows:
+                assert len(values) == per_subject
+        packaging = report.layers[2]
+        assert [subject for subject, _ in packaging.rows] == sorted(p.name for p in model.packages)
+        for _, values in packaging.rows:
+            assert len(values) == len(packaging.columns) == 5
 
 
 def test_aggregates_over_empty_value_sets_are_absent():
@@ -88,9 +99,9 @@ def test_mean_aggregates_match_average_of_rendered_values():
         report = full_report(random_model(rng))
         for layer in report.layers[:3]:
             for metric, stats in layer.aggregates.items():
-                rendered = [float(format_rational(Fraction(item.value)))
-                            for item in layer.metrics
-                            if item.name == metric and item.value is not None]
+                column = layer.columns.index(metric)
+                rendered = [float(format_rational(Fraction(values[column])))
+                            for _, values in layer.rows if values[column] is not None]
                 assert rendered, metric
                 assert abs(float(format_rational(stats["mean"])) -
                            sum(rendered) / len(rendered)) <= 5e-5 + 1e-12
@@ -174,6 +185,71 @@ def test_text_color_styling_is_opt_in(cyclic_source):
 def test_unknown_format_is_rejected(reference_source):
     with pytest.raises(ValueError):
         render(full_report(parse_minioo(reference_source)), "xml")
+
+
+# -- the three renderings agree -------------------------------------------------------
+
+_AGGREGATE_LINE = re.compile(r"  (\w+): min (\S+)  max (\S+)  mean (\S+)")
+
+
+def _json_view(output):
+    """(cells per metric layer, aggregates per metric layer, findings) read from JSON."""
+    layers = json.loads(output, parse_float=str, parse_int=str)["layers"]
+    cells = [[(item["subject"], item["name"], item["value"]) for item in layer["metrics"]]
+             for layer in layers[:3]]
+    aggregates = [[(metric, stats["min"], stats["max"], stats["mean"])
+                   for metric, stats in layer["aggregates"].items()] for layer in layers[:3]]
+    findings = [(f["rule"], f["severity"], f["locus"]) for f in layers[3]["findings"]]
+    return cells, aggregates, findings
+
+
+def _csv_view(output):
+    sections = []
+    for row in csv.reader(io.StringIO(output)):
+        if row and row[0].startswith("# layer: "):
+            sections.append([])
+            header = True
+        elif row and header:
+            header = False
+        elif row:
+            sections[-1].append(row)
+    cells = [[(subject, metric, value or None) for subject, metric, value in section]
+             for section in sections[:3]]
+    return cells, [(rule, severity, locus) for rule, severity, locus, _ in sections[3]]
+
+
+def _text_view(output):
+    cells, aggregates = [], []
+    sections = output.split("\n\n")
+    for section in sections[:3]:
+        layer_cells, layer_aggregates = [], []
+        header, *lines = section.splitlines()[1:]
+        columns = header.split()[1:]
+        for line in lines:
+            aggregate = _AGGREGATE_LINE.fullmatch(line)
+            if aggregate:
+                layer_aggregates.append(aggregate.groups())
+            else:
+                subject, *values = line.split()
+                layer_cells += [(subject, column, None if value == "-" else value)
+                                for column, value in zip(columns, values, strict=True)]
+        cells.append(layer_cells)
+        aggregates.append(layer_aggregates)
+    findings = [tuple(re.split(r"\s{2,}", line.strip())[:3])
+                for line in sections[3].splitlines()[1:] if line != "  (no findings)"]
+    return cells, aggregates, findings
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_json_csv_and_text_render_the_same_cells_aggregates_and_findings(seed):
+    report = full_report(random_model(random.Random(seed), max_packages=5, max_classes=5))
+    cells, aggregates, findings = _json_view(render(report, "json"))
+    assert [len(layer_cells) for layer_cells in cells] == [
+        len(layer.rows) * len(layer.columns) for layer in report.layers[:3]]
+    assert len(findings) == len(report.layers[3].findings)
+    assert _csv_view(render(report, "csv")) == (cells, findings)
+    assert _text_view(render(report, "text")) == (cells, aggregates, findings)
 
 
 # -- golden files ----------------------------------------------------------------
