@@ -3,7 +3,6 @@
 from .frontends import (
     ParseError,
     ParseFailure,
-    SourcePosition,
     parse_minioo,
     read_interchange,
     write_interchange,
@@ -25,6 +24,7 @@ from .model import (
     ModelError,
     PackageDef,
     QualifiedName,
+    SourcePosition,
     ValidationError,
     build_model,
     class_graph,

@@ -15,7 +15,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TextIO
 
-from .frontends import ParseFailure, decode_interchange, parse_minioo_declarations, unique_keys
+from .frontends import (
+    ParseError,
+    ParseFailure,
+    decode_interchange,
+    parse_minioo_declarations,
+    unique_keys,
+)
 from .metrics import compute_all
 from .model import ModelError, PackageDef, ValidationError, build_model
 from .principles import (
@@ -287,22 +293,18 @@ def _load_inputs(paths: list[str], stderr: TextIO) -> tuple[list[PackageDef], in
                 packages.extend(parse_minioo_declarations(text, path))
             else:
                 packages.extend(decode_interchange(text, path))
-        except ParseFailure as exc:
+        except (ParseFailure, ModelError) as exc:
             for error in exc.errors:
-                print(f"{path}:{error.message}", file=stderr)
-            input_errors = True
-        except ModelError as exc:
-            for error in exc.errors:
-                print(f"{path}: {error}", file=stderr)
+                print(_located(error), file=stderr)
             input_errors = True
     if input_errors:
         return [], EXIT_INPUT
     return packages, EXIT_OK
 
 
-def _located(error: ValidationError) -> str:
-    """The error prefixed with the file declaring what it concerns: `path:line:col: `
-    for MiniOO, `path: ` for an interchange document."""
+def _located(error: ParseError | ValidationError) -> str:
+    """The error prefixed with the file it was found in: `path:line:col: ` for
+    MiniOO, `path: ` for an interchange document."""
     position = error.position
     return f"{position.path}:{error}" if position.line else f"{position.path}: {error}"
 

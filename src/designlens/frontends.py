@@ -11,7 +11,7 @@ import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, NoReturn
+from typing import Any, Callable, Iterator, NoReturn
 
 from .model import (
     AGGREGATION,
@@ -26,6 +26,7 @@ from .model import (
     ModelError,
     PackageDef,
     QualifiedName,
+    SourcePosition,
     ValidationError,
     build_model,
 )
@@ -39,20 +40,12 @@ _ATTRIBUTE_KINDS = {"assoc": ASSOCIATION, "aggr": AGGREGATION}
 
 
 @dataclass(frozen=True)
-class SourcePosition:
-    line: int | None    # 1-based; None in an interchange document
-    column: int | None  # 1-based, in Unicode scalar values
-    path: str | None = None  # the file read, if any
-
-
-@dataclass(frozen=True)
 class ParseError:
     position: SourcePosition
     expected: str
     found: str
 
-    @property
-    def message(self) -> str:
+    def __str__(self) -> str:
         return (f"{self.position.line}:{self.position.column}: "
                 f"expected {self.expected}, found {self.found}")
 
@@ -62,7 +55,7 @@ class ParseFailure(Exception):
 
     def __init__(self, errors: list[ParseError]):
         self.errors = list(errors)
-        head = self.errors[0].message if self.errors else "unknown"
+        head = str(self.errors[0]) if self.errors else "unknown"
         super().__init__(f"{len(self.errors)} syntax error(s): {head}")
 
 
@@ -82,20 +75,14 @@ _NEWLINE_RE = re.compile("\n")
 _Token = tuple[str, str, int]
 
 
-def _line_starts(source: str) -> list[int]:
-    return [0, *(newline.end() for newline in _NEWLINE_RE.finditer(source))]
+def _echo(text: str) -> str:
+    """An offending token as a syntax error repeats it: quoted, cut to 40 characters."""
+    return repr(text[:40])
 
 
-def _position(line_starts: list[int], offset: int, path: str | None = None) -> SourcePosition:
-    """The line and column of a source offset, given the offsets where lines start."""
-    line = bisect_right(line_starts, offset)
-    return SourcePosition(line, offset - line_starts[line - 1] + 1, path)
-
-
-def tokenize(source: str) -> tuple[list[_Token], list[ParseError]]:
-    """Split MiniOO source into tokens; illegal characters become errors and are skipped."""
-    tokens: list[_Token] = []
-    bad: list[tuple[int, str, str]] = []  # (offset, expected, found)
+def tokenize(source: str, bad: list[tuple[int, str, str]]) -> Iterator[_Token]:
+    """Yield the tokens of MiniOO source, then one `eof`.  Each illegal character or
+    word is skipped and appended to `bad` as (offset, expected, found)."""
     pos, end, scan = 0, len(source), _TOKEN_RE.match
     while pos < end:
         match = scan(source, pos)
@@ -104,18 +91,15 @@ def tokenize(source: str) -> tuple[list[_Token], list[ParseError]]:
         if kind == "name" and not text.isascii():
             # INT is tried first, so a word never starts with an ASCII digit
             if text[0].isalpha() or text[0] == "_":
-                bad.append((start, "a name", repr(text)))
+                bad.append((start, "a name", _echo(text)))
             else:
                 bad.append((start, "a token", repr(text[0])))
                 pos = start + 1
         elif kind == "bad":
             bad.append((start, "a token", repr(text)))
         elif kind is not None:
-            tokens.append((text if kind == "punctuation" else kind, text, start))
-    tokens.append(("eof", "", end))
-    line_starts = _line_starts(source) if bad else []
-    return tokens, [ParseError(_position(line_starts, offset), expected, found)
-                    for offset, expected, found in bad]
+            yield (text if kind == "punctuation" else kind, text, start)
+    yield ("eof", "", end)
 
 
 class _Panic(Exception):
@@ -124,58 +108,59 @@ class _Panic(Exception):
 
 class _MiniOOParser:
     def __init__(self, source: str, path: str | None):
-        self.tokens, self.errors = tokenize(source)
-        self.pos = 0
-        self.line_starts = _line_starts(source)
+        self.bad: list[tuple[int, str, str]] = []  # the lexer's (offset, expected, found)
+        self.tokens = tokenize(source, self.bad)
+        self.tok = next(self.tokens)
+        self.errors: list[ParseError] = []
+        self.line_starts = [0, *(newline.end() for newline in _NEWLINE_RE.finditer(source))]
         self.path = path
 
     # -- token stream helpers ------------------------------------------------
 
-    def _cur(self) -> _Token:
-        return self.tokens[self.pos]
-
     def _advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+        tok = self.tok
         if tok[0] != "eof":
-            self.pos += 1
+            self.tok = next(self.tokens)
         return tok
 
-    def _at(self, text: str) -> bool:
-        return self.tokens[self.pos][1] == text
-
     def _match(self, text: str) -> bool:
-        if self._at(text):
+        if self.tok[1] == text:
             self._advance()
             return True
         return False
 
+    def _position(self, offset: int) -> SourcePosition:
+        """The line and column of a source offset, in the file parsed."""
+        line = bisect_right(self.line_starts, offset)
+        return SourcePosition(line, offset - self.line_starts[line - 1] + 1, self.path)
+
     def _error(self, expected: str) -> None:
-        kind, text, offset = self._cur()
-        found = "end of input" if kind == "eof" else f"'{text}'"
-        self.errors.append(ParseError(_position(self.line_starts, offset), expected, found))
+        kind, text, offset = self.tok
+        found = "end of input" if kind == "eof" else _echo(text)
+        self.errors.append(ParseError(self._position(offset), expected, found))
 
     def _fail(self, expected: str) -> NoReturn:
         self._error(expected)
         raise _Panic()
 
     def _expect(self, text: str) -> None:
-        if not self._at(text):
+        if self.tok[1] != text:
             self._fail(f"'{text}'")
         self._advance()
 
     def _expect_name(self, expected: str) -> str:
-        if self._cur()[0] != "name":
+        if self.tok[0] != "name":
             self._fail(expected)
         return self._advance()[1]
 
     def _declare(self, expected: str) -> tuple[str, SourcePosition]:
         """Read a declared name and the position where it is declared."""
-        offset = self._cur()[2]
-        return self._expect_name(expected), _position(self.line_starts, offset, self.path)
+        offset = self.tok[2]
+        return self._expect_name(expected), self._position(offset)
 
     def _synchronize(self) -> str | None:
         """Skip ahead past the next ';' or '}'; returns the consumed terminator."""
-        while self._cur()[0] != "eof":
+        while self.tok[0] != "eof":
             text = self._advance()[1]
             if text in (";", "}"):
                 return text
@@ -185,8 +170,8 @@ class _MiniOOParser:
 
     def parse_model(self) -> list[PackageDef]:
         packages: list[PackageDef] = []
-        while self._cur()[0] != "eof":
-            if self._at("package"):
+        while self.tok[0] != "eof":
+            if self.tok[1] == "package":
                 try:
                     packages.append(self._package())
                 except _Panic:
@@ -194,8 +179,11 @@ class _MiniOOParser:
             else:
                 self._error("'package'")
                 self._synchronize()
-        if not packages and not self.errors:
+        if not packages and not self.errors and not self.bad:
             self._error("at least one package declaration")
+        # every lexer error is known once `eof` is current; they are reported first
+        self.errors[:0] = [ParseError(self._position(offset), expected, found)
+                           for offset, expected, found in self.bad]
         return packages
 
     def _package(self) -> PackageDef:
@@ -207,10 +195,10 @@ class _MiniOOParser:
         while not closed:
             if self._match("}"):
                 closed = True
-            elif self._cur()[0] == "eof":
+            elif self.tok[0] == "eof":
                 self._error("'class' or '}'")
                 closed = True
-            elif self._at("class") or self._at("abstract"):
+            elif self.tok[1] in ("class", "abstract"):
                 try:
                     classes.append(self._class(name))
                 except _Panic:
@@ -236,9 +224,9 @@ class _MiniOOParser:
         while not closed:
             if self._match("}"):
                 closed = True
-            elif self._at("field") or self._at("method") or self._at("abstract"):
+            elif self.tok[1] in ("field", "method", "abstract"):
                 try:
-                    if self._at("field"):
+                    if self.tok[1] == "field":
                         attributes.append(self._field(package))
                     else:
                         methods.append(self._method(package))
@@ -254,7 +242,7 @@ class _MiniOOParser:
         self._expect("field")
         name, position = self._declare("a field name")
         self._expect(":")
-        kind, text, _ = self._cur()
+        kind, text, _ = self.tok
         if kind == "name" and text in _PRIMITIVES:
             self._advance()
             target, attribute_kind = None, NO_TARGET
@@ -262,7 +250,7 @@ class _MiniOOParser:
             target = self._typeref(package)
             attribute_kind = ASSOCIATION
             if self._match(","):
-                kind, text, _ = self._cur()
+                kind, text, _ = self.tok
                 if kind != "name" or text not in _ATTRIBUTE_KINDS:
                     self._fail("'assoc' or 'aggr'")
                 self._advance()
@@ -278,7 +266,7 @@ class _MiniOOParser:
         name, position = self._declare("a method name")
         weight = 1
         if self._match("weight"):
-            kind, text, _ = self._cur()
+            kind, text, _ = self.tok
             # INT must match [1-9][0-9]*; one longer than MAX_WEIGHT is never converted
             if kind != "int" or text[0] == "0":
                 self._fail("a positive integer")
@@ -342,12 +330,12 @@ class _SchemaWalker:
     there is none.
     """
 
-    def __init__(self, path: str | None) -> None:
+    def __init__(self, position: SourcePosition | None) -> None:
         self.errors: list[ValidationError] = []
-        self.position = SourcePosition(None, None, path) if path is not None else None
+        self.position = position
 
     def error(self, path: str, message: str) -> None:
-        self.errors.append(ValidationError(SCHEMA_ERROR, path, message))
+        self.errors.append(ValidationError(SCHEMA_ERROR, path, message, self.position))
 
     def obj(self, value: Any, path: str, keys: tuple[str, ...]) -> dict | None:
         if not isinstance(value, dict):
@@ -468,22 +456,24 @@ def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 def decode_interchange(document: str, path: str | None = None) -> list[PackageDef]:
     """Decode an interchange document to declarations, without semantic validation.
 
-    Given a `path`, each declaration's position names that file (no line or column).
-    Raises ModelError with MalformedDocument / SchemaError entries (the locus
-    is the JSON path of the offending field).
+    Given a `path`, each declaration and each error has a position naming that
+    file (no line or column).  Raises ModelError with MalformedDocument /
+    SchemaError entries (the locus is the JSON path of the offending field).
     """
+    position = SourcePosition(None, None, path) if path is not None else None
     try:
         data = json.loads(document, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
-        raise ModelError([ValidationError(
-            MALFORMED_DOCUMENT, f"line {exc.lineno}", f"not well-formed JSON: {exc.msg}")]) from None
+        raise ModelError([ValidationError(MALFORMED_DOCUMENT, f"line {exc.lineno}",
+                                          f"not well-formed JSON: {exc.msg}", position)]) from None
     except ValueError as exc:  # a repeated key, or an integer too long to convert
-        raise ModelError([ValidationError(MALFORMED_DOCUMENT, "document", str(exc))]) from None
+        raise ModelError([ValidationError(
+            MALFORMED_DOCUMENT, "document", str(exc), position)]) from None
     except RecursionError:
         raise ModelError([ValidationError(
-            MALFORMED_DOCUMENT, "document", "JSON nesting is too deep")]) from None
+            MALFORMED_DOCUMENT, "document", "JSON nesting is too deep", position)]) from None
 
-    walker = _SchemaWalker(path)
+    walker = _SchemaWalker(position)
     root = walker.obj(data, "", ("packages",))
     packages = [] if root is None else walker.items(root["packages"], "packages", walker.package)
     if walker.errors:

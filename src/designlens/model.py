@@ -15,12 +15,9 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .tarjan import strongly_connected_components
-
-if TYPE_CHECKING:
-    from .frontends import SourcePosition
 
 IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -74,6 +71,13 @@ class QualifiedName(_Name):
 
     def __str__(self) -> str:
         return f"{self.package}.{self.cls}" if self.cls else self.package
+
+
+@dataclass(frozen=True)
+class SourcePosition:
+    line: int | None    # 1-based; None in an interchange document
+    column: int | None  # 1-based, in Unicode scalar values
+    path: str | None = None  # the file read, if any
 
 
 @dataclass(frozen=True)

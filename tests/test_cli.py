@@ -3,6 +3,7 @@ import json
 import os
 import random
 import re
+import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -234,7 +235,7 @@ def _collide(source, rng):
     """`source` with every name renamed onto a few shared ones: mostly one new name per
     old name, so references still resolve and declarations collide, sometimes a stray one."""
     renames, pieces, end = {}, [], 0
-    for kind, text, offset in tokenize(source)[0]:
+    for kind, text, offset in tokenize(source, []):
         if kind == "name" and text not in _KEYWORDS:
             new = (renames.setdefault(text, rng.choice(_COLLIDING_NAMES)) if rng.random() < 0.9
                    else rng.choice(_COLLIDING_NAMES))
@@ -248,7 +249,7 @@ def _declarations(files):
     walking the tokens with a stack of the loci whose braces are open."""
     index = defaultdict(list)
     for path, source in files.items():
-        tokens = tokenize(source)[0]
+        tokens = list(tokenize(source, []))
         scopes, declared = [], None
         for (_, text, _), (kind, name, offset) in zip(tokens, tokens[1:]):
             if text in _DECLARING and kind == "name":
@@ -368,12 +369,49 @@ def test_minioo_weight_beyond_python_int_text_limit_is_a_syntax_error(tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("source,expected", [
+    ("package p { class A { method m weight " + "9" * 5000 + "; } }",
+     [f"1:39: expected a weight of at most {MAX_WEIGHT}, found '{'9' * 40}'"]),
+    ("package p { class A { " + "x" * 5000 + "; } }",
+     [f"1:23: expected 'field', 'method' or '}}', found '{'x' * 40}'"]),
+    ("package p { class A { " + "\u00e9" * 5000 + "; } }",
+     ["1:23: expected a name, found '" + "\u00e9" * 40 + "'",
+      "1:5023: expected 'field', 'method' or '}', found ';'"]),
+], ids=["weight", "name", "non-ascii-word"])
+def test_syntax_error_cuts_an_over_long_token(tmp_path, source, expected):
+    path = tmp_path / "long.minioo"
+    path.write_text(source, encoding="utf-8")
+    code, out, err = invoke("analyze", str(path))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.splitlines() == [f"{path}:{line}" for line in expected]
+    assert all(len(line) < 200 for line in err.splitlines())
+
+
 def test_out_flag_writes_report_to_file(tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = invoke("analyze", REFERENCE, "--format", "json", "--out", str(target))
     assert code == EXIT_OK
     assert out == ""
     assert target.read_text(encoding="utf-8") == (GOLDEN / "reference.json").read_text(encoding="utf-8")
+
+
+def test_out_into_a_missing_directory_is_a_usage_error(tmp_path):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = invoke("analyze", REFERENCE, "--out", str(target))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+def test_module_entry_point_prints_the_golden_json():
+    # perfbench/run.py starts the CLI this way; no other test runs main() or its __main__ guard
+    root = Path(__file__).parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "designlens.cli", "analyze", "tests/fixtures/reference.minioo",
+         "--format", "json"],
+        cwd=root, env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, timeout=60)
+    assert (result.returncode, result.stderr) == (EXIT_OK, b"")
+    assert result.stdout == (GOLDEN / "reference.json").read_bytes()
 
 
 def test_stdout_is_byte_identical_across_runs():
@@ -476,6 +514,7 @@ def test_unknown_config_key_is_rejected(tmp_path):
      "'thresholds.sap_extreme' must be a non-negative number"),
     ('{"gates":[["max_dit","<="]]}', "'gates[0]' must be [name, comparator, limit]"),
     ('{"fail_on":"adp"}', "'fail_on' must be an array of strings"),
+    ('{"gates":{}}', "'gates' must be an array"),
 ])
 def test_malformed_configs_are_usage_errors(tmp_path, document, needle):
     config = tmp_path / "bad.json"

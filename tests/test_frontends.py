@@ -1,12 +1,14 @@
 import io
 import json
 import random
+import tracemalloc
 from typing import Any
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import designlens
 from designlens import cli
 from designlens.frontends import (
     MALFORMED_DOCUMENT,
@@ -153,7 +155,7 @@ def test_non_ascii_digit_weight_is_a_positioned_syntax_error(tmp_path, digit):
     source = f"package p {{ class A {{ method m weight {digit}; }} }}"
     with pytest.raises(ParseFailure) as excinfo:
         parse_minioo(source)
-    assert [error.message for error in excinfo.value.errors] == [
+    assert [str(error) for error in excinfo.value.errors] == [
         f"1:39: expected a token, found '{digit}'",
         "1:40: expected a positive integer, found ';'",
     ]
@@ -167,10 +169,23 @@ def test_non_ascii_digit_weight_is_a_positioned_syntax_error(tmp_path, digit):
 def test_class_body_cut_at_end_of_input_reports_both_open_blocks():
     with pytest.raises(ParseFailure) as excinfo:
         parse_minioo("package p { class A { field x: int;")
-    assert [error.message for error in excinfo.value.errors] == [
+    assert [str(error) for error in excinfo.value.errors] == [
         "1:36: expected 'field', 'method' or '}', found end of input",
         "1:36: expected 'class' or '}', found end of input",
     ]
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("", ["1:1: expected at least one package declaration, found end of input"]),
+    ("// only a comment\n", ["2:1: expected at least one package declaration, found end of input"]),
+    ("\u00e9 #", ["1:1: expected a name, found '\u00e9'", "1:3: expected a token, found '#'"]),
+])
+def test_a_source_without_packages_fails_once_at_its_first_error(source, expected):
+    # lexer errors alone are reason enough: no "at least one package" error follows them
+    with pytest.raises(ParseFailure) as excinfo:
+        parse_minioo_declarations(source, "s.minioo")
+    assert [str(error) for error in excinfo.value.errors] == expected
+    assert all(error.position.path == "s.minioo" for error in excinfo.value.errors)
 
 
 def test_keywords_are_contextual_names():
@@ -216,9 +231,9 @@ def test_first_error_position_stays_near_every_deleted_token(reference_source):
     # A deleted closing brace re-pairs the braces that remain, so its absence
     # is only detectable later; every other deletion must be reported no
     # further than the following token.
-    tokens, lex_errors = tokenize(reference_source)
+    lex_errors = []
+    tokens = list(tokenize(reference_source, lex_errors))[:-1]  # drop EOF
     assert lex_errors == []
-    tokens = tokens[:-1]  # drop EOF
     for index, (_, text, offset) in enumerate(tokens):
         mutated = reference_source[:offset] + reference_source[offset + len(text):]
         line = _line(reference_source, offset)
@@ -239,7 +254,8 @@ def test_first_error_position_stays_near_every_deleted_token(reference_source):
 
 def reference_tokenize(source):
     """The character-by-character MiniOO lexer that `tokenize` replaced: tokens
-    as (kind, text, line, column) and the same ParseError list."""
+    as (kind, text, line, column) and its errors as ParseErrors, a word cut to 40
+    characters."""
     tokens = []
     errors = []
     line, column = 1, 1
@@ -267,7 +283,7 @@ def reference_tokenize(source):
                 j += 1
             word = source[i:j]
             if not IDENTIFIER_RE.match(word):
-                errors.append(ParseError(SourcePosition(line, start_col), "a name", repr(word)))
+                errors.append(ParseError(SourcePosition(line, start_col), "a name", repr(word[:40])))
             else:
                 tokens.append(("name", word, line, start_col))
             column += j - i
@@ -291,9 +307,17 @@ def reference_tokenize(source):
     return tokens, errors
 
 
-def _with_line_and_column(source, tokens):
-    return [(kind, text, _line(source, offset), offset - source.rfind("\n", 0, offset))
-            for kind, text, offset in tokens]
+def _line_and_column(source, offset):
+    return _line(source, offset), offset - source.rfind("\n", 0, offset)
+
+
+def _lex(source):
+    """`tokenize`'s tokens as (kind, text, line, column) and its errors as ParseErrors."""
+    bad = []
+    tokens = [(kind, text, *_line_and_column(source, offset))
+              for kind, text, offset in tokenize(source, bad)]
+    return tokens, [ParseError(SourcePosition(*_line_and_column(source, offset)), expected, found)
+                    for offset, expected, found in bad]
 
 
 # Lexically interesting characters: punctuation, the comment slash, whitespace,
@@ -307,10 +331,13 @@ _LEXICAL = st.text(alphabet=st.sampled_from(
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(st.text(), _LEXICAL))
 def test_tokenize_matches_the_reference_character_loop(source):
-    tokens, errors = tokenize(source)
-    expected_tokens, expected_errors = reference_tokenize(source)
-    assert _with_line_and_column(source, tokens) == expected_tokens
-    assert errors == expected_errors
+    expected = reference_tokenize(source)
+    assert _lex(source) == expected
+    # the parser reports the lexer's errors first, at the same positions
+    if expected[1]:
+        with pytest.raises(ParseFailure) as excinfo:
+            parse_minioo_declarations(source)
+        assert excinfo.value.errors[:len(expected[1])] == expected[1]
 
 
 @pytest.mark.parametrize("source", [
@@ -318,8 +345,22 @@ def test_tokenize_matches_the_reference_character_loop(source):
     "\r\n\t\u00e9x 12ab", "\u00a0", "",
 ])
 def test_tokenize_matches_the_reference_on_word_edges(source):
-    tokens, errors = tokenize(source)
-    assert (_with_line_and_column(source, tokens), errors) == reference_tokenize(source)
+    assert _lex(source) == reference_tokenize(source)
+
+
+def test_parse_holds_no_token_list():
+    # the parser reads the tokens one at a time: beyond the declarations it returns,
+    # a parse allocates a few bytes per token (a list of token tuples took over 100)
+    source = write_minioo(random_model(random.Random(0), max_packages=8, max_classes=250))
+    tokens = len(reference_tokenize(source)[0])
+    assert tokens >= 20_000
+    tracemalloc.start()
+    try:
+        packages = parse_minioo_declarations(source)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert packages and (peak - retained) / tokens < 32
 
 
 def test_random_models_round_trip_through_minioo():
@@ -355,6 +396,25 @@ def test_malformed_json_reports_malformed_document():
     with pytest.raises(ModelError) as excinfo:
         read_interchange('{"packages": [')
     assert excinfo.value.errors[0].code == MALFORMED_DOCUMENT
+
+
+@pytest.mark.parametrize("document", ['{"packages": [', '{"a":1,"a":2}', "[" * 200000,
+                                      '{"packages":[{"name":"p"}]}'],
+                         ids=["malformed", "duplicate-key", "deeply-nested", "schema"])
+def test_interchange_errors_name_the_file_read(document):
+    with pytest.raises(ModelError) as excinfo:
+        decode_interchange(document, "m.json")
+    assert excinfo.value.errors
+    assert all(error.position == SourcePosition(None, None, "m.json")
+               for error in excinfo.value.errors)
+    with pytest.raises(ModelError) as excinfo:
+        decode_interchange(document)
+    assert all(error.position is None for error in excinfo.value.errors)
+
+
+def test_source_position_is_one_type_under_every_name():
+    assert (designlens.SourcePosition is designlens.frontends.SourcePosition
+            is designlens.model.SourcePosition)
 
 
 @pytest.mark.parametrize("field,value,path", [
