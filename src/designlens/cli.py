@@ -233,14 +233,16 @@ def run(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = N
              and getattr(stdout, "isatty", lambda: False)())
     output = render(layered, args.format, color=color)
 
-    if args.out is not None:
-        try:
+    try:
+        if args.out is not None:
             Path(args.out).write_text(output, encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=stderr)
-            return EXIT_USAGE
-    else:
-        stdout.write(output)
+        else:
+            stdout.write(output)
+            stdout.flush()
+    except OSError as exc:
+        target = "standard output" if args.out is None else args.out
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=stderr)
+        return EXIT_USAGE
 
     failed = False
     for message in _evaluate_gates(layered, config.gates):

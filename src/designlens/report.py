@@ -32,6 +32,7 @@ FORMATS = ("text", "json", "csv")
 _BOLD = "\x1b[1m"
 _RESET = "\x1b[0m"
 _SEVERITY_COLOR = {"violation": "\x1b[31m", "advisory": "\x1b[33m", "warning": "\x1b[35m"}
+_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -97,38 +98,33 @@ def render(report: LayeredReport, format: str, color: bool = False) -> str:
 
 
 def _render_json(report: LayeredReport) -> str:
-    document = {"layers": [
-        {"name": layer.name,
-         "metrics": [{"subject": subject, "name": column, "value": value}
-                     for subject, values in layer.rows
-                     for column, value in zip(layer.columns, values)],
-         "aggregates": {metric: {key: stats[key] for key in ("min", "max", "mean")}
-                        for metric, stats in layer.aggregates.items()},
-         "findings": [{"rule": f.rule, "severity": f.severity, "locus": f.locus,
-                       "evidence": f.evidence}
-                      for f in layer.findings]}
-        for layer in report.layers]}
-    return _dump_canonical(document) + "\n"
+    return '{"layers":[' + ",".join(map(_json_layer, report.layers)) + "]}\n"
 
 
-def _dump_canonical(value) -> str:
-    """Canonical JSON: insertion-ordered keys, Fractions as 4-decimal numbers."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_dump_canonical(v) for v in value) + "]"
-    if isinstance(value, dict):
-        return "{" + ",".join(f"{json.dumps(str(k))}:{_dump_canonical(v)}"
-                              for k, v in value.items()) + "}"
-    raise TypeError(f"cannot render {type(value).__name__} canonically")
+def _json_layer(layer: Layer) -> str:
+    cells = ",".join(
+        f'{{"subject":{_json(subject)},"name":{_json(column)},"value":{_json(value)}}}'
+        for subject, values in layer.rows for column, value in zip(layer.columns, values))
+    aggregates = ",".join(
+        f'{_json(metric)}:{{"min":{_json(stats["min"])},"max":{_json(stats["max"])},'
+        f'"mean":{_json(stats["mean"])}}}'
+        for metric, stats in layer.aggregates.items())
+    findings = ",".join(map(_json_finding, layer.findings))
+    return (f'{{"name":{_json(layer.name)},"metrics":[{cells}],'
+            f'"aggregates":{{{aggregates}}},"findings":[{findings}]}}')
+
+
+def _json_finding(finding: Finding) -> str:
+    evidence = ",".join(f"{_json(key)}:{_json(value)}" for key, value in finding.evidence.items())
+    return (f'{{"rule":{_json(finding.rule)},"severity":{_json(finding.severity)},'
+            f'"locus":{_json(finding.locus)},"evidence":{{{evidence}}}}}')
+
+
+def _json(value: object) -> str:
+    """A JSON value without whitespace: numbers and None as every format writes them."""
+    if isinstance(value, (str, bool, list, tuple)):
+        return _JSON_ENCODER.encode(value)
+    return _format_value(value, "null")
 
 
 # -- CSV -----------------------------------------------------------------------
@@ -155,7 +151,7 @@ def _render_csv(report: LayeredReport) -> str:
 
 
 def _format_value(value: int | Fraction | None, undefined: str) -> str:
-    """A metric value as rendered in every format; `undefined` stands for None."""
+    """A number as every format writes it; `undefined` stands for None."""
     if value is None:
         return undefined
     if isinstance(value, Fraction):
@@ -164,16 +160,10 @@ def _format_value(value: int | Fraction | None, undefined: str) -> str:
 
 
 def _format_evidence(evidence: dict) -> str:
-    parts = []
-    for key, value in evidence.items():
-        if isinstance(value, (list, tuple)):
-            rendered = "[" + ", ".join(str(v) for v in value) + "]"
-        elif isinstance(value, Fraction):
-            rendered = format_rational(value)
-        else:
-            rendered = str(value)
-        parts.append(f"{key}={rendered}")
-    return "; ".join(parts)
+    return "; ".join(
+        f"{key}=[{', '.join(map(str, value))}]" if isinstance(value, (list, tuple))
+        else f"{key}={_format_value(value, '-')}"
+        for key, value in evidence.items())
 
 
 # -- text ------------------------------------------------------------------------
@@ -207,7 +197,7 @@ def _text_metrics(layer: Layer) -> list[str]:
     for metric, stats in layer.aggregates.items():
         lines.append(f"  {metric}: min {_format_value(stats['min'], '-')}"
                      f"  max {_format_value(stats['max'], '-')}"
-                     f"  mean {format_rational(stats['mean'])}")
+                     f"  mean {_format_value(stats['mean'], '-')}")
     return lines
 
 

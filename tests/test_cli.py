@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -401,6 +402,25 @@ def test_out_into_a_missing_directory_is_a_usage_error(tmp_path):
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
     assert not target.parent.exists()
+
+
+class _FullWrite(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class _FullFlush(io.StringIO):
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("stream", [_FullWrite, _FullFlush])
+def test_a_failed_write_to_standard_output_is_a_usage_error(stream):
+    stderr = io.StringIO()
+    # a cycle that --fail-on adp would turn into exit 1: no gate is evaluated after the failure
+    code = run(["analyze", CYCLIC, "--fail-on", "adp"], stdout=stream(), stderr=stderr)
+    assert (code, stderr.getvalue()) == (
+        EXIT_USAGE, f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n")
 
 
 def test_module_entry_point_prints_the_golden_json():

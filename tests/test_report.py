@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from designlens.frontends import parse_minioo
 from designlens.metrics import compute_all, format_rational
 from designlens.model import ClassDef, CodeModel, PackageDef, build_model
-from designlens.principles import run_all
+from designlens.principles import SEVERITY_BY_RULE, run_all
 from designlens.report import (
     CLASS_DESIGN_METRICS,
     LAYER_CLASS_DESIGN,
@@ -24,7 +24,7 @@ from designlens.report import (
     build_report,
     render,
 )
-from conftest import GOLDEN
+from conftest import FIXTURES, GOLDEN
 from modelgen import random_model
 
 
@@ -255,11 +255,64 @@ def test_json_csv_and_text_render_the_same_cells_aggregates_and_findings(seed):
 # -- golden files ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("json", "json"), ("csv", "csv")])
-def test_reference_fixture_matches_golden_rendering(reference_source, fmt, ext):
-    report = full_report(parse_minioo(reference_source))
-    golden = (GOLDEN / f"reference.{ext}").read_text(encoding="utf-8")
+@pytest.mark.parametrize("fixture,fmt,ext", [
+    pytest.param(fixture, fmt, ext, id=f"{fmt}-{ext}" if fixture == "reference" else
+                 f"{fixture}-{fmt}-{ext}")
+    for fixture in ("reference", "findings")
+    for fmt, ext in (("text", "txt"), ("json", "json"), ("csv", "csv"))])
+def test_reference_fixture_matches_golden_rendering(fixture, fmt, ext):
+    # findings.minioo fires every rule and leaves UNDEFINED cells, pinning evidence bytes
+    report = full_report(parse_minioo((FIXTURES / f"{fixture}.minioo").read_text(encoding="utf-8")))
+    golden = (GOLDEN / f"{fixture}.{ext}").read_text(encoding="utf-8")
     assert render(report, fmt) == golden
+
+
+def reference_render_json(report):
+    """The JSON renderer as it was before it wrote each layer straight from its table:
+    build the whole document as dicts, then walk it with a generic serializer."""
+    def dump_canonical(value):
+        if value is None:
+            return "null"
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, Fraction):
+            return format_rational(value)
+        if isinstance(value, str):
+            return json.dumps(value)
+        if isinstance(value, (list, tuple)):
+            return "[" + ",".join(dump_canonical(v) for v in value) + "]"
+        if isinstance(value, dict):
+            return "{" + ",".join(f"{json.dumps(str(k))}:{dump_canonical(v)}"
+                                  for k, v in value.items()) + "}"
+        raise TypeError(f"cannot render {type(value).__name__} canonically")
+
+    document = {"layers": [
+        {"name": layer.name,
+         "metrics": [{"subject": subject, "name": column, "value": value}
+                     for subject, values in layer.rows
+                     for column, value in zip(layer.columns, values)],
+         "aggregates": {metric: {key: stats[key] for key in ("min", "max", "mean")}
+                        for metric, stats in layer.aggregates.items()},
+         "findings": [{"rule": f.rule, "severity": f.severity, "locus": f.locus,
+                       "evidence": f.evidence}
+                      for f in layer.findings]}
+        for layer in report.layers]}
+    return dump_canonical(document) + "\n"
+
+
+def test_json_matches_the_reference_renderer_on_random_models():
+    # every rule has fired by seed 99
+    rules, evidence_types = set(), set()
+    for seed in range(500):
+        report = full_report(random_model(random.Random(seed), max_packages=6, max_classes=6))
+        assert render(report, "json") == reference_render_json(report), seed
+        for finding in report.layers[3].findings:
+            rules.add(finding.rule)
+            evidence_types.update(type(value) for value in finding.evidence.values())
+    assert rules == set(SEVERITY_BY_RULE)
+    assert evidence_types == {str, int, Fraction, list}
 
 
 def test_render_build_pipeline_is_deterministic_end_to_end(reference_source):
