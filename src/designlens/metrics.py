@@ -23,6 +23,7 @@ from .model import (
     once_per_model,
     resolve,
 )
+from .tarjan import strongly_connected_components
 
 
 class UnknownPackageError(KeyError):
@@ -168,34 +169,23 @@ def _counts(model: CodeModel) -> _Counts:
         if kind != INHERIT and source != target:
             coupled[source].add(target)
             coupled[target].add(source)
-    for _, cls in model.iter_classes():
-        for parent in dict.fromkeys(cls.parents):
+    # Tarjan completes a class after every class it extends, so its parents'
+    # depths are known when it comes out; only classes with parents need a walk.
+    parents = {name: cls.parents for name, cls in model.iter_classes() if cls.parents}
+    depths = dict.fromkeys(children, 0)
+    for component in strongly_connected_components(parents, parents):
+        name = component[0]
+        direct = parents.get(name, ())
+        if len(component) > 1 or name in direct:
+            raise ValueError(f"class '{name}' is in an inheritance cycle")
+        depths[name] = 1 + max(depths[p] for p in direct) if direct else 0
+        for parent in dict.fromkeys(direct):
             children[parent] += 1
 
     def sizes(sets: dict) -> dict:
         return {key: len(members) for key, members in sets.items()}
 
-    return _Counts(_dit_table(model), children, sizes(coupled), sizes(incoming), sizes(outgoing))
-
-
-def _dit_table(model: CodeModel) -> dict[QualifiedName, int]:
-    depths: dict[QualifiedName, int] = {}
-    for name, _ in model.iter_classes():
-        if name not in depths:
-            stack = [name]
-            while stack:
-                node = stack[-1]
-                if node in depths:
-                    stack.pop()
-                    continue
-                parents = resolve(model, node).parents
-                pending = [p for p in parents if p not in depths]
-                if pending:
-                    stack.extend(pending)
-                    continue
-                depths[node] = (1 + max(depths[p] for p in parents)) if parents else 0
-                stack.pop()
-    return depths
+    return _Counts(depths, children, sizes(coupled), sizes(incoming), sizes(outgoing))
 
 
 def _require_package(model: CodeModel, package: str) -> None:

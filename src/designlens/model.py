@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
-from .tarjan import strongly_connected_components
+from .tarjan import cycles
 
 IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -245,7 +245,7 @@ def validate_packages(packages: Iterable[PackageDef]) -> list[ValidationError]:
                 f"package '{pkg.name}' is declared more than once", pkg.position))
         seen_packages.add(pkg.name)
 
-    declared: set[QualifiedName] = set()
+    declared: dict[QualifiedName, ClassDef] = {}  # each class's first declaration
     for pkg in packages:
         seen_classes: set[str] = set()
         for cls in pkg.classes:
@@ -256,11 +256,13 @@ def validate_packages(packages: Iterable[PackageDef]) -> list[ValidationError]:
                     f"class '{cls.name}' is declared more than once in package '{pkg.name}'",
                     cls.position))
             seen_classes.add(cls.name)
-            declared.add(qn)
+            declared.setdefault(qn, cls)
 
+    parents: dict[QualifiedName, list[QualifiedName]] = {}  # declared parents only
     for pkg in packages:
         for cls in pkg.classes:
-            cls_locus = f"{pkg.name}.{cls.name}"
+            qn = QualifiedName(pkg.name, cls.name)
+            cls_locus = str(qn)
             attr_names: set[str] = set()
             for attr in cls.attributes:
                 if attr.name in attr_names:
@@ -299,39 +301,19 @@ def validate_packages(packages: Iterable[PackageDef]) -> list[ValidationError]:
                             f"used class '{target}' is not declared", method.position))
 
             for parent in cls.parents:
-                if parent not in declared:
+                if parent in declared:
+                    parents.setdefault(qn, []).append(parent)
+                else:
                     errors.append(ValidationError(
                         UNRESOLVED_REFERENCE, cls_locus,
                         f"parent class '{parent}' is not declared", cls.position))
 
-    errors.extend(_inheritance_cycle_errors(packages, declared))
-    return errors
-
-
-def _inheritance_cycle_errors(
-    packages: list[PackageDef], declared: set[QualifiedName],
-) -> list[ValidationError]:
-    parents: dict[QualifiedName, list[QualifiedName]] = {}
     # a cycle is reported at the first declaration of its smallest member
-    first: dict[QualifiedName, ClassDef] = {}
-    for pkg in packages:
-        for cls in pkg.classes:
-            qn = QualifiedName(pkg.name, cls.name)
-            first.setdefault(qn, cls)
-            parents.setdefault(qn, [])
-            parents[qn].extend(p for p in cls.parents if p in declared)
-
-    errors = []
-    groups = []
-    for component in strongly_connected_components(sorted(parents), parents):
-        members = sorted(component)
-        if len(members) > 1 or members[0] in parents[members[0]]:
-            groups.append(members)
-    for members in sorted(groups, key=lambda g: g[0]):
+    for members in cycles(parents, parents):
         names = ", ".join(str(m) for m in members)
         errors.append(ValidationError(
             INHERITANCE_CYCLE, str(members[0]),
-            f"inheritance cycle involving {{{names}}}", first[members[0]].position))
+            f"inheritance cycle involving {{{names}}}", declared[members[0]].position))
     return errors
 
 

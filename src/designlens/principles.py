@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .metrics import MetricsReport
 from .model import INHERIT, CodeModel, DependencyGraph, class_graph, package_graph, resolve
-from .tarjan import strongly_connected_components
+from .tarjan import cycles
 
 RULE_ADP = "ADP"
 RULE_SDP = "SDP"
@@ -70,20 +70,18 @@ def _finding(rule: str, locus: str, evidence: dict) -> Finding:
 
 
 def detect_cycles(graph: DependencyGraph) -> list[list[str]]:
-    """ADP: strongly connected package groups of size >= 2.
+    """ADP: the package groups that depend on each other in a cycle.
 
     Members are sorted within each group; groups are sorted by their smallest
-    member.
+    member.  `package_graph` has no self-edges, so every group it yields has
+    two or more packages.
     """
     if graph.granularity != "package":
         raise ValueError("cycle detection runs on the package-granularity graph")
     successors: dict = {node: [] for node in graph.nodes}
     for edge in graph.edges:
         successors[edge.source].append(edge.target)
-    groups = [sorted(node.package for node in component)
-              for component in strongly_connected_components(sorted(graph.nodes), successors)
-              if len(component) >= 2]
-    return sorted(groups, key=lambda group: group[0])
+    return [[node.package for node in group] for group in cycles(graph.nodes, successors)]
 
 
 def adp_violations(model: CodeModel) -> list[Finding]:

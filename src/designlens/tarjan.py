@@ -1,4 +1,4 @@
-"""Iterative Tarjan strongly connected components."""
+"""Iterative Tarjan: `strongly_connected_components` and the `cycles` among them."""
 
 from __future__ import annotations
 
@@ -61,3 +61,11 @@ def strongly_connected_components(
                         break
                 components.append(component)
     return components
+
+
+def cycles(nodes: Iterable[T], successors: Mapping[T, Sequence[T]]) -> list[list[T]]:
+    """Return the cyclic components: two or more nodes, or one node that is its own
+    successor.  Members are sorted, and groups ordered by their smallest member."""
+    groups = [sorted(component) for component in strongly_connected_components(nodes, successors)
+              if len(component) > 1 or component[0] in successors.get(component[0], ())]
+    return sorted(groups, key=lambda group: group[0])

@@ -211,6 +211,34 @@ def test_dit_matches_exhaustive_oracle_on_random_dags():
                 assert (dit(model, name) == 0) == (not cls.parents)
 
 
+def _chain(length, ring=False):
+    """C0 <- C1 <- ... : each class extends the one before it; in a ring C0 extends the last."""
+    return [PackageDef("p", tuple(
+        ClassDef(f"C{i}", parents=(qn("p", f"C{(i - 1) % length}"),) if i or ring else ())
+        for i in range(length)))]
+
+
+def test_deep_hierarchy_is_walked_without_recursion():
+    model = build_model(_chain(20_000))
+    assert dit(model, qn("p", "C19999")) == 19_999
+    assert [noc(model, qn("p", f"C{i}")) for i in range(19_999)] == [1] * 19_999
+    assert [e.code for e in model_module.validate_packages(_chain(20_000, ring=True))] == \
+        [model_module.INHERITANCE_CYCLE]
+
+
+@pytest.mark.parametrize("parent_lists", [((1,), (0,)), ((0,),)], ids=["two-class", "self"])
+def test_metrics_of_an_unvalidated_inheritance_cycle_raise(parent_lists):
+    classes = tuple(ClassDef(f"C{i}", parents=tuple(qn("p", f"C{j}") for j in parents))
+                    for i, parents in enumerate(parent_lists))
+    model = CodeModel((PackageDef("p", classes),))  # not validated by build_model
+    queries = [lambda: dit(model, qn("p", "C0")), lambda: noc(model, qn("p", "C0")),
+               lambda: cbo(model, qn("p", "C0")), lambda: afferent(model, "p"),
+               lambda: efferent(model, "p"), lambda: compute_all(model)]
+    for query in queries:
+        with pytest.raises(ValueError, match=r"class 'p\.C[01]' is in an inheritance cycle"):
+            query()
+
+
 # -- NOC ------------------------------------------------------------------------------
 
 

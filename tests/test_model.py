@@ -25,6 +25,7 @@ from designlens.model import (
     NotFoundError,
     PackageDef,
     QualifiedName,
+    SourcePosition,
     build_model,
     class_graph,
     package_graph,
@@ -116,6 +117,25 @@ def test_self_parent_is_an_inheritance_cycle():
     errors = validate_packages([
         PackageDef("p", (simple_class("A", parents=(qn("p", "A"),)),))])
     assert [e.code for e in errors] == [INHERITANCE_CYCLE]
+
+
+def test_inheritance_cycle_errors_are_exact_ordered_and_at_first_declarations():
+    def at(line, name, *parents):
+        return ClassDef(name, parents=tuple(qn("p", parent) for parent in parents),
+                        position=SourcePosition(line, 1))
+
+    # p.A closes its cycle only in its second declaration; the error still
+    # points at the first
+    errors = validate_packages([PackageDef("p", (
+        at(1, "D", "C"), at(2, "C", "D"), at(3, "B", "A"), at(4, "A"),
+        at(5, "S", "S"), at(6, "A", "B"),
+    ))])
+    assert [str(e) for e in errors] == [
+        "6:1: DuplicateClass at p.A: class 'A' is declared more than once in package 'p'",
+        "4:1: InheritanceCycle at p.A: inheritance cycle involving {p.A, p.B}",
+        "2:1: InheritanceCycle at p.C: inheritance cycle involving {p.C, p.D}",
+        "5:1: InheritanceCycle at p.S: inheritance cycle involving {p.S}",
+    ]
 
 
 def test_abstract_method_in_concrete_class_rejected():

@@ -32,6 +32,7 @@ from designlens.principles import (
     sdp_violations,
     srp_advisories,
 )
+from designlens.tarjan import cycles
 from modelgen import random_model
 
 
@@ -48,7 +49,8 @@ def package_digraph(node_count, edges):
 
 
 def cycle_groups_oracle(node_count, edges):
-    """Mutual-reachability classes of size >= 2, via brute-force path existence."""
+    """Mutual-reachability classes of size >= 2 or that reach themselves, via
+    brute-force path existence."""
     reach = [[False] * node_count for _ in range(node_count)]
     for a, b in edges:
         reach[a][b] = True
@@ -64,7 +66,7 @@ def cycle_groups_oracle(node_count, edges):
             continue
         members = [j for j in range(node_count)
                    if i == j or (reach[i][j] and reach[j][i])]
-        if len(members) >= 2:
+        if len(members) >= 2 or reach[i][i]:
             groups.append(sorted(f"n{m}" for m in members))
             assigned.update(members)
     return sorted(groups)
@@ -109,6 +111,14 @@ def test_detect_cycles_matches_oracle_on_random_graphs():
         edges = [p for p in pairs if rng.random() < 0.25]
         assert detect_cycles(package_digraph(node_count, edges)) == \
             cycle_groups_oracle(node_count, edges)
+
+
+def test_tarjan_cycles_matches_oracle_on_every_three_node_digraph():
+    pairs = [(a, b) for a in range(3) for b in range(3)]  # self-edges included
+    for mask in range(2 ** len(pairs)):
+        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+        successors = {f"n{i}": [f"n{b}" for a, b in edges if a == i] for i in range(3)}
+        assert cycles(["n2", "n0", "n1"], successors) == cycle_groups_oracle(3, edges)
 
 
 def test_acyclic_model_yields_zero_adp_findings(reference_source):
