@@ -7,6 +7,7 @@ Exit codes: 0 clean, 1 gate failure or fail-on finding, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -191,71 +192,77 @@ def _parse_fail_on_token(token: str, context: str) -> str:
 
 
 def run(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = None) -> int:
-    """Execute the CLI; returns the process exit code instead of exiting."""
-    stdout = stdout if stdout is not None else sys.stdout
-    stderr = stderr if stderr is not None else sys.stderr
-
-    parser = _build_parser()
+    """Execute the CLI with the cyclic garbage collector paused; returns the exit code."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
+        stdout = stdout if stdout is not None else sys.stdout
+        stderr = stderr if stderr is not None else sys.stderr
 
-    try:
-        config = load_config(args.config)
-        fail_on = set(config.fail_on)
-        for raw in args.fail_on or []:
-            for token in raw.split(","):
-                if token.strip():
-                    fail_on.add(_parse_fail_on_token(token, context="--fail-on"))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=stderr)
-        return EXIT_USAGE
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except _UsageError as exc:
+            print(f"error: {exc}", file=stderr)
+            return EXIT_USAGE
+        except SystemExit as exc:  # --help
+            return int(exc.code or 0)
 
-    packages, code = _load_inputs(args.paths, stderr)
-    if code != EXIT_OK:
-        return code
-    try:
-        model = build_model(packages)
-    except ModelError as exc:
-        for error in exc.errors:
-            print(_located(error), file=stderr)
-        return EXIT_INPUT
+        try:
+            config = load_config(args.config)
+            fail_on = set(config.fail_on)
+            for raw in args.fail_on or []:
+                for token in raw.split(","):
+                    if token.strip():
+                        fail_on.add(_parse_fail_on_token(token, context="--fail-on"))
+        except ConfigError as exc:
+            print(f"error: {exc}", file=stderr)
+            return EXIT_USAGE
 
-    metrics = compute_all(model)
-    findings = run_all(model, metrics, config.thresholds)
-    layered = build_report(model, metrics, findings)
-    color = (args.format == "text" and args.out is None
-             and not os.environ.get(NO_COLOR_ENV)
-             and getattr(stdout, "isatty", lambda: False)())
-    output = render(layered, args.format, color=color)
+        packages, code = _load_inputs(args.paths, stderr)
+        if code != EXIT_OK:
+            return code
+        try:
+            model = build_model(packages)
+        except ModelError as exc:
+            for error in exc.errors:
+                print(_located(error), file=stderr)
+            return EXIT_INPUT
 
-    try:
-        if args.out is not None:
-            Path(args.out).write_text(output, encoding="utf-8")
-        else:
-            stdout.write(output)
-            stdout.flush()
-    except OSError as exc:
-        target = "standard output" if args.out is None else args.out
-        print(f"error: cannot write {target}: {exc.strerror or exc}", file=stderr)
-        return EXIT_USAGE
+        metrics = compute_all(model)
+        findings = run_all(model, metrics, config.thresholds)
+        layered = build_report(model, metrics, findings)
+        color = (args.format == "text" and args.out is None
+                 and not os.environ.get(NO_COLOR_ENV)
+                 and getattr(stdout, "isatty", lambda: False)())
+        output = render(layered, args.format, color=color)
 
-    failed = False
-    for message in _evaluate_gates(layered, config.gates):
-        print(f"gate failed: {message}", file=stderr)
-        failed = True
-    for finding in findings:
-        if finding.rule.lower() in fail_on or finding.severity in fail_on:
-            print(f"fail-on: {finding.rule} at {finding.locus}", file=stderr)
+        try:
+            if args.out is not None:
+                Path(args.out).write_text(output, encoding="utf-8")
+            else:
+                stdout.write(output)
+                stdout.flush()
+        except OSError as exc:
+            target = "standard output" if args.out is None else args.out
+            print(f"error: cannot write {target}: {exc.strerror or exc}", file=stderr)
+            return EXIT_USAGE
+
+        failed = False
+        for message in _evaluate_gates(layered, config.gates):
+            print(f"gate failed: {message}", file=stderr)
             failed = True
-        elif args.strict and finding.severity == "warning":
-            print(f"strict: {finding.rule} at {finding.locus}", file=stderr)
-            failed = True
-    return EXIT_GATE_FAILURE if failed else EXIT_OK
+        for finding in findings:
+            if finding.rule.lower() in fail_on or finding.severity in fail_on:
+                print(f"fail-on: {finding.rule} at {finding.locus}", file=stderr)
+                failed = True
+            elif args.strict and finding.severity == "warning":
+                print(f"strict: {finding.rule} at {finding.locus}", file=stderr)
+                failed = True
+        return EXIT_GATE_FAILURE if failed else EXIT_OK
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _build_parser() -> argparse.ArgumentParser:

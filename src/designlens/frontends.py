@@ -59,15 +59,16 @@ class ParseFailure(Exception):
         super().__init__(f"{len(self.errors)} syntax error(s): {head}")
 
 
-# One alternative per token class, tried in order: skipped text, an ASCII INT,
-# a word, punctuation, and any other single character.  `\w` is exactly
-# `str.isalnum()` or "_", the span of a MiniOO word.
+# Skipped whitespace and `//` comments, then one token: an ASCII INT, a word,
+# punctuation, the end, or any other character.  The skip loop cannot backtrack, as
+# `\Z` or `.` always matches after it.  `\w` is `str.isalnum()` or "_", a MiniOO word.
 _TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]+|//[^\n]*)"
-    r"|(?P<int>[0-9]+)"
+    r"(?:[ \t\r\n]+|//[^\n]*)*"
+    r"(?:(?P<int>[0-9]+)"
     r"|(?P<name>\w+)"
     r"|(?P<punctuation>[{}();:,.])"
-    r"|(?P<bad>.)", re.DOTALL)
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>.))", re.DOTALL)
 _NEWLINE_RE = re.compile("\n")
 
 # A token is (kind, text, offset): kind is "name", "int", "eof" or the
@@ -83,11 +84,12 @@ def _echo(text: str) -> str:
 def tokenize(source: str, bad: list[tuple[int, str, str]]) -> Iterator[_Token]:
     """Yield the tokens of MiniOO source, then one `eof`.  Each illegal character or
     word is skipped and appended to `bad` as (offset, expected, found)."""
-    pos, end, scan = 0, len(source), _TOKEN_RE.match
-    while pos < end:
+    pos, kind, scan = 0, None, _TOKEN_RE.match
+    while kind != "eof":
         match = scan(source, pos)
-        kind, text = match.lastgroup, match.group()
-        start, pos = pos, match.end()
+        kind = match.lastgroup
+        start, pos = match.span(kind)
+        text = match.group(kind)
         if kind == "name" and not text.isascii():
             # INT is tried first, so a word never starts with an ASCII digit
             if text[0].isalpha() or text[0] == "_":
@@ -97,9 +99,8 @@ def tokenize(source: str, bad: list[tuple[int, str, str]]) -> Iterator[_Token]:
                 pos = start + 1
         elif kind == "bad":
             bad.append((start, "a token", repr(text)))
-        elif kind is not None:
+        else:
             yield (text if kind == "punctuation" else kind, text, start)
-    yield ("eof", "", end)
 
 
 class _Panic(Exception):

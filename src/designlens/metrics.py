@@ -17,6 +17,7 @@ from .model import (
     INHERIT,
     ClassDef,
     CodeModel,
+    NotFoundError,
     PackageDef,
     QualifiedName,
     class_edges,
@@ -163,12 +164,16 @@ def _counts(model: CodeModel) -> _Counts:
     incoming: dict[str, set[QualifiedName]] = {pkg.name: set() for pkg in model.packages}
     outgoing: dict[str, set[QualifiedName]] = {pkg.name: set() for pkg in model.packages}
     for source, target, kind in class_edges(model):
+        try:
+            linked = coupled[target]
+        except KeyError:  # a model built without `build_model` may name any class
+            raise NotFoundError(f"class '{target}' is not declared") from None
         if source.package != target.package:
             incoming[target.package].add(source)
             outgoing[source.package].add(target)
         if kind != INHERIT and source != target:
             coupled[source].add(target)
-            coupled[target].add(source)
+            linked.add(source)
     # Tarjan completes a class after every class it extends, so its parents'
     # depths are known when it comes out; only classes with parents need a walk.
     parents = {name: cls.parents for name, cls in model.iter_classes() if cls.parents}

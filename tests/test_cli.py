@@ -1,4 +1,5 @@
 import errno
+import gc
 import io
 import json
 import os
@@ -438,6 +439,66 @@ def test_stdout_is_byte_identical_across_runs():
     first = invoke("analyze", REFERENCE, "--format", "json")
     second = invoke("analyze", REFERENCE, "--format", "json")
     assert first == second
+
+
+# -- garbage collector ---------------------------------------------------------------
+
+
+def test_a_run_makes_no_garbage_collection(tmp_path):
+    # with the collector on, this run collects over 40 times
+    path = tmp_path / "m.minioo"
+    path.write_text(write_minioo(random_model(random.Random(0), max_packages=8, max_classes=250)),
+                    encoding="utf-8")
+    starts = []
+
+    def count(phase, info):
+        # only collections made while `run` is on the stack: allocating after it
+        # returns may collect what the paused run left behind
+        frame = sys._getframe()
+        while frame is not None and frame.f_code is not run.__code__:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        code, out, err = invoke("analyze", str(path), "--format", "json")
+    finally:
+        gc.callbacks.remove(count)
+    assert (code, err, starts) == (EXIT_OK, "", [])
+    assert json.loads(out)["layers"]
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["analyze", REFERENCE], EXIT_OK),
+    (["analyze", CYCLIC, "--fail-on", "adp"], EXIT_GATE_FAILURE),
+    (["analyze", REFERENCE, "--format", "xml"], EXIT_USAGE),
+    (["analyze", BROKEN], EXIT_INPUT),
+    (["--help"], EXIT_OK),
+])
+def test_a_run_restores_the_collector(argv, expected, capsys):
+    assert gc.isenabled()
+    assert invoke(*argv)[0] == expected
+    assert gc.isenabled()
+
+
+def test_an_escaping_exception_restores_the_collector(monkeypatch):
+    def fail(model):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("designlens.cli.compute_all", fail)
+    with pytest.raises(RuntimeError, match="boom"):
+        invoke("analyze", REFERENCE)
+    assert gc.isenabled()
+
+
+def test_a_run_leaves_a_disabled_collector_disabled():
+    gc.disable()
+    try:
+        assert invoke("analyze", REFERENCE)[0] == EXIT_OK
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 # -- config and gates --------------------------------------------------------------

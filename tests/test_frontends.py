@@ -342,7 +342,7 @@ def test_tokenize_matches_the_reference_character_loop(source):
 
 @pytest.mark.parametrize("source", [
     "\u00b2", "a\u00b2", "1\u00b2", "\u00b2a1", "\u0663\u00e9", "\u216ba", "_\u00e9", "x/y", "a//b\nc",
-    "\r\n\t\u00e9x 12ab", "\u00a0", "",
+    "\r\n\t\u00e9x 12ab", "\u00a0", "", "a \r\n\t", "a // no newline", "a;#", "x/",
 ])
 def test_tokenize_matches_the_reference_on_word_edges(source):
     assert _lex(source) == reference_tokenize(source)

@@ -239,6 +239,27 @@ def test_metrics_of_an_unvalidated_inheritance_cycle_raise(parent_lists):
             query()
 
 
+_QUERIES = {
+    "dit": lambda model: dit(model, qn("p", "A")),
+    "cbo": lambda model: cbo(model, qn("p", "A")),
+    "afferent": lambda model: afferent(model, "p"),
+    "compute_all": compute_all,
+}
+
+
+@pytest.mark.parametrize("query", _QUERIES)
+@pytest.mark.parametrize("edge", ["parent", "field", "use"])
+@pytest.mark.parametrize("package", ["q", "p"])
+def test_metrics_of_an_edge_to_an_undeclared_class_raise(query, edge, package):
+    gone = qn(package, "Gone")
+    cls = ClassDef("A", parents=(gone,) if edge == "parent" else (),
+                   attributes=(AttributeDef("f", gone, ASSOCIATION),) if edge == "field" else (),
+                   methods=(method("m", uses=[gone]),) if edge == "use" else ())
+    model = CodeModel((PackageDef("p", (cls,)),))  # not validated by build_model
+    with pytest.raises(NotFoundError, match=rf"class '{package}\.Gone' is not declared"):
+        _QUERIES[query](model)
+
+
 # -- NOC ------------------------------------------------------------------------------
 
 
