@@ -11,7 +11,7 @@ import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, NoReturn
+from typing import Any, Callable, Iterator, KeysView, NoReturn
 
 from .model import (
     AGGREGATION,
@@ -323,121 +323,139 @@ def parse_minioo(source: str) -> CodeModel:
 
 # -- interchange documents ---------------------------------------------------
 
+# A JSON path is None for the document, else (its container's path, a field name or an
+# array index).  It is spelt out only for an error.
+_Path = tuple["_Path", str | int] | None
+
+# The fields of each object, in the order a missing one is reported; compared as a set.
+_ROOT_KEYS = dict.fromkeys(("packages",)).keys()
+_PACKAGE_KEYS = dict.fromkeys(("name", "classes")).keys()
+_CLASS_KEYS = dict.fromkeys(("name", "abstract", "parents", "attributes", "methods")).keys()
+_ATTRIBUTE_KEYS = dict.fromkeys(("name", "target", "kind")).keys()
+_METHOD_KEYS = dict.fromkeys(("name", "abstract", "weight", "reads", "uses")).keys()
+
+
+def _locus(path: _Path) -> str:
+    """`path` as an error names it: `packages[0].name`; a root field is its bare key."""
+    if path is None:
+        return "document"
+    parent, key = path
+    if parent is None:
+        return key
+    return f"{_locus(parent)}[{key}]" if type(key) is int else f"{_locus(parent)}.{key}"
+
 
 class _SchemaWalker:
     """Strict walk of the interchange document; collects every schema error.
 
     Any error rejects the whole document, so a declaration is built only while
-    there is none.
+    there is none.  Each distinct valid `pkg.Class` is checked once and shared.
     """
 
     def __init__(self, position: SourcePosition | None) -> None:
         self.errors: list[ValidationError] = []
         self.position = position
+        self.names: dict[str, QualifiedName] = {}
 
-    def error(self, path: str, message: str) -> None:
-        self.errors.append(ValidationError(SCHEMA_ERROR, path, message, self.position))
+    def error(self, path: _Path, message: str) -> None:
+        self.errors.append(ValidationError(SCHEMA_ERROR, _locus(path), message, self.position))
 
-    def obj(self, value: Any, path: str, keys: tuple[str, ...]) -> dict | None:
-        if not isinstance(value, dict):
-            self.error(path or "document", f"expected an object, got {type(value).__name__}")
-            return None
+    def expected(self, path: _Path, what: str, value: Any) -> None:
+        self.error(path, f"expected {what}, got {type(value).__name__}")
+
+    def obj(self, value: Any, path: _Path, keys: KeysView[str]) -> dict | None:
+        if type(value) is not dict:
+            return self.expected(path, "an object", value)
+        if value.keys() == keys:
+            return value
         for key in value:
             if key not in keys:
-                self.error(f"{path}.{key}" if path else str(key), "unknown field")
+                self.error((path, key), "unknown field")
         missing = [k for k in keys if k not in value]
         for key in missing:
-            self.error(f"{path}.{key}" if path else str(key), "missing field")
+            self.error((path, key), "missing field")
         return None if missing else value
 
-    def items(self, value: Any, path: str, decode: Callable[[Any, str], Any]) -> list:
+    def items(self, value: Any, path: _Path, decode: Callable[[Any, _Path], Any]) -> list:
         """Decode each element of an array at `path[i]`."""
-        if not isinstance(value, list):
-            self.error(path, f"expected an array, got {type(value).__name__}")
+        if type(value) is not list:
+            self.expected(path, "an array", value)
             return []
-        return [decode(item, f"{path}[{i}]") for i, item in enumerate(value)]
+        return [decode(item, (path, i)) for i, item in enumerate(value)]
 
-    def string(self, value: Any, path: str) -> str | None:
-        if not isinstance(value, str):
-            self.error(path, f"expected a string, got {type(value).__name__}")
-            return None
+    def identifier(self, value: Any, path: _Path) -> str | None:
+        if type(value) is not str:
+            return self.expected(path, "a string", value)
+        if not IDENTIFIER_RE.match(value):
+            return self.error(path, f"not a valid identifier: {value!r}")
         return value
 
-    def identifier(self, value: Any, path: str) -> str | None:
-        text = self.string(value, path)
-        if text is not None and not IDENTIFIER_RE.match(text):
-            self.error(path, f"not a valid identifier: {text!r}")
-            return None
-        return text
+    def qualified(self, value: Any, path: _Path) -> QualifiedName | None:
+        if type(value) is not str:
+            return self.expected(path, "a string", value)
+        name = self.names.get(value)
+        if name is None:
+            package, dot, cls = value.partition(".")
+            if not dot or not IDENTIFIER_RE.match(package) or not IDENTIFIER_RE.match(cls):
+                return self.error(path, f"expected 'pkg.Class', got {value!r}")
+            name = self.names[value] = QualifiedName(package, cls)
+        return name
 
-    def boolean(self, value: Any, path: str) -> bool | None:
-        if not isinstance(value, bool):
-            self.error(path, f"expected a boolean, got {type(value).__name__}")
-            return None
-        return value
-
-    def qualified(self, value: Any, path: str) -> QualifiedName | None:
-        text = self.string(value, path)
-        if text is None:
-            return None
-        package, dot, cls = text.partition(".")
-        if not dot or not IDENTIFIER_RE.match(package) or not IDENTIFIER_RE.match(cls):
-            self.error(path, f"expected 'pkg.Class', got {text!r}")
-            return None
-        return QualifiedName(package, cls)
-
-    def package(self, value: Any, path: str) -> PackageDef | None:
-        obj = self.obj(value, path, ("name", "classes"))
+    def package(self, value: Any, path: _Path) -> PackageDef | None:
+        obj = self.obj(value, path, _PACKAGE_KEYS)
         if obj is None:
             return None
-        name = self.identifier(obj["name"], f"{path}.name")
-        classes = self.items(obj["classes"], f"{path}.classes", self.class_)
+        name = self.identifier(obj["name"], (path, "name"))
+        classes = self.items(obj["classes"], (path, "classes"), self.class_)
         return None if self.errors else PackageDef(name, tuple(classes), self.position)
 
-    def class_(self, value: Any, path: str) -> ClassDef | None:
-        obj = self.obj(value, path, ("name", "abstract", "parents", "attributes", "methods"))
+    def class_(self, value: Any, path: _Path) -> ClassDef | None:
+        obj = self.obj(value, path, _CLASS_KEYS)
         if obj is None:
             return None
-        name = self.identifier(obj["name"], f"{path}.name")
-        is_abstract = self.boolean(obj["abstract"], f"{path}.abstract")
-        parents = self.items(obj["parents"], f"{path}.parents", self.qualified)
-        attributes = self.items(obj["attributes"], f"{path}.attributes", self.attribute)
-        methods = self.items(obj["methods"], f"{path}.methods", self.method)
+        name = self.identifier(obj["name"], (path, "name"))
+        is_abstract = obj["abstract"]
+        if type(is_abstract) is not bool:
+            self.expected((path, "abstract"), "a boolean", is_abstract)
+        parents = self.items(obj["parents"], (path, "parents"), self.qualified)
+        attributes = self.items(obj["attributes"], (path, "attributes"), self.attribute)
+        methods = self.items(obj["methods"], (path, "methods"), self.method)
         return None if self.errors else ClassDef(
             name, is_abstract, tuple(parents), tuple(attributes), tuple(methods), self.position)
 
-    def attribute(self, value: Any, path: str) -> AttributeDef | None:
-        obj = self.obj(value, path, ("name", "target", "kind"))
+    def attribute(self, value: Any, path: _Path) -> AttributeDef | None:
+        obj = self.obj(value, path, _ATTRIBUTE_KEYS)
         if obj is None:
             return None
-        name = self.identifier(obj["name"], f"{path}.name")
+        name = self.identifier(obj["name"], (path, "name"))
         target = None
         if obj["target"] is not None:
-            target = self.qualified(obj["target"], f"{path}.target")
+            target = self.qualified(obj["target"], (path, "target"))
             if target is None:
                 return None
         kind = obj["kind"]
         if kind not in (ASSOCIATION, AGGREGATION, NO_TARGET):
-            self.error(f"{path}.kind",
-                       f"expected 'association', 'aggregation' or 'none', got {kind!r}")
-            return None
+            return self.error((path, "kind"),
+                              f"expected 'association', 'aggregation' or 'none', got {kind!r}")
         if (kind == NO_TARGET) != (target is None):
-            self.error(f"{path}.kind", "kind 'none' is required exactly when target is null")
+            self.error((path, "kind"), "kind 'none' is required exactly when target is null")
         return None if self.errors else AttributeDef(name, target, kind, self.position)
 
-    def method(self, value: Any, path: str) -> MethodDef | None:
-        obj = self.obj(value, path, ("name", "abstract", "weight", "reads", "uses"))
+    def method(self, value: Any, path: _Path) -> MethodDef | None:
+        obj = self.obj(value, path, _METHOD_KEYS)
         if obj is None:
             return None
-        name = self.identifier(obj["name"], f"{path}.name")
-        is_abstract = self.boolean(obj["abstract"], f"{path}.abstract")
+        name = self.identifier(obj["name"], (path, "name"))
+        is_abstract = obj["abstract"]
+        if type(is_abstract) is not bool:
+            self.expected((path, "abstract"), "a boolean", is_abstract)
         weight = obj["weight"]
-        if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
-            self.error(f"{path}.weight", f"expected a positive integer, got {weight!r}")
+        if type(weight) is not int or weight < 1:
+            self.error((path, "weight"), f"expected a positive integer, got {weight!r}")
         elif weight > MAX_WEIGHT:
-            self.error(f"{path}.weight", f"expected a weight of at most {MAX_WEIGHT}")
-        reads = self.items(obj["reads"], f"{path}.reads", self.identifier)
-        uses = self.items(obj["uses"], f"{path}.uses", self.qualified)
+            self.error((path, "weight"), f"expected a weight of at most {MAX_WEIGHT}")
+        reads = self.items(obj["reads"], (path, "reads"), self.identifier)
+        uses = self.items(obj["uses"], (path, "uses"), self.qualified)
         return None if self.errors else MethodDef(
             name, is_abstract, weight, frozenset(reads), frozenset(uses), self.position)
 
@@ -475,8 +493,9 @@ def decode_interchange(document: str, path: str | None = None) -> list[PackageDe
             MALFORMED_DOCUMENT, "document", "JSON nesting is too deep", position)]) from None
 
     walker = _SchemaWalker(position)
-    root = walker.obj(data, "", ("packages",))
-    packages = [] if root is None else walker.items(root["packages"], "packages", walker.package)
+    root = walker.obj(data, None, _ROOT_KEYS)
+    packages = [] if root is None else walker.items(root["packages"], (None, "packages"),
+                                                    walker.package)
     if walker.errors:
         raise ModelError(walker.errors)
     return packages

@@ -262,42 +262,41 @@ def validate_packages(packages: Iterable[PackageDef]) -> list[ValidationError]:
     for pkg in packages:
         for cls in pkg.classes:
             qn = QualifiedName(pkg.name, cls.name)
-            cls_locus = str(qn)
             attr_names: set[str] = set()
             for attr in cls.attributes:
                 if attr.name in attr_names:
                     errors.append(ValidationError(
-                        DUPLICATE_MEMBER, f"{cls_locus}.{attr.name}",
+                        DUPLICATE_MEMBER, f"{qn}.{attr.name}",
                         f"attribute '{attr.name}' is declared more than once", attr.position))
                 attr_names.add(attr.name)
                 if attr.target is not None and attr.target not in declared:
                     errors.append(ValidationError(
-                        UNRESOLVED_REFERENCE, f"{cls_locus}.{attr.name}",
+                        UNRESOLVED_REFERENCE, f"{qn}.{attr.name}",
                         f"attribute type '{attr.target}' is not declared", attr.position))
 
             method_names: set[str] = set()
             for method in cls.methods:
-                locus = f"{cls_locus}.{method.name}"
                 if method.name in method_names:
                     errors.append(ValidationError(
-                        DUPLICATE_MEMBER, locus,
+                        DUPLICATE_MEMBER, f"{qn}.{method.name}",
                         f"method '{method.name}' is declared more than once", method.position))
                 method_names.add(method.name)
                 if method.is_abstract and not cls.is_abstract:
                     errors.append(ValidationError(
-                        ABSTRACT_METHOD_IN_CONCRETE_CLASS, locus,
+                        ABSTRACT_METHOD_IN_CONCRETE_CLASS, f"{qn}.{method.name}",
                         f"abstract method '{method.name}' in concrete class '{cls.name}'",
                         method.position))
-                for read in sorted(method.reads):
-                    if read not in attr_names:
+                if not method.reads <= attr_names:
+                    for read in sorted(method.reads - attr_names):
                         errors.append(ValidationError(
-                            UNKNOWN_READ_ATTRIBUTE, locus,
+                            UNKNOWN_READ_ATTRIBUTE, f"{qn}.{method.name}",
                             f"method '{method.name}' reads unknown attribute '{read}'",
                             method.position))
-                for target in sorted(method.uses):
-                    if target not in declared:
+                if not declared.keys() >= method.uses:
+                    # a filter, not `uses - declared.keys()`, which walks every class
+                    for target in sorted(t for t in method.uses if t not in declared):
                         errors.append(ValidationError(
-                            UNRESOLVED_REFERENCE, locus,
+                            UNRESOLVED_REFERENCE, f"{qn}.{method.name}",
                             f"used class '{target}' is not declared", method.position))
 
             for parent in cls.parents:
@@ -305,7 +304,7 @@ def validate_packages(packages: Iterable[PackageDef]) -> list[ValidationError]:
                     parents.setdefault(qn, []).append(parent)
                 else:
                     errors.append(ValidationError(
-                        UNRESOLVED_REFERENCE, cls_locus,
+                        UNRESOLVED_REFERENCE, str(qn),
                         f"parent class '{parent}' is not declared", cls.position))
 
     # a cycle is reported at the first declaration of its smallest member

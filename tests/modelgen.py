@@ -118,11 +118,12 @@ def write_minioo(model: CodeModel) -> str:
 
 
 # What a mutated document may hold in place of a value: each JSON type, valid
-# and invalid names, and attribute kinds valid or not.
+# and invalid names, and attribute kinds valid or not.  The added keys include
+# ones that look like part of a path, so their loci are checked too.
 _JUNK = (None, True, 0, 2, -1, 1.5, "", "p", "1x", "p.A", "pkg0.C0_0", "association", "none",
          "friend", [], [0], ["p.A"], {}, {"name": "p"})
 _SCHEMA_KEYS = ("packages", "name", "classes", "abstract", "parents", "attributes", "methods",
-                "target", "kind", "weight", "reads", "uses", "bogus")
+                "target", "kind", "weight", "reads", "uses", "bogus", "", ".x", "[0]")
 
 
 def mutate_document(document: str, rng: random.Random) -> str:

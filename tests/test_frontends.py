@@ -441,6 +441,7 @@ def test_mistyped_method_fields_report_their_paths(field, value, path):
     ("attributes", [{"name": "x", "target": None, "kind": "friend"}],
      "packages[0].classes[0].attributes[0].kind",
      "expected 'association', 'aggregation' or 'none', got 'friend'"),
+    ("parents", [[]], "packages[0].classes[0].parents[0]", "expected a string, got list"),
 ])
 def test_mistyped_class_fields_report_their_paths_and_messages(field, value, locus, message):
     cls = {"name": "A", "abstract": False, "parents": [], "attributes": [], "methods": []}
@@ -450,6 +451,58 @@ def test_mistyped_class_fields_report_their_paths_and_messages(field, value, loc
         read_interchange(document)
     assert [(e.code, e.locus, e.message) for e in excinfo.value.errors] == [
         (SCHEMA_ERROR, locus, message)]
+
+
+_METHOD_PATH = "packages[0].classes[0].methods[0]"
+
+
+@pytest.mark.parametrize("document,expected", [
+    ('{"packages":[],"":1}', [("", "unknown field")]),
+    ('{"packages":[],".x":1}', [(".x", "unknown field")]),
+    ('{"packages":[{"name":"p","classes":[],"":1,"[0]":2}]}',
+     [("packages[0].", "unknown field"), ("packages[0].[0]", "unknown field")]),
+    (json.dumps({"packages": [{"name": "p", "classes": [
+        {"name": "A", "abstract": False, "parents": [], "attributes": [], "methods": [
+            {"name": "m", "abstract": False, "weight": 1, "reads": ["x", 3], "uses": [{}]}]}]}]}),
+     [(f"{_METHOD_PATH}.reads[1]", "expected a string, got int"),
+      (f"{_METHOD_PATH}.uses[0]", "expected a string, got dict")]),
+], ids=["root-empty-key", "root-dotted-key", "package-odd-keys", "read-and-use-types"])
+def test_unusual_keys_and_elements_are_located_exactly(document, expected):
+    with pytest.raises(ModelError) as excinfo:
+        decode_interchange(document)
+    assert [(e.locus, e.message) for e in excinfo.value.errors] == expected
+
+
+def _one_class_document(**fields: Any) -> str:
+    """An interchange document of packages `p` and `q`, with class `p.A` set from `fields`."""
+    cls = {"name": "A", "abstract": False, "parents": [], "attributes": [], "methods": []}
+    cls.update(fields)
+    return json.dumps({"packages": [{"name": "p", "classes": [cls]}, {"name": "q", "classes": [
+        {"name": "B", "abstract": False, "parents": [], "attributes": [], "methods": []}]}]})
+
+
+def test_each_distinct_name_is_decoded_to_one_shared_object():
+    [p, _] = decode_interchange(_one_class_document(
+        parents=["q.B"],
+        attributes=[{"name": "b", "target": "q.B", "kind": "association"},
+                    {"name": "c", "target": "q.B", "kind": "aggregation"}],
+        methods=[{"name": "m", "abstract": False, "weight": 1, "reads": [], "uses": ["q.B"]}]))
+    [cls] = p.classes
+    [use] = cls.methods[0].uses
+    references = [*cls.parents, *(attr.target for attr in cls.attributes), use]
+    assert references == [qn("q", "B")] * 4
+    assert all(reference is references[0] for reference in references)
+
+
+def test_an_invalid_name_is_reported_at_each_occurrence():
+    with pytest.raises(ModelError) as excinfo:
+        decode_interchange(_one_class_document(
+            parents=["p.1x"],
+            methods=[{"name": "m", "abstract": False, "weight": 1, "reads": [],
+                      "uses": ["q.B", "p.1x"]}]))
+    assert [(e.locus, e.message) for e in excinfo.value.errors] == [
+        ("packages[0].classes[0].parents[0]", "expected 'pkg.Class', got 'p.1x'"),
+        (f"{_METHOD_PATH}.uses[1]", "expected 'pkg.Class', got 'p.1x'")]
 
 
 def test_attribute_kind_target_mismatch_is_a_schema_error():
