@@ -90,6 +90,8 @@ class AttributeDef:
     position: SourcePosition | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not IDENTIFIER_RE.match(self.name):
+            raise ValueError(f"attribute {self.name!r}: not an identifier")
         if self.target is None:
             if self.kind != NO_TARGET:
                 raise ValueError(f"attribute {self.name!r}: kind {self.kind!r} requires a target")
@@ -109,6 +111,8 @@ class MethodDef:
     position: SourcePosition | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not IDENTIFIER_RE.match(self.name):
+            raise ValueError(f"method {self.name!r}: not an identifier")
         object.__setattr__(self, "reads", frozenset(self.reads))
         object.__setattr__(self, "uses", frozenset(self.uses))
         if not 1 <= self.weight <= MAX_WEIGHT:
@@ -125,6 +129,8 @@ class ClassDef:
     position: SourcePosition | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not IDENTIFIER_RE.match(self.name):
+            raise ValueError(f"class {self.name!r}: not an identifier")
         object.__setattr__(self, "parents", tuple(self.parents))
         object.__setattr__(self, "attributes", tuple(self.attributes))
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -137,6 +143,8 @@ class PackageDef:
     position: SourcePosition | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not IDENTIFIER_RE.match(self.name):
+            raise ValueError(f"package {self.name!r}: not an identifier")
         object.__setattr__(self, "classes", tuple(self.classes))
 
 
@@ -354,7 +362,8 @@ def class_edges(model: CodeModel) -> Iterator[DependencyEdge]:
 
 @once_per_model
 def class_graph(model: CodeModel) -> DependencyGraph:
-    """Class-granularity dependency graph: inherit, aggregation, association, and use edges."""
+    """Class-granularity graph of inherit, aggregation, association and use edges,
+    built once per model and only on request: an analysis never builds it."""
     return DependencyGraph(tuple(sorted(model._index)), tuple(sorted(set(class_edges(model)))),
                            "class")
 

@@ -8,6 +8,7 @@ import pytest
 from designlens import cli
 from designlens import metrics as metrics_module
 from designlens import model as model_module
+from designlens import principles as principles_module
 from designlens.frontends import parse_minioo
 from designlens.metrics import (
     UnknownPackageError,
@@ -577,7 +578,7 @@ def test_point_queries_derive_class_edges_once_per_model(monkeypatch):
     assert calls == [model]
 
 
-def test_one_cli_run_builds_the_class_graph_once(monkeypatch):
+def test_one_cli_run_builds_no_class_graph(monkeypatch):
     real_edges, real_graph = model_module.class_edges, model_module.DependencyGraph
     edge_calls, graphs = [], []
 
@@ -591,11 +592,12 @@ def test_one_cli_run_builds_the_class_graph_once(monkeypatch):
 
     monkeypatch.setattr(metrics_module, "class_edges", counting_edges)
     monkeypatch.setattr(model_module, "class_edges", counting_edges)
+    monkeypatch.setattr(principles_module, "class_edges", counting_edges)
     monkeypatch.setattr(model_module, "DependencyGraph", counting_graph)
     assert cli.run(["analyze", str(FIXTURES / "reference.minioo")], stdout=io.StringIO()) == 0
-    # one derivation each for the metric table, the class graph and the package graph
+    # one walk each for the metric table, the package graph and DIP, all on one model
     assert len(edge_calls) == 3 and len(set(map(id, edge_calls))) == 1
-    assert sorted(graphs) == ["class", "package"]
+    assert graphs == ["package"]
 
 
 def test_compute_all_iterates_in_name_order():

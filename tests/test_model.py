@@ -89,6 +89,15 @@ def test_attribute_kind_matches_target():
         AttributeDef("x", qn("p", "A"), "none")
 
 
+@pytest.mark.parametrize("declaration", [PackageDef, ClassDef, AttributeDef, MethodDef])
+@pytest.mark.parametrize("name", ["", "bad name", "bad-name", "1st", "café"])
+def test_declaration_rejects_a_name_that_is_not_an_identifier(declaration, name):
+    # such a name would fail later: in package_graph, mid-validation, or on the
+    # interchange round trip
+    with pytest.raises(ValueError, match="not an identifier"):
+        declaration(name)
+
+
 # -- build_model ----------------------------------------------------------------
 
 

@@ -7,6 +7,9 @@ import pytest
 from designlens.frontends import parse_minioo
 from designlens.metrics import compute_all
 from designlens.model import (
+    AGGREGATION,
+    ASSOCIATION,
+    INHERIT,
     AttributeDef,
     ClassDef,
     DependencyEdge,
@@ -15,6 +18,7 @@ from designlens.model import (
     PackageDef,
     QualifiedName,
     build_model,
+    class_graph,
 )
 from designlens.principles import (
     RULE_ADP,
@@ -24,6 +28,7 @@ from designlens.principles import (
     RULE_SAP_USELESS,
     RULE_SDP,
     RULE_SRP,
+    Finding,
     Thresholds,
     detect_cycles,
     dip_advisories,
@@ -451,6 +456,40 @@ def test_inherit_edges_are_outside_dip_scope():
         ClassDef("A", is_abstract=True, parents=(qn("p", "B"),)),
     ))])
     assert dip_advisories(model) == []
+
+
+def reference_dip_advisories(model):
+    """DIP read off the sorted, deduplicated class graph: the order `dip_advisories` keeps."""
+    abstract = {name: cls.is_abstract for name, cls in model.iter_classes()}
+    return [Finding(RULE_DIP, "advisory", f"{edge.source}->{edge.target}", {"kind": edge.kind})
+            for edge in class_graph(model).edges
+            if edge.kind != INHERIT and abstract[edge.source] and not abstract[edge.target]]
+
+
+def test_dip_matches_the_class_graph_reference_on_random_models():
+    flagged = 0
+    for seed in range(500):
+        model = random_model(random.Random(seed))
+        findings = dip_advisories(model)
+        assert findings == reference_dip_advisories(model), seed
+        flagged += bool(findings)
+    assert flagged > 100  # the property is not vacuous
+
+
+def test_one_dip_finding_per_distinct_edge_in_kind_order():
+    b = qn("p", "B")
+    model = build_model([PackageDef("p", (
+        ClassDef("B"),
+        ClassDef("A", is_abstract=True,
+                 attributes=(AttributeDef("linked", b, ASSOCIATION),
+                             AttributeDef("owned", b, AGGREGATION)),
+                 methods=(MethodDef("m1", uses=frozenset({b})),
+                          MethodDef("m2", uses=frozenset({b})))),
+    ))])
+    expected = [("p.A->p.B", {"kind": kind}) for kind in ("aggregation", "association", "use")]
+    assert [(f.locus, f.evidence) for f in dip_advisories(model)] == expected
+    report = compute_all(model)
+    assert [(f.locus, f.evidence) for f in run_all(model, report) if f.rule == RULE_DIP] == expected
 
 
 # -- run_all -----------------------------------------------------------------------
