@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, KeysView, NoReturn
 
 from .model import (
     AGGREGATION,
     ASSOCIATION,
-    IDENTIFIER_RE,
     MAX_WEIGHT,
     NO_TARGET,
     AttributeDef,
@@ -59,17 +57,17 @@ class ParseFailure(Exception):
         super().__init__(f"{len(self.errors)} syntax error(s): {head}")
 
 
-# Skipped whitespace and `//` comments, then one token: an ASCII INT, a word,
-# punctuation, the end, or any other character.  The skip loop cannot backtrack, as
-# `\Z` or `.` always matches after it.  `\w` is `str.isalnum()` or "_", a MiniOO word.
+# Skipped whitespace and `//` comments, then one token: an ASCII name, punctuation, an
+# ASCII INT, the end, or anything else.  The skip cannot backtrack, as `\Z` or `.`
+# always matches after it.  `\w` is `str.isalnum()` or "_", so a MiniOO word that is
+# not an ASCII name, or that starts with a non-ASCII digit, falls to `bad`.
 _TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]+|//[^\n]*)*"
-    r"(?:(?P<int>[0-9]+)"
-    r"|(?P<name>\w+)"
+    r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
+    r"(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*(?!\w))"
     r"|(?P<punctuation>[{}();:,.])"
+    r"|(?P<int>[0-9]+)"
     r"|(?P<eof>\Z)"
-    r"|(?P<bad>.))", re.DOTALL)
-_NEWLINE_RE = re.compile("\n")
+    r"|(?P<bad>\w+|.))", re.DOTALL)
 
 # A token is (kind, text, offset): kind is "name", "int", "eof" or the
 # punctuation character itself; offset indexes the source in code points.
@@ -84,23 +82,13 @@ def _echo(text: str) -> str:
 def tokenize(source: str, bad: list[tuple[int, str, str]]) -> Iterator[_Token]:
     """Yield the tokens of MiniOO source, then one `eof`.  Each illegal character or
     word is skipped and appended to `bad` as (offset, expected, found)."""
-    pos, kind, scan = 0, None, _TOKEN_RE.match
-    while kind != "eof":
-        match = scan(source, pos)
-        kind = match.lastgroup
-        start, pos = match.span(kind)
-        text = match.group(kind)
-        if kind == "name" and not text.isascii():
-            # INT is tried first, so a word never starts with an ASCII digit
-            if text[0].isalpha() or text[0] == "_":
-                bad.append((start, "a name", _echo(text)))
-            else:
-                bad.append((start, "a token", repr(text[0])))
-                pos = start + 1
-        elif kind == "bad":
-            bad.append((start, "a token", repr(text)))
-        else:
-            yield (text if kind == "punctuation" else kind, text, start)
+    scanner = _MiniOOParser(source, None, bad)
+    while True:
+        kind, text = scanner.kind, scanner.text
+        yield (text if kind == "punctuation" else kind, text, scanner.match.start(kind))
+        if kind == "eof":
+            return
+        scanner._advance()
 
 
 class _Panic(Exception):
@@ -108,71 +96,84 @@ class _Panic(Exception):
 
 
 class _MiniOOParser:
-    def __init__(self, source: str, path: str | None):
-        self.bad: list[tuple[int, str, str]] = []  # the lexer's (offset, expected, found)
-        self.tokens = tokenize(source, self.bad)
-        self.tok = next(self.tokens)
+    """Recursive descent over one regex match at a time: the current token is `kind`
+    (its group in `_TOKEN_RE`), `text` and `match`.  No production advances past `eof`."""
+
+    def __init__(self, source: str, path: str | None,
+                 bad: list[tuple[int, str, str]] | None = None):
+        self.source = source
+        self.bad = [] if bad is None else bad  # the lexer's (offset, expected, found)
+        self._next = _TOKEN_RE.finditer(source).__next__
+        self._advance()
         self.errors: list[ParseError] = []
-        self.line_starts = [0, *(newline.end() for newline in _NEWLINE_RE.finditer(source))]
         self.path = path
+        self.line, self.line_start, self.counted = 1, 0, 0  # newlines counted up to `counted`
 
     # -- token stream helpers ------------------------------------------------
 
-    def _advance(self) -> _Token:
-        tok = self.tok
-        if tok[0] != "eof":
-            self.tok = next(self.tokens)
-        return tok
-
-    def _match(self, text: str) -> bool:
-        if self.tok[1] == text:
-            self._advance()
-            return True
-        return False
+    def _advance(self) -> None:
+        """Make the next token current; skip each illegal character or word into `bad`."""
+        match = self._next()
+        kind = match.lastgroup
+        while kind == "bad":
+            start, text = match.start(kind), match[kind]
+            if text[0].isalpha() or text[0] == "_":  # a word with a non-ASCII character
+                self.bad.append((start, "a name", _echo(text)))
+            else:  # an illegal character, or a non-ASCII digit: rescan after it
+                self.bad.append((start, "a token", repr(text[0])))
+                self._next = _TOKEN_RE.finditer(self.source, start + 1).__next__
+            match = self._next()
+            kind = match.lastgroup
+        self.kind, self.text, self.match = kind, match[kind], match
 
     def _position(self, offset: int) -> SourcePosition:
-        """The line and column of a source offset, in the file parsed."""
-        line = bisect_right(self.line_starts, offset)
-        return SourcePosition(line, offset - self.line_starts[line - 1] + 1, self.path)
+        """The line and column of a source offset, in the file parsed.  Offsets are asked
+        for in order, so the newlines are counted on from the last one."""
+        newlines = self.source.count("\n", self.counted, offset)
+        if newlines:
+            self.line += newlines
+            self.line_start = self.source.rfind("\n", self.counted, offset) + 1
+        self.counted = offset
+        return SourcePosition(self.line, offset - self.line_start + 1, self.path)
 
     def _error(self, expected: str) -> None:
-        kind, text, offset = self.tok
-        found = "end of input" if kind == "eof" else _echo(text)
-        self.errors.append(ParseError(self._position(offset), expected, found))
+        found = "end of input" if self.kind == "eof" else _echo(self.text)
+        self.errors.append(ParseError(self._position(self.match.start(self.kind)), expected,
+                                      found))
 
     def _fail(self, expected: str) -> NoReturn:
         self._error(expected)
         raise _Panic()
 
     def _expect(self, text: str) -> None:
-        if self.tok[1] != text:
+        if self.text != text:
             self._fail(f"'{text}'")
         self._advance()
 
-    def _expect_name(self, expected: str) -> str:
-        if self.tok[0] != "name":
-            self._fail(expected)
-        return self._advance()[1]
-
     def _declare(self, expected: str) -> tuple[str, SourcePosition]:
         """Read a declared name and the position where it is declared."""
-        offset = self.tok[2]
-        return self._expect_name(expected), self._position(offset)
+        if self.kind != "name":
+            self._fail(expected)
+        name, position = self.text, self._position(self.match.start("name"))
+        self._advance()
+        return name, position
 
     def _synchronize(self) -> str | None:
         """Skip ahead past the next ';' or '}'; returns the consumed terminator."""
-        while self.tok[0] != "eof":
-            text = self._advance()[1]
-            if text in (";", "}"):
+        while self.kind != "eof":
+            text = self.text
+            self._advance()
+            if text == ";" or text == "}":
                 return text
         return None
 
     # -- grammar productions -------------------------------------------------
+    # A production whose first keyword its caller has seen steps over it unchecked.
 
     def parse_model(self) -> list[PackageDef]:
         packages: list[PackageDef] = []
-        while self.tok[0] != "eof":
-            if self.tok[1] == "package":
+        while self.kind != "eof":
+            if self.text == "package":
                 try:
                     packages.append(self._package())
                 except _Panic:
@@ -183,121 +184,144 @@ class _MiniOOParser:
         if not packages and not self.errors and not self.bad:
             self._error("at least one package declaration")
         # every lexer error is known once `eof` is current; they are reported first
+        self.line, self.line_start, self.counted = 1, 0, 0
         self.errors[:0] = [ParseError(self._position(offset), expected, found)
                            for offset, expected, found in self.bad]
         return packages
 
     def _package(self) -> PackageDef:
-        self._expect("package")
+        self._advance()
         name, position = self._declare("a package name")
         self._expect("{")
         classes: list[ClassDef] = []
         closed = False
         while not closed:
-            if self._match("}"):
-                closed = True
-            elif self.tok[0] == "eof":
-                self._error("'class' or '}'")
-                closed = True
-            elif self.tok[1] in ("class", "abstract"):
+            text = self.text
+            if text == "class" or text == "abstract":
                 try:
                     classes.append(self._class(name))
                 except _Panic:
                     closed = self._synchronize() is None
+            elif text == "}":
+                self._advance()
+                closed = True
+            elif self.kind == "eof":
+                self._error("'class' or '}'")
+                closed = True
             else:
                 self._error("'class', 'abstract' or '}'")
                 closed = self._synchronize() is None
         return PackageDef(name, tuple(classes), position)
 
     def _class(self, package: str) -> ClassDef:
-        is_abstract = self._match("abstract")
-        self._expect("class")
+        is_abstract = self.text == "abstract"
+        self._advance()
+        if is_abstract:
+            self._expect("class")
         name, position = self._declare("a class name")
         parents: list[QualifiedName] = []
-        if self._match("extends"):
+        if self.text == "extends":
+            self._advance()
             parents.append(self._typeref(package))
-            while self._match(","):
+            while self.text == ",":
+                self._advance()
                 parents.append(self._typeref(package))
         self._expect("{")
         attributes: list[AttributeDef] = []
         methods: list[MethodDef] = []
         closed = False
         while not closed:
-            if self._match("}"):
-                closed = True
-            elif self.tok[1] in ("field", "method", "abstract"):
-                try:
-                    if self.tok[1] == "field":
-                        attributes.append(self._field(package))
-                    else:
-                        methods.append(self._method(package))
-                except _Panic:
-                    closed = self._synchronize() in ("}", None)
-            else:
-                self._error("'field', 'method' or '}'")
+            text = self.text
+            try:
+                if text == "field":
+                    attributes.append(self._field(package))
+                elif text == "method" or text == "abstract":
+                    methods.append(self._method(package))
+                elif text == "}":
+                    self._advance()
+                    closed = True
+                else:
+                    self._fail("'field', 'method' or '}'")
+            except _Panic:
                 closed = self._synchronize() in ("}", None)
         return ClassDef(name, is_abstract, tuple(parents), tuple(attributes), tuple(methods),
                         position)
 
     def _field(self, package: str) -> AttributeDef:
-        self._expect("field")
+        self._advance()
         name, position = self._declare("a field name")
         self._expect(":")
-        kind, text, _ = self.tok
-        if kind == "name" and text in _PRIMITIVES:
+        if self.kind != "name":
+            self._fail("a type name")
+        if self.text in _PRIMITIVES:
             self._advance()
             target, attribute_kind = None, NO_TARGET
-        elif kind == "name":
+        else:
             target = self._typeref(package)
             attribute_kind = ASSOCIATION
-            if self._match(","):
-                kind, text, _ = self.tok
-                if kind != "name" or text not in _ATTRIBUTE_KINDS:
+            if self.text == ",":
+                self._advance()
+                attribute_kind = _ATTRIBUTE_KINDS.get(self.text)
+                if attribute_kind is None:
                     self._fail("'assoc' or 'aggr'")
                 self._advance()
-                attribute_kind = _ATTRIBUTE_KINDS[text]
-        else:
-            self._fail("a type name")
         self._expect(";")
         return AttributeDef(name, target, attribute_kind, position)
 
     def _method(self, package: str) -> MethodDef:
-        is_abstract = self._match("abstract")
-        self._expect("method")
+        is_abstract = self.text == "abstract"
+        self._advance()
+        if is_abstract:
+            self._expect("method")
         name, position = self._declare("a method name")
         weight = 1
-        if self._match("weight"):
-            kind, text, _ = self.tok
+        if self.text == "weight":
+            self._advance()
+            text = self.text
             # INT must match [1-9][0-9]*; one longer than MAX_WEIGHT is never converted
-            if kind != "int" or text[0] == "0":
+            if self.kind != "int" or text[0] == "0":
                 self._fail("a positive integer")
             weight = int(text) if len(text) <= _MAX_WEIGHT_DIGITS else MAX_WEIGHT + 1
             if weight > MAX_WEIGHT:
                 self._fail(f"a weight of at most {MAX_WEIGHT}")
             self._advance()
         reads: list[str] = []
-        if self._match("reads"):
+        if self.text == "reads":
+            self._advance()
             self._expect("(")
-            reads.append(self._expect_name("an attribute name"))
-            while self._match(","):
-                reads.append(self._expect_name("an attribute name"))
+            while True:
+                if self.kind != "name":
+                    self._fail("an attribute name")
+                reads.append(self.text)
+                self._advance()
+                if self.text != ",":
+                    break
+                self._advance()
             self._expect(")")
         uses: list[QualifiedName] = []
-        if self._match("uses"):
+        if self.text == "uses":
+            self._advance()
             self._expect("(")
             uses.append(self._typeref(package))
-            while self._match(","):
+            while self.text == ",":
+                self._advance()
                 uses.append(self._typeref(package))
             self._expect(")")
         self._expect(";")
         return MethodDef(name, is_abstract, weight, frozenset(reads), frozenset(uses), position)
 
     def _typeref(self, default_package: str) -> QualifiedName:
-        first = self._expect_name("a type name")
-        if self._match("."):
-            return QualifiedName(first, self._expect_name("a class name"))
-        return QualifiedName(default_package, first)
-
+        if self.kind != "name":
+            self._fail("a type name")
+        package, name = default_package, self.text
+        self._advance()
+        if self.text == ".":
+            self._advance()
+            if self.kind != "name":
+                self._fail("a class name")
+            package, name = name, self.text
+            self._advance()
+        return QualifiedName(package, name)
 
 def parse_minioo_declarations(source: str, path: str | None = None) -> list[PackageDef]:
     """Syntax-only MiniOO parse: declarations, each with its source position in `path`.
@@ -386,7 +410,7 @@ class _SchemaWalker:
     def identifier(self, value: Any, path: _Path) -> str | None:
         if type(value) is not str:
             return self.expected(path, "a string", value)
-        if not IDENTIFIER_RE.match(value):
+        if not (value.isascii() and value.isidentifier()):
             return self.error(path, f"not a valid identifier: {value!r}")
         return value
 
@@ -396,7 +420,7 @@ class _SchemaWalker:
         name = self.names.get(value)
         if name is None:
             package, dot, cls = value.partition(".")
-            if not dot or not IDENTIFIER_RE.match(package) or not IDENTIFIER_RE.match(cls):
+            if not (dot and value.isascii() and package.isidentifier() and cls.isidentifier()):
                 return self.error(path, f"expected 'pkg.Class', got {value!r}")
             name = self.names[value] = QualifiedName(package, cls)
         return name

@@ -13,13 +13,10 @@ and repr: a model is the same whichever frontend it was read from.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .tarjan import cycles
-
-IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 # Relationship kinds carried by dependency edges.
 INHERIT = "inherit"
@@ -63,9 +60,10 @@ class QualifiedName(_Name):
     __slots__ = ()
 
     def __new__(_type, package: str, cls: str = "") -> QualifiedName:
-        if not IDENTIFIER_RE.match(package):
+        # a name is an ASCII identifier; `str.isascii` raises TypeError for a non-str
+        if not (str.isascii(package) and str.isidentifier(package)):
             raise ValueError(f"invalid package segment {package!r}")
-        if cls and not IDENTIFIER_RE.match(cls):
+        if cls and not (str.isascii(cls) and str.isidentifier(cls)):
             raise ValueError(f"invalid class segment {cls!r}")
         return tuple.__new__(_type, (package, cls))
 
@@ -90,7 +88,7 @@ class AttributeDef:
     position: SourcePosition | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not IDENTIFIER_RE.match(self.name):
+        if not (str.isascii(self.name) and str.isidentifier(self.name)):
             raise ValueError(f"attribute {self.name!r}: not an identifier")
         if self.target is None:
             if self.kind != NO_TARGET:
@@ -111,7 +109,7 @@ class MethodDef:
     position: SourcePosition | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not IDENTIFIER_RE.match(self.name):
+        if not (str.isascii(self.name) and str.isidentifier(self.name)):
             raise ValueError(f"method {self.name!r}: not an identifier")
         object.__setattr__(self, "reads", frozenset(self.reads))
         object.__setattr__(self, "uses", frozenset(self.uses))
@@ -129,7 +127,7 @@ class ClassDef:
     position: SourcePosition | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not IDENTIFIER_RE.match(self.name):
+        if not (str.isascii(self.name) and str.isidentifier(self.name)):
             raise ValueError(f"class {self.name!r}: not an identifier")
         object.__setattr__(self, "parents", tuple(self.parents))
         object.__setattr__(self, "attributes", tuple(self.attributes))
@@ -143,7 +141,7 @@ class PackageDef:
     position: SourcePosition | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not IDENTIFIER_RE.match(self.name):
+        if not (str.isascii(self.name) and str.isidentifier(self.name)):
             raise ValueError(f"package {self.name!r}: not an identifier")
         object.__setattr__(self, "classes", tuple(self.classes))
 

@@ -3,7 +3,8 @@
 Models are valid by construction: names are unique, parents only reference
 classes declared earlier (keeping inheritance acyclic), read-sets only name
 declared attributes, and abstract methods only appear in abstract classes.
-`MUTATED_DOCUMENTS` breaks them on purpose, in their interchange form.
+`MUTATED_DOCUMENTS` and `MUTATED_SOURCES` break them on purpose, in their
+interchange and MiniOO forms.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import copy
 import json
 import random
+import re
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -160,3 +163,50 @@ def _mutated_document(seed: int) -> str:
 # Interchange documents of small random models, each mutated a little, so most
 # get past the root object and many into a class or member.
 MUTATED_DOCUMENTS = st.integers(0, 2**32).map(_mutated_document)
+
+
+# Lexically interesting characters: punctuation, the comment slash, whitespace,
+# a superscript digit, an Arabic-Indic digit, a non-ASCII letter and a Roman
+# numeral, each of which `str.isalnum()` accepts or rejects differently.
+LEXICAL_CHARACTERS = (list("{}();:,./") * 3 + list("//\t\r\n  ")
+                      + ["\u00b2", "\u0663", "\u00e9", "\u216b"] + list("aZ_09"))
+
+_SOURCE_TOKEN_RE = re.compile(r"\w+|\S")
+_REFERENCE_SOURCE = (Path(__file__).parent / "fixtures" / "reference.minioo").read_text(
+    encoding="utf-8")
+
+
+def mutate_source(source: str, rng: random.Random) -> str:
+    """`source` with one to three random edits: a token deleted, duplicated or swapped
+    with another, or a character of `LEXICAL_CHARACTERS` inserted.  A token here is a
+    run of word characters or any other non-space character."""
+    for _ in range(rng.randint(1, 3)):
+        spans = [match.span() for match in _SOURCE_TOKEN_RE.finditer(source)]
+        edit = rng.choice(("delete", "duplicate", "swap", "insert"))
+        if edit == "insert" or not spans:
+            at = rng.randint(0, len(source))
+            source = source[:at] + rng.choice(LEXICAL_CHARACTERS) + source[at:]
+            continue
+        start, end = rng.choice(spans)
+        if edit == "delete":
+            source = source[:start] + source[end:]
+        elif edit == "duplicate":
+            source = source[:end] + " " + source[start:end] + source[end:]
+        else:
+            (start, end), (start2, end2) = sorted(((start, end), rng.choice(spans)))
+            if end <= start2:
+                source = (source[:start] + source[start2:end2] + source[end:start2]
+                          + source[start:end] + source[end2:])
+    return source
+
+
+def _mutated_source(seed: int) -> str:
+    rng = random.Random(seed)
+    if rng.random() < 0.25:
+        return mutate_source(_REFERENCE_SOURCE, rng)
+    return mutate_source(write_minioo(random_model(rng, max_packages=2, max_classes=3)), rng)
+
+
+# MiniOO sources of the reference fixture and of small random models, each mutated
+# a little, so most errors fall inside a class or a member.
+MUTATED_SOURCES = st.integers(0, 2**32).map(_mutated_source)

@@ -1,8 +1,10 @@
 import io
 import json
 import random
+import re
 import tracemalloc
-from typing import Any
+from bisect import bisect_right
+from typing import Any, Iterator, NoReturn
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from designlens.frontends import (
 from designlens.model import (
     AGGREGATION,
     ASSOCIATION,
-    IDENTIFIER_RE,
+    MAX_WEIGHT,
     NO_TARGET,
     UNRESOLVED_REFERENCE,
     AttributeDef,
@@ -39,7 +41,18 @@ from designlens.model import (
     QualifiedName,
     ValidationError,
 )
-from modelgen import MUTATED_DOCUMENTS, random_model, write_minioo
+from modelgen import (
+    LEXICAL_CHARACTERS,
+    MUTATED_DOCUMENTS,
+    MUTATED_SOURCES,
+    random_model,
+    write_minioo,
+)
+
+
+# What the references take for a name: the regular expression the predicate
+# `str.isascii() and str.isidentifier()` replaced.
+IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 def qn(package, cls):
@@ -320,12 +333,7 @@ def _lex(source):
                     for offset, expected, found in bad]
 
 
-# Lexically interesting characters: punctuation, the comment slash, whitespace,
-# a superscript digit, an Arabic-Indic digit, a non-ASCII letter and a Roman
-# numeral, each of which `str.isalnum()` accepts or rejects differently.
-_LEXICAL = st.text(alphabet=st.sampled_from(
-    list("{}();:,./") * 3 + list("//\t\r\n  ") + ["\u00b2", "\u0663", "\u00e9", "\u216b"]
-    + list("aZ_09")))
+_LEXICAL = st.text(alphabet=st.sampled_from(LEXICAL_CHARACTERS))
 
 
 @settings(max_examples=400, deadline=None)
@@ -361,6 +369,315 @@ def test_parse_holds_no_token_list():
     finally:
         tracemalloc.stop()
     assert packages and (peak - retained) / tokens < 32
+
+
+# -- the parser against the one it replaced -----------------------------------------
+# A frozen copy of the parser that read tokens from a generator, one helper call per
+# token: the mutated-source property below holds the current parser to its errors,
+# positions and declarations.
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*)*"
+    r"(?:(?P<int>[0-9]+)"
+    r"|(?P<name>\w+)"
+    r"|(?P<punctuation>[{}();:,.])"
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>.))", re.DOTALL)
+_REFERENCE_NEWLINE_RE = re.compile("\n")
+_REFERENCE_PRIMITIVES = ("int", "real", "text", "bool")
+_REFERENCE_MAX_WEIGHT_DIGITS = len(str(MAX_WEIGHT))
+_REFERENCE_ATTRIBUTE_KINDS = {"assoc": ASSOCIATION, "aggr": AGGREGATION}
+
+
+def _reference_echo(text: str) -> str:
+    """An offending token as a syntax error repeats it: quoted, cut to 40 characters."""
+    return repr(text[:40])
+
+
+def reference_token_stream(source: str,
+                           bad: list[tuple[int, str, str]]) -> Iterator[tuple[str, str, int]]:
+    """Yield the tokens of MiniOO source, then one `eof`.  Each illegal character or
+    word is skipped and appended to `bad` as (offset, expected, found)."""
+    pos, kind, scan = 0, None, _REFERENCE_TOKEN_RE.match
+    while kind != "eof":
+        match = scan(source, pos)
+        kind = match.lastgroup
+        start, pos = match.span(kind)
+        text = match.group(kind)
+        if kind == "name" and not text.isascii():
+            # INT is tried first, so a word never starts with an ASCII digit
+            if text[0].isalpha() or text[0] == "_":
+                bad.append((start, "a name", _reference_echo(text)))
+            else:
+                bad.append((start, "a token", repr(text[0])))
+                pos = start + 1
+        elif kind == "bad":
+            bad.append((start, "a token", repr(text)))
+        else:
+            yield (text if kind == "punctuation" else kind, text, start)
+
+
+class _ReferencePanic(Exception):
+    """Internal signal: abandon the current production and resynchronize."""
+
+
+class ReferenceParser:
+    def __init__(self, source: str, path: str | None):
+        self.bad: list[tuple[int, str, str]] = []  # the lexer's (offset, expected, found)
+        self.tokens = reference_token_stream(source, self.bad)
+        self.tok = next(self.tokens)
+        self.errors: list[ParseError] = []
+        self.line_starts = [0, *(newline.end()
+                                 for newline in _REFERENCE_NEWLINE_RE.finditer(source))]
+        self.path = path
+
+    # -- token stream helpers ------------------------------------------------
+
+    def _advance(self) -> tuple[str, str, int]:
+        tok = self.tok
+        if tok[0] != "eof":
+            self.tok = next(self.tokens)
+        return tok
+
+    def _match(self, text: str) -> bool:
+        if self.tok[1] == text:
+            self._advance()
+            return True
+        return False
+
+    def _position(self, offset: int) -> SourcePosition:
+        """The line and column of a source offset, in the file parsed."""
+        line = bisect_right(self.line_starts, offset)
+        return SourcePosition(line, offset - self.line_starts[line - 1] + 1, self.path)
+
+    def _error(self, expected: str) -> None:
+        kind, text, offset = self.tok
+        found = "end of input" if kind == "eof" else _reference_echo(text)
+        self.errors.append(ParseError(self._position(offset), expected, found))
+
+    def _fail(self, expected: str) -> NoReturn:
+        self._error(expected)
+        raise _ReferencePanic()
+
+    def _expect(self, text: str) -> None:
+        if self.tok[1] != text:
+            self._fail(f"'{text}'")
+        self._advance()
+
+    def _expect_name(self, expected: str) -> str:
+        if self.tok[0] != "name":
+            self._fail(expected)
+        return self._advance()[1]
+
+    def _declare(self, expected: str) -> tuple[str, SourcePosition]:
+        """Read a declared name and the position where it is declared."""
+        offset = self.tok[2]
+        return self._expect_name(expected), self._position(offset)
+
+    def _synchronize(self) -> str | None:
+        """Skip ahead past the next ';' or '}'; returns the consumed terminator."""
+        while self.tok[0] != "eof":
+            text = self._advance()[1]
+            if text in (";", "}"):
+                return text
+        return None
+
+    # -- grammar productions -------------------------------------------------
+
+    def parse_model(self) -> list[PackageDef]:
+        packages: list[PackageDef] = []
+        while self.tok[0] != "eof":
+            if self.tok[1] == "package":
+                try:
+                    packages.append(self._package())
+                except _ReferencePanic:
+                    self._synchronize()
+            else:
+                self._error("'package'")
+                self._synchronize()
+        if not packages and not self.errors and not self.bad:
+            self._error("at least one package declaration")
+        # every lexer error is known once `eof` is current; they are reported first
+        self.errors[:0] = [ParseError(self._position(offset), expected, found)
+                           for offset, expected, found in self.bad]
+        return packages
+
+    def _package(self) -> PackageDef:
+        self._expect("package")
+        name, position = self._declare("a package name")
+        self._expect("{")
+        classes: list[ClassDef] = []
+        closed = False
+        while not closed:
+            if self._match("}"):
+                closed = True
+            elif self.tok[0] == "eof":
+                self._error("'class' or '}'")
+                closed = True
+            elif self.tok[1] in ("class", "abstract"):
+                try:
+                    classes.append(self._class(name))
+                except _ReferencePanic:
+                    closed = self._synchronize() is None
+            else:
+                self._error("'class', 'abstract' or '}'")
+                closed = self._synchronize() is None
+        return PackageDef(name, tuple(classes), position)
+
+    def _class(self, package: str) -> ClassDef:
+        is_abstract = self._match("abstract")
+        self._expect("class")
+        name, position = self._declare("a class name")
+        parents: list[QualifiedName] = []
+        if self._match("extends"):
+            parents.append(self._typeref(package))
+            while self._match(","):
+                parents.append(self._typeref(package))
+        self._expect("{")
+        attributes: list[AttributeDef] = []
+        methods: list[MethodDef] = []
+        closed = False
+        while not closed:
+            if self._match("}"):
+                closed = True
+            elif self.tok[1] in ("field", "method", "abstract"):
+                try:
+                    if self.tok[1] == "field":
+                        attributes.append(self._field(package))
+                    else:
+                        methods.append(self._method(package))
+                except _ReferencePanic:
+                    closed = self._synchronize() in ("}", None)
+            else:
+                self._error("'field', 'method' or '}'")
+                closed = self._synchronize() in ("}", None)
+        return ClassDef(name, is_abstract, tuple(parents), tuple(attributes), tuple(methods),
+                        position)
+
+    def _field(self, package: str) -> AttributeDef:
+        self._expect("field")
+        name, position = self._declare("a field name")
+        self._expect(":")
+        kind, text, _ = self.tok
+        if kind == "name" and text in _REFERENCE_PRIMITIVES:
+            self._advance()
+            target, attribute_kind = None, NO_TARGET
+        elif kind == "name":
+            target = self._typeref(package)
+            attribute_kind = ASSOCIATION
+            if self._match(","):
+                kind, text, _ = self.tok
+                if kind != "name" or text not in _REFERENCE_ATTRIBUTE_KINDS:
+                    self._fail("'assoc' or 'aggr'")
+                self._advance()
+                attribute_kind = _REFERENCE_ATTRIBUTE_KINDS[text]
+        else:
+            self._fail("a type name")
+        self._expect(";")
+        return AttributeDef(name, target, attribute_kind, position)
+
+    def _method(self, package: str) -> MethodDef:
+        is_abstract = self._match("abstract")
+        self._expect("method")
+        name, position = self._declare("a method name")
+        weight = 1
+        if self._match("weight"):
+            kind, text, _ = self.tok
+            # INT must match [1-9][0-9]*; one longer than MAX_WEIGHT is never converted
+            if kind != "int" or text[0] == "0":
+                self._fail("a positive integer")
+            weight = int(text) if len(text) <= _REFERENCE_MAX_WEIGHT_DIGITS else MAX_WEIGHT + 1
+            if weight > MAX_WEIGHT:
+                self._fail(f"a weight of at most {MAX_WEIGHT}")
+            self._advance()
+        reads: list[str] = []
+        if self._match("reads"):
+            self._expect("(")
+            reads.append(self._expect_name("an attribute name"))
+            while self._match(","):
+                reads.append(self._expect_name("an attribute name"))
+            self._expect(")")
+        uses: list[QualifiedName] = []
+        if self._match("uses"):
+            self._expect("(")
+            uses.append(self._typeref(package))
+            while self._match(","):
+                uses.append(self._typeref(package))
+            self._expect(")")
+        self._expect(";")
+        return MethodDef(name, is_abstract, weight, frozenset(reads), frozenset(uses), position)
+
+    def _typeref(self, default_package: str) -> QualifiedName:
+        first = self._expect_name("a type name")
+        if self._match("."):
+            return QualifiedName(first, self._expect_name("a class name"))
+        return QualifiedName(default_package, first)
+
+
+def reference_parse_declarations(source: str, path: str | None = None) -> list[PackageDef]:
+    parser = ReferenceParser(source, path)
+    packages = parser.parse_model()
+    if parser.errors:
+        raise ParseFailure(parser.errors)
+    return packages
+
+
+def _parsed(parse, source):
+    """A parse's errors, or its declarations each beside its position, which
+    declarations leave out of equality."""
+    try:
+        packages = parse(source, "m.minioo")
+    except ParseFailure as failure:
+        return failure.errors
+    declarations = []
+    for pkg in packages:
+        declarations.append(pkg)
+        for cls in pkg.classes:
+            declarations += (cls, *cls.attributes, *cls.methods)
+    return [(declaration, declaration.position) for declaration in declarations]
+
+
+@settings(max_examples=300, deadline=None)
+@given(MUTATED_SOURCES)
+def test_parser_matches_the_reference_on_mutated_sources(source):
+    assert _parsed(parse_minioo_declarations, source) == _parsed(reference_parse_declarations,
+                                                                 source)
+    bad, reference_bad = [], []
+    assert list(tokenize(source, bad)) == list(reference_token_stream(source, reference_bad))
+    assert bad == reference_bad
+
+
+def test_parser_matches_the_reference_on_the_reference_fixture(reference_source):
+    assert (_parsed(parse_minioo_declarations, reference_source)
+            == _parsed(reference_parse_declarations, reference_source))
+
+
+@pytest.mark.parametrize("source,expected", [
+    # a word that starts with a non-ASCII digit is scanned again after that digit
+    ("package p { class \u00b2A { } }", ["1:19: expected a token, found '\u00b2'"]),
+    ("package p { class A { field \u0663x: int; } }", ["1:29: expected a token, found '\u0663'"]),
+    ("package p { class A { method m weight 2\u00b2; } }",
+     ["1:40: expected a token, found '\u00b2'"]),
+    ("package p { class A { field x: int; } }\u0663", ["1:40: expected a token, found '\u0663'"]),
+    ("package p { class A { field x: int; } }\u0663\u00b2a",
+     ["1:40: expected a token, found '\u0663'", "1:41: expected a token, found '\u00b2'",
+      "1:42: expected 'package', found 'a'"]),
+    ("package p { class A { field x: int; } } \u00e9\u0663",
+     ["1:41: expected a name, found '\u00e9\u0663'"]),
+    # `abstract` opens a member only if `method` follows
+    ("package p { class A { abstract field x: int; } }",
+     ["1:32: expected 'method', found 'field'"]),
+    ("package p { abstract class A { abstract; method m; } }",
+     ["1:40: expected 'method', found ';'"]),
+    ("package p { class A { abstract", ["1:31: expected 'method', found end of input",
+                                          "1:31: expected 'class' or '}', found end of input"]),
+])
+def test_scan_restarts_and_abstract_members_are_located(source, expected):
+    with pytest.raises(ParseFailure) as excinfo:
+        parse_minioo_declarations(source)
+    assert [str(error) for error in excinfo.value.errors] == expected
+    assert _parsed(parse_minioo_declarations, source) == _parsed(reference_parse_declarations,
+                                                                 source)
 
 
 def test_random_models_round_trip_through_minioo():

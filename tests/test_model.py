@@ -98,6 +98,17 @@ def test_declaration_rejects_a_name_that_is_not_an_identifier(declaration, name)
         declaration(name)
 
 
+
+@pytest.mark.parametrize("name", [1, b"A", ("A",)])
+@pytest.mark.parametrize("declare", [
+    PackageDef, ClassDef, AttributeDef, MethodDef,
+    lambda name: QualifiedName(name, "A"), lambda name: QualifiedName("p", name),
+])
+def test_a_name_that_is_not_a_string_is_a_type_error(declare, name):
+    with pytest.raises(TypeError):
+        declare(name)
+
+
 # -- build_model ----------------------------------------------------------------
 
 
