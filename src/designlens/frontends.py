@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, KeysView, NoReturn
 
@@ -97,7 +98,10 @@ class _Panic(Exception):
 
 class _MiniOOParser:
     """Recursive descent over one regex match at a time: the current token is `kind`
-    (its group in `_TOKEN_RE`), `text` and `match`.  No production advances past `eof`."""
+    (its group in `_TOKEN_RE`), `text` and `match`.  No production advances past `eof`.
+
+    A parse keeps one object per distinct value: each name it stores is interned, and
+    each read or use set is kept through `sets`, so equal ones are one object."""
 
     def __init__(self, source: str, path: str | None,
                  bad: list[tuple[int, str, str]] | None = None):
@@ -108,6 +112,7 @@ class _MiniOOParser:
         self.errors: list[ParseError] = []
         self.path = path
         self.line, self.line_start, self.counted = 1, 0, 0  # newlines counted up to `counted`
+        self.sets: dict[frozenset, frozenset] = {}
 
     # -- token stream helpers ------------------------------------------------
 
@@ -154,7 +159,7 @@ class _MiniOOParser:
         """Read a declared name and the position where it is declared."""
         if self.kind != "name":
             self._fail(expected)
-        name, position = self.text, self._position(self.match.start("name"))
+        name, position = sys.intern(self.text), self._position(self.match.start("name"))
         self._advance()
         return name, position
 
@@ -292,7 +297,7 @@ class _MiniOOParser:
             while True:
                 if self.kind != "name":
                     self._fail("an attribute name")
-                reads.append(self.text)
+                reads.append(sys.intern(self.text))
                 self._advance()
                 if self.text != ",":
                     break
@@ -308,18 +313,21 @@ class _MiniOOParser:
                 uses.append(self._typeref(package))
             self._expect(")")
         self._expect(";")
-        return MethodDef(name, is_abstract, weight, frozenset(reads), frozenset(uses), position)
+        sets = self.sets
+        read_set, use_set = frozenset(reads), frozenset(uses)
+        return MethodDef(name, is_abstract, weight, sets.setdefault(read_set, read_set),
+                         sets.setdefault(use_set, use_set), position)
 
     def _typeref(self, default_package: str) -> QualifiedName:
         if self.kind != "name":
             self._fail("a type name")
-        package, name = default_package, self.text
+        package, name = default_package, sys.intern(self.text)
         self._advance()
         if self.text == ".":
             self._advance()
             if self.kind != "name":
                 self._fail("a class name")
-            package, name = name, self.text
+            package, name = name, sys.intern(self.text)
             self._advance()
         return QualifiedName(package, name)
 

@@ -63,7 +63,7 @@ class QualifiedName(_Name):
         # a name is an ASCII identifier; `str.isascii` raises TypeError for a non-str
         if not (str.isascii(package) and str.isidentifier(package)):
             raise ValueError(f"invalid package segment {package!r}")
-        if cls and not (str.isascii(cls) and str.isidentifier(cls)):
+        if cls != "" and not (str.isascii(cls) and str.isidentifier(cls)):
             raise ValueError(f"invalid class segment {cls!r}")
         return tuple.__new__(_type, (package, cls))
 
@@ -71,14 +71,14 @@ class QualifiedName(_Name):
         return f"{self.package}.{self.cls}" if self.cls else self.package
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourcePosition:
     line: int | None    # 1-based; None in an interchange document
     column: int | None  # 1-based, in Unicode scalar values
     path: str | None = None  # the file read, if any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttributeDef:
     """A class attribute; `target` is None for primitive-typed attributes."""
 
@@ -97,7 +97,7 @@ class AttributeDef:
             raise ValueError(f"attribute {self.name!r}: invalid kind {self.kind!r} for a class target")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MethodDef:
     """A method with its complexity weight, instance-variable read-set, and usage targets."""
 
@@ -117,7 +117,7 @@ class MethodDef:
             raise ValueError(f"method {self.name!r}: weight must be from 1 to {MAX_WEIGHT}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassDef:
     name: str
     is_abstract: bool = False
@@ -134,7 +134,7 @@ class ClassDef:
         object.__setattr__(self, "methods", tuple(self.methods))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PackageDef:
     name: str
     classes: tuple[ClassDef, ...] = ()

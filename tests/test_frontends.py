@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import random
@@ -371,6 +372,65 @@ def test_parse_holds_no_token_list():
     assert packages and (peak - retained) / tokens < 32
 
 
+def _declarations(packages):
+    """Every declaration of a parse, each package before its classes and each class
+    before its attributes and methods."""
+    for pkg in packages:
+        yield pkg
+        for cls in pkg.classes:
+            yield cls
+            yield from cls.attributes
+            yield from cls.methods
+
+
+def test_a_parse_keeps_one_object_per_distinct_name_and_read_use_set():
+    # names of more than one character: CPython shares the one-character strings anyway
+    [core, app] = parse_minioo_declarations("""
+        package core {
+          class Node { field size: int; field head: Tree;
+                       method walk reads (size, head) uses (Tree); method trim; }
+          class Tree { field size: int; field head: app.Leaf, aggr;
+                       method walk reads (head, size) uses (core.Tree); method trim reads (size);
+                       method sort uses (app.Leaf); }
+        }
+        package app {
+          class Leaf extends core.Node { field size: int; method walk reads (size); method trim; }
+        }
+        """)
+    declarations = list(_declarations([core, app]))
+    methods = [d for d in declarations if isinstance(d, MethodDef)]
+    references = [*(name for cls in (*core.classes, *app.classes) for name in cls.parents),
+                  *(d.target for d in declarations if isinstance(d, AttributeDef) and d.target),
+                  *(name for method in methods for name in method.uses)]
+    names = [*(d.name for d in declarations), *(name for m in methods for name in m.reads),
+             *(segment for name in references for segment in name)]
+    sets = [s for method in methods for s in (method.reads, method.uses)]
+    assert len(names) == 35 and len(sets) == 14
+    for kept in (names, sets):
+        first = {}
+        assert all(first.setdefault(value, value) is value for value in kept), kept
+    empty = [s for s in sets if not s]
+    assert len(empty) == 7 and all(s is empty[0] for s in empty)
+
+
+def test_a_parse_keeps_few_bytes_per_declaration():
+    # slotted declarations, interned names and shared read/use sets keep 280 B per
+    # declaration of this model; a __dict__ per declaration, a string per name and a
+    # frozenset per read/use list kept 615 B
+    source = write_minioo(random_model(random.Random(0), max_packages=4, max_classes=250))
+    warm = parse_minioo_declarations(source)  # its names are interned while tracing is off
+    gc.collect()  # a full collection empties the free lists, so all the parse keeps is traced
+    tracemalloc.start()
+    try:
+        packages = parse_minioo_declarations(source)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    declarations = sum(1 for _ in _declarations(packages))
+    assert packages == warm and declarations > 2000
+    assert retained / declarations < 370
+
+
 # -- the parser against the one it replaced -----------------------------------------
 # A frozen copy of the parser that read tokens from a generator, one helper call per
 # token: the mutated-source property below holds the current parser to its errors,
@@ -629,12 +689,7 @@ def _parsed(parse, source):
         packages = parse(source, "m.minioo")
     except ParseFailure as failure:
         return failure.errors
-    declarations = []
-    for pkg in packages:
-        declarations.append(pkg)
-        for cls in pkg.classes:
-            declarations += (cls, *cls.attributes, *cls.methods)
-    return [(declaration, declaration.position) for declaration in declarations]
+    return [(declaration, declaration.position) for declaration in _declarations(packages)]
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import pickle
 import random
 
@@ -69,6 +71,79 @@ def test_qualified_name_and_edge_are_plain_tuples():
     edge = DependencyEdge(name, qn("a", "C"), USE)
     assert edge == (("a", "B"), ("a", "C"), USE) and not hasattr(edge, "__dict__")
     assert sorted([DependencyEdge(qn("b"), qn("a"), USE), edge]) == [edge, (qn("b"), qn("a"), USE)]
+
+
+@pytest.mark.parametrize("cls", [None, 0, b""])
+def test_a_falsy_class_segment_that_is_not_a_string_is_a_type_error(cls):
+    with pytest.raises(TypeError):
+        QualifiedName("p", cls)
+    assert QualifiedName("p", "") == QualifiedName("p") == ("p", "")
+
+
+_AT = SourcePosition(3, 7, "m.minioo")
+_ELSEWHERE = SourcePosition(9, 1, "n.minioo")
+_USED = QualifiedName("q", "B")
+
+
+def _one_of_each(at):
+    attribute = AttributeDef("b", _USED, AGGREGATION, at)
+    method = MethodDef("m", True, 3, frozenset({"b"}), frozenset({_USED}), at)
+    return {
+        SourcePosition: at,
+        AttributeDef: attribute,
+        MethodDef: method,
+        ClassDef: ClassDef("A", True, (_USED,), (attribute,), (method,), at),
+        PackageDef: PackageDef("p", (ClassDef("A", position=at),), at),
+    }
+
+
+# the reprs the declarations had before they were slotted
+_REPRS = {
+    SourcePosition: "SourcePosition(line=3, column=7, path='m.minioo')",
+    AttributeDef: "AttributeDef(name='b', target=QualifiedName(package='q', cls='B'), "
+                  "kind='aggregation')",
+    MethodDef: "MethodDef(name='m', is_abstract=True, weight=3, reads=frozenset({'b'}), "
+               "uses=frozenset({QualifiedName(package='q', cls='B')}))",
+    ClassDef: "ClassDef(name='A', is_abstract=True, parents=(QualifiedName(package='q', "
+              "cls='B'),), attributes=(AttributeDef(name='b', target=QualifiedName("
+              "package='q', cls='B'), kind='aggregation'),), methods=(MethodDef(name='m', "
+              "is_abstract=True, weight=3, reads=frozenset({'b'}), uses=frozenset({"
+              "QualifiedName(package='q', cls='B')})),))",
+    PackageDef: "PackageDef(name='p', classes=(ClassDef(name='A', is_abstract=False, "
+                "parents=(), attributes=(), methods=()),))",
+}
+
+
+@pytest.mark.parametrize("kind", list(_REPRS))
+def test_declarations_are_slotted_with_equality_hash_and_repr_unchanged(kind):
+    declaration, elsewhere = _one_of_each(_AT)[kind], _one_of_each(_ELSEWHERE)[kind]
+    assert not hasattr(declaration, "__dict__")
+    assert repr(declaration) == _REPRS[kind]
+    compared = tuple(getattr(declaration, f.name) for f in dataclasses.fields(kind) if f.compare)
+    assert hash(declaration) == hash(compared)
+    if kind is SourcePosition:
+        assert declaration != elsewhere
+    else:  # the position is left out of equality, hashing and repr
+        assert declaration == elsewhere and hash(declaration) == hash(elsewhere)
+        assert repr(declaration) == repr(elsewhere)
+
+
+@pytest.mark.parametrize("kind", list(_REPRS))
+def test_slotted_declarations_pickle_copy_and_stay_frozen(kind):
+    declaration = _one_of_each(_AT)[kind]
+    copies = [pickle.loads(pickle.dumps(declaration, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(declaration), copy.deepcopy(declaration)]
+    for duplicate in copies:
+        assert type(duplicate) is kind and duplicate == declaration
+        assert [getattr(duplicate, f.name) for f in dataclasses.fields(kind)] == \
+               [getattr(declaration, f.name) for f in dataclasses.fields(kind)]
+    field = dataclasses.fields(kind)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(declaration, field, getattr(declaration, field))
+    if kind is not SourcePosition:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            declaration.position = None
 
 
 def test_method_weight_must_be_positive():
@@ -260,7 +335,6 @@ def test_every_injected_defect_is_caught():
 
 
 def test_model_is_immutable():
-    import dataclasses
     model = build_model([PackageDef("p", (simple_class("A"),))])
     with pytest.raises(dataclasses.FrozenInstanceError):
         model.packages = ()
