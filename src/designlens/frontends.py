@@ -11,7 +11,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, KeysView, NoReturn
+from typing import Any, Callable, Iterable, Iterator, KeysView, NoReturn
 
 from .model import (
     AGGREGATION,
@@ -58,17 +58,40 @@ class ParseFailure(Exception):
         super().__init__(f"{len(self.errors)} syntax error(s): {head}")
 
 
+# Whitespace and `//` comments before a token.  A comment ends only at the end of its
+# line (`$`, multi-line), so no match backtracks into one to read a token there.
+_SKIP = r"[ \t\r\n]*(?://[^\n]*$[ \t\r\n]*)*"
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*(?!\w)"
+
 # Skipped whitespace and `//` comments, then one token: an ASCII name, punctuation, an
-# ASCII INT, the end, or anything else.  The skip cannot backtrack, as `\Z` or `.`
-# always matches after it.  `\w` is `str.isalnum()` or "_", so a MiniOO word that is
-# not an ASCII name, or that starts with a non-ASCII digit, falls to `bad`.
+# ASCII INT, the end, or anything else.  `\w` is `str.isalnum()` or "_", so a MiniOO
+# word that is not an ASCII name, or that starts with a non-ASCII digit, falls to `bad`.
 _TOKEN_RE = re.compile(
-    r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
-    r"(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*(?!\w))"
+    rf"{_SKIP}(?:(?P<name>{_NAME})"
     r"|(?P<punctuation>[{}();:,.])"
     r"|(?P<int>[0-9]+)"
     r"|(?P<eof>\Z)"
-    r"|(?P<bad>\w+|.))", re.DOTALL)
+    r"|(?P<bad>\w+|.))", re.DOTALL | re.MULTILINE)
+
+_PRIMITIVE = rf"(?:{'|'.join(_PRIMITIVES)})(?!\w)"
+_TYPEREF = rf"{_NAME}(?:{_SKIP}\.{_SKIP}{_NAME})?"
+
+# One member statement that `_field` or `_method` would read without an error, from the
+# skip before it to its `;`, but for the weight check.  Each keyword is a whole word, and
+# a field's type is a primitive or else a typeref: `int.Foo` is neither.
+_MEMBER = (
+    rf"{_SKIP}(?:field(?!\w){_SKIP}(?P<field>{_NAME}){_SKIP}:{_SKIP}(?:{_PRIMITIVE}"
+    rf"|(?!{_PRIMITIVE})(?P<first>{_NAME})(?:{_SKIP}\.{_SKIP}(?P<second>{_NAME}))?"
+    rf"(?:{_SKIP},{_SKIP}(?P<kind>{'|'.join(_ATTRIBUTE_KINDS)})(?!\w))?)"
+    rf"|(?P<abstract>abstract(?!\w){_SKIP})?method(?!\w){_SKIP}(?P<method>{_NAME})"
+    rf"(?:{_SKIP}weight(?!\w){_SKIP}(?P<weight>[1-9][0-9]*))?"
+    rf"(?:{_SKIP}reads(?!\w){_SKIP}\({_SKIP}(?P<reads>{_NAME}(?:{_SKIP},{_SKIP}{_NAME})*)"
+    rf"{_SKIP}\))?"
+    rf"(?:{_SKIP}uses(?!\w){_SKIP}\({_SKIP}(?P<uses>{_TYPEREF}(?:{_SKIP},{_SKIP}{_TYPEREF})*)"
+    rf"{_SKIP}\))?){_SKIP};")
+
+# One item of a matched `reads` or `uses` list: a name, or both names of `pkg.Class`.
+_ITEM = rf"[ \t\r\n,]*(?://[^\n]*$[ \t\r\n,]*)*({_NAME})(?:{_SKIP}\.{_SKIP}({_NAME}))?"
 
 # A token is (kind, text, offset): kind is "name", "int", "eof" or the
 # punctuation character itself; offset indexes the source in code points.
@@ -113,6 +136,10 @@ class _MiniOOParser:
         self.path = path
         self.line, self.line_start, self.counted = 1, 0, 0  # newlines counted up to `counted`
         self.sets: dict[frozenset, frozenset] = {}
+        # compiled by the first parse, not on import, which they would slow by milliseconds;
+        # `re` keeps them for every later parse
+        self.member = re.compile(_MEMBER, re.MULTILINE).match
+        self.items = re.compile(_ITEM, re.MULTILINE).findall
 
     # -- token stream helpers ------------------------------------------------
 
@@ -231,9 +258,35 @@ class _MiniOOParser:
             while self.text == ",":
                 self._advance()
                 parents.append(self._typeref(package))
-        self._expect("{")
+        if self.text != "{":
+            self._fail("'{'")
         attributes: list[AttributeDef] = []
         methods: list[MethodDef] = []
+        # one match per member, up to `}` or the first member `_MEMBER` does not match;
+        # the token productions read the body on from there and report its errors
+        source, sets, intern, pos = self.source, self.sets, sys.intern, self.match.end()
+        while member := self.member(source, pos):
+            field, first, second, kind, abstract, method, weight, reads, uses = member.groups()
+            if field is not None:
+                target = None if first is None else _qualified(package, first, second)
+                kind = NO_TARGET if first is None else _ATTRIBUTE_KINDS.get(kind, ASSOCIATION)
+                attributes.append(AttributeDef(intern(field), target, kind,
+                                               self._position(member.start("field"))))
+            elif weight is not None and (len(weight) > _MAX_WEIGHT_DIGITS
+                                         or int(weight) > MAX_WEIGHT):
+                break  # the token productions report the weight
+            else:
+                reads = () if reads is None else [
+                    intern(name) for name, _ in self.items(source, *member.span("reads"))]
+                uses = () if uses is None else [_qualified(package, *names) for names in
+                                                self.items(source, *member.span("uses"))]
+                methods.append(MethodDef(
+                    intern(method), abstract is not None, 1 if weight is None else int(weight),
+                    _shared(sets, reads), _shared(sets, uses),
+                    self._position(member.start("method"))))
+            pos = member.end()
+        self._next = _TOKEN_RE.finditer(source, pos).__next__
+        self._advance()
         closed = False
         while not closed:
             text = self.text
@@ -252,6 +305,8 @@ class _MiniOOParser:
         return ClassDef(name, is_abstract, tuple(parents), tuple(attributes), tuple(methods),
                         position)
 
+    # `_class` reads each well-formed member with one `_MEMBER` match: `_field` and
+    # `_method` read only from a malformed member on, and report its errors.
     def _field(self, package: str) -> AttributeDef:
         self._advance()
         name, position = self._declare("a field name")
@@ -313,23 +368,35 @@ class _MiniOOParser:
                 uses.append(self._typeref(package))
             self._expect(")")
         self._expect(";")
-        sets = self.sets
-        read_set, use_set = frozenset(reads), frozenset(uses)
-        return MethodDef(name, is_abstract, weight, sets.setdefault(read_set, read_set),
-                         sets.setdefault(use_set, use_set), position)
+        return MethodDef(name, is_abstract, weight, _shared(self.sets, reads),
+                         _shared(self.sets, uses), position)
 
     def _typeref(self, default_package: str) -> QualifiedName:
         if self.kind != "name":
             self._fail("a type name")
-        package, name = default_package, sys.intern(self.text)
+        first, second = self.text, None
         self._advance()
         if self.text == ".":
             self._advance()
             if self.kind != "name":
                 self._fail("a class name")
-            package, name = name, sys.intern(self.text)
+            second = self.text
             self._advance()
-        return QualifiedName(package, name)
+        return _qualified(default_package, first, second)
+
+
+def _qualified(package: str, first: str, second: str | None) -> QualifiedName:
+    """The typeref `first` (in `package`) or `first.second`, its names interned."""
+    if second:
+        return QualifiedName(sys.intern(first), sys.intern(second))
+    return QualifiedName(package, sys.intern(first))
+
+
+def _shared(sets: dict[frozenset, frozenset], items: Iterable) -> frozenset:
+    """The set of `items`, as the one object in `sets` equal to it."""
+    items = frozenset(items)
+    return sets.setdefault(items, items)
+
 
 def parse_minioo_declarations(source: str, path: str | None = None) -> list[PackageDef]:
     """Syntax-only MiniOO parse: declarations, each with its source position in `path`.
@@ -381,13 +448,15 @@ class _SchemaWalker:
     """Strict walk of the interchange document; collects every schema error.
 
     Any error rejects the whole document, so a declaration is built only while
-    there is none.  Each distinct valid `pkg.Class` is checked once and shared.
+    there is none.  Each distinct valid `pkg.Class` is checked once and shared, each
+    name kept is interned, and each read or use set is kept through `sets`.
     """
 
     def __init__(self, position: SourcePosition | None) -> None:
         self.errors: list[ValidationError] = []
         self.position = position
         self.names: dict[str, QualifiedName] = {}
+        self.sets: dict[frozenset, frozenset] = {}
 
     def error(self, path: _Path, message: str) -> None:
         self.errors.append(ValidationError(SCHEMA_ERROR, _locus(path), message, self.position))
@@ -420,7 +489,7 @@ class _SchemaWalker:
             return self.expected(path, "a string", value)
         if not (value.isascii() and value.isidentifier()):
             return self.error(path, f"not a valid identifier: {value!r}")
-        return value
+        return sys.intern(value)
 
     def qualified(self, value: Any, path: _Path) -> QualifiedName | None:
         if type(value) is not str:
@@ -430,7 +499,7 @@ class _SchemaWalker:
             package, dot, cls = value.partition(".")
             if not (dot and value.isascii() and package.isidentifier() and cls.isidentifier()):
                 return self.error(path, f"expected 'pkg.Class', got {value!r}")
-            name = self.names[value] = QualifiedName(package, cls)
+            name = self.names[value] = QualifiedName(sys.intern(package), sys.intern(cls))
         return name
 
     def package(self, value: Any, path: _Path) -> PackageDef | None:
@@ -489,7 +558,8 @@ class _SchemaWalker:
         reads = self.items(obj["reads"], (path, "reads"), self.identifier)
         uses = self.items(obj["uses"], (path, "uses"), self.qualified)
         return None if self.errors else MethodDef(
-            name, is_abstract, weight, frozenset(reads), frozenset(uses), self.position)
+            name, is_abstract, weight, _shared(self.sets, reads), _shared(self.sets, uses),
+            self.position)
 
 
 def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:

@@ -178,16 +178,21 @@ _REFERENCE_SOURCE = (Path(__file__).parent / "fixtures" / "reference.minioo").re
 
 def mutate_source(source: str, rng: random.Random) -> str:
     """`source` with one to three random edits: a token deleted, duplicated or swapped
-    with another, or a character of `LEXICAL_CHARACTERS` inserted.  A token here is a
-    run of word characters or any other non-space character."""
+    with another, a character of `LEXICAL_CHARACTERS` inserted, or a comment line or a
+    newline inserted before or after a token.  A token here is a run of word characters
+    or any other non-space character."""
     for _ in range(rng.randint(1, 3)):
         spans = [match.span() for match in _SOURCE_TOKEN_RE.finditer(source)]
-        edit = rng.choice(("delete", "duplicate", "swap", "insert"))
+        edit = rng.choice(("delete", "duplicate", "swap", "insert", "comment"))
         if edit == "insert" or not spans:
             at = rng.randint(0, len(source))
             source = source[:at] + rng.choice(LEXICAL_CHARACTERS) + source[at:]
             continue
         start, end = rng.choice(spans)
+        if edit == "comment":
+            at = rng.choice((start, end))
+            source = source[:at] + rng.choice(("// c\n", "\n")) + source[at:]
+            continue
         if edit == "delete":
             source = source[:start] + source[end:]
         elif edit == "duplicate":

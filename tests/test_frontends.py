@@ -19,6 +19,7 @@ from designlens.frontends import (
     ParseError,
     ParseFailure,
     SourcePosition,
+    _MiniOOParser,
     decode_interchange,
     parse_minioo,
     parse_minioo_declarations,
@@ -383,23 +384,26 @@ def _declarations(packages):
             yield from cls.methods
 
 
-def test_a_parse_keeps_one_object_per_distinct_name_and_read_use_set():
-    # names of more than one character: CPython shares the one-character strings anyway
-    [core, app] = parse_minioo_declarations("""
-        package core {
-          class Node { field size: int; field head: Tree;
-                       method walk reads (size, head) uses (Tree); method trim; }
-          class Tree { field size: int; field head: app.Leaf, aggr;
-                       method walk reads (head, size) uses (core.Tree); method trim reads (size);
-                       method sort uses (app.Leaf); }
-        }
-        package app {
-          class Leaf extends core.Node { field size: int; method walk reads (size); method trim; }
-        }
-        """)
-    declarations = list(_declarations([core, app]))
+# Names of more than one character: CPython shares the one-character strings anyway.
+# Every reference form appears, unqualified ones included.
+_SHARING_SOURCE = """
+    package core {
+      class Node { field size: int; field head: Tree;
+                   method walk reads (size, head) uses (Tree); method trim; }
+      class Tree { field size: int; field head: app.Leaf, aggr;
+                   method walk reads (head, size) uses (core.Tree); method trim reads (size);
+                   method sort uses (app.Leaf); }
+    }
+    package app {
+      class Leaf extends core.Node { field size: int; method walk reads (size); method trim; }
+    }
+    """
+
+
+def _assert_one_object_per_distinct_name_and_read_use_set(packages):
+    declarations = list(_declarations(packages))
     methods = [d for d in declarations if isinstance(d, MethodDef)]
-    references = [*(name for cls in (*core.classes, *app.classes) for name in cls.parents),
+    references = [*(name for pkg in packages for cls in pkg.classes for name in cls.parents),
                   *(d.target for d in declarations if isinstance(d, AttributeDef) and d.target),
                   *(name for method in methods for name in method.uses)]
     names = [*(d.name for d in declarations), *(name for m in methods for name in m.reads),
@@ -411,6 +415,17 @@ def test_a_parse_keeps_one_object_per_distinct_name_and_read_use_set():
         assert all(first.setdefault(value, value) is value for value in kept), kept
     empty = [s for s in sets if not s]
     assert len(empty) == 7 and all(s is empty[0] for s in empty)
+
+
+def test_a_parse_keeps_one_object_per_distinct_name_and_read_use_set():
+    _assert_one_object_per_distinct_name_and_read_use_set(
+        parse_minioo_declarations(_SHARING_SOURCE))
+
+
+def test_a_decode_keeps_one_object_per_distinct_name_and_read_use_set():
+    # `json.loads` makes a new string for every value it reads
+    document = write_interchange(parse_minioo(_SHARING_SOURCE))
+    _assert_one_object_per_distinct_name_and_read_use_set(decode_interchange(document))
 
 
 def test_a_parse_keeps_few_bytes_per_declaration():
@@ -731,6 +746,56 @@ def test_scan_restarts_and_abstract_members_are_located(source, expected):
     with pytest.raises(ParseFailure) as excinfo:
         parse_minioo_declarations(source)
     assert [str(error) for error in excinfo.value.errors] == expected
+    assert _parsed(parse_minioo_declarations, source) == _parsed(reference_parse_declarations,
+                                                                 source)
+
+
+def _commented(source):
+    """`source` rebuilt from its tokens with a comment line between every two of them."""
+    return "// c\n".join(text for kind, text, _ in tokenize(source, []) if kind != "eof")
+
+
+def test_valid_members_never_enter_the_token_member_productions(monkeypatch, reference_source):
+    # each well-formed member is one `_MEMBER` match: a pattern narrowed by mistake
+    # would keep every declaration right and only show as calls to these productions
+    calls = []
+
+    def counted(production):
+        def count(self, package):
+            calls.append(production.__name__)
+            return production(self, package)
+        return count
+
+    monkeypatch.setattr(_MiniOOParser, "_field", counted(_MiniOOParser._field))
+    monkeypatch.setattr(_MiniOOParser, "_method", counted(_MiniOOParser._method))
+    sources = [reference_source, _commented(reference_source), _SHARING_SOURCE,
+               *(write_minioo(random_model(random.Random(seed), max_classes=12))
+                 for seed in range(4))]
+    for source in sources:
+        packages = parse_minioo_declarations(source, "m.minioo")
+        assert [(d, d.position) for d in _declarations(packages)] == _parsed(
+            reference_parse_declarations, source)
+    assert calls == []
+
+
+@pytest.mark.parametrize("last", [False, True], ids=["between", "last"])
+@pytest.mark.parametrize("member", [
+    "field a: int.Foo;", "field a: int, assoc;", "field a: Foo aggr;", "field a: p.Q.R;",
+    "field a: p.int;", "field a: Foo,aggr;", "field a: Foo, assocx;", "field a: int // ;",
+    "method m weight1;", "abstractmethod m;", "method m weight 01;", "method m weight 12abc;",
+    "method m weight \u0663;", "method m weight 12reads (a);", "method m // ;",
+    f"method m weight {MAX_WEIGHT};", f"method m weight {MAX_WEIGHT + 1};",
+    "method m weight 12345678901234567890123;",
+    "method m reads (a // x, y)\n, b);", "method m uses (A // q.B)\n, p.C);",
+    "method m uses (p // c\n. // d\nB);", "field a: p // c\n.// d\nB, aggr;",
+    "abstract // c\nmethod m;", "method m reads ();", "method m reads (a,);",
+    "method m uses (p.);", "method m uses (B) reads (a);", "method m uses (int);",
+    "field field: field;", "method method reads (reads) uses (uses.uses);",
+    "field f\u00e9: int;", "field a: Fo\u00e9;", "field a:\r\n int;",
+])
+def test_member_edge_cases_match_the_reference(member, last):
+    body = f"field x: int;\n{member}" if last else f"field x: int;\n{member}\nmethod n;"
+    source = f"package p {{\n  class A {{\n{body}\n  }}\n}}\n"
     assert _parsed(parse_minioo_declarations, source) == _parsed(reference_parse_declarations,
                                                                  source)
 
