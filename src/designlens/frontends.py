@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import re
 import sys
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, KeysView, NoReturn
 
@@ -36,6 +38,62 @@ SCHEMA_ERROR = "SchemaError"
 _PRIMITIVES = ("int", "real", "text", "bool")
 _MAX_WEIGHT_DIGITS = len(str(MAX_WEIGHT))
 _ATTRIBUTE_KINDS = {"assoc": ASSOCIATION, "aggr": AGGREGATION}
+
+
+class _Lines:
+    """One MiniOO file a parse read: its path, and the offset each of its lines starts
+    at, filled in when the parse ends.  It keeps no reference to the source text."""
+
+    __slots__ = ("path", "starts")
+
+    def __init__(self, path: str | None) -> None:
+        self.path = path
+        self.starts = array("q", [0])
+
+    def resolve(self, offset: int) -> SourcePosition:
+        """The line and column of a source offset; the column counts code points."""
+        starts = self.starts
+        line = bisect_right(starts, offset)
+        return SourcePosition(line, offset - starts[line - 1] + 1, self.path)
+
+
+class _Offset(tuple):
+    """A MiniOO position, `(offset, lines)`: its line and column are resolved only when
+    read.  It equals, hashes, prints, pickles and copies as its `SourcePosition`."""
+
+    __slots__ = ()
+
+    def resolved(self) -> SourcePosition:
+        offset, lines = self
+        return lines.resolve(offset)
+
+    @property
+    def line(self) -> int:
+        return self.resolved().line
+
+    @property
+    def column(self) -> int:
+        return self.resolved().column
+
+    @property
+    def path(self) -> str | None:
+        return self[1].path
+
+    def __eq__(self, other: object) -> bool:
+        return self.resolved() == other
+
+    def __ne__(self, other: object) -> bool:
+        return self.resolved() != other
+
+    def __hash__(self) -> int:
+        return hash(self.resolved())
+
+    def __repr__(self) -> str:
+        return repr(self.resolved())
+
+    def __reduce__(self) -> tuple:
+        position = self.resolved()
+        return SourcePosition, (position.line, position.column, position.path)
 
 
 @dataclass(frozen=True)
@@ -123,8 +181,9 @@ class _MiniOOParser:
     """Recursive descent over one regex match at a time: the current token is `kind`
     (its group in `_TOKEN_RE`), `text` and `match`.  No production advances past `eof`.
 
-    A parse keeps one object per distinct value: each name it stores is interned, and
-    each read or use set is kept through `sets`, so equal ones are one object."""
+    A parse keeps one object per distinct value: each name it stores is interned, each
+    read or use set is kept through `sets` and each typeref through `names`, so equal
+    ones are one object.  Each distinct `reads` text is read once, through `reads`."""
 
     def __init__(self, source: str, path: str | None,
                  bad: list[tuple[int, str, str]] | None = None):
@@ -133,9 +192,11 @@ class _MiniOOParser:
         self._next = _TOKEN_RE.finditer(source).__next__
         self._advance()
         self.errors: list[ParseError] = []
-        self.path = path
-        self.line, self.line_start, self.counted = 1, 0, 0  # newlines counted up to `counted`
+        self.lines = _Lines(path)  # every position of the parse points at it
         self.sets: dict[frozenset, frozenset] = {}
+        self.names: dict[tuple[str, str], QualifiedName] = {}
+        # each distinct `reads` text matched, to its set; no list at all is the empty set
+        self.reads: dict[str | None, frozenset] = {None: _shared(self.sets, ())}
         # compiled by the first parse, not on import, which they would slow by milliseconds;
         # `re` keeps them for every later parse
         self.member = re.compile(_MEMBER, re.MULTILINE).match
@@ -158,20 +219,10 @@ class _MiniOOParser:
             kind = match.lastgroup
         self.kind, self.text, self.match = kind, match[kind], match
 
-    def _position(self, offset: int) -> SourcePosition:
-        """The line and column of a source offset, in the file parsed.  Offsets are asked
-        for in order, so the newlines are counted on from the last one."""
-        newlines = self.source.count("\n", self.counted, offset)
-        if newlines:
-            self.line += newlines
-            self.line_start = self.source.rfind("\n", self.counted, offset) + 1
-        self.counted = offset
-        return SourcePosition(self.line, offset - self.line_start + 1, self.path)
-
     def _error(self, expected: str) -> None:
         found = "end of input" if self.kind == "eof" else _echo(self.text)
-        self.errors.append(ParseError(self._position(self.match.start(self.kind)), expected,
-                                      found))
+        self.errors.append(ParseError(_Offset((self.match.start(self.kind), self.lines)),
+                                      expected, found))
 
     def _fail(self, expected: str) -> NoReturn:
         self._error(expected)
@@ -182,11 +233,11 @@ class _MiniOOParser:
             self._fail(f"'{text}'")
         self._advance()
 
-    def _declare(self, expected: str) -> tuple[str, SourcePosition]:
+    def _declare(self, expected: str) -> tuple[str, _Offset]:
         """Read a declared name and the position where it is declared."""
         if self.kind != "name":
             self._fail(expected)
-        name, position = sys.intern(self.text), self._position(self.match.start("name"))
+        name, position = sys.intern(self.text), _Offset((self.match.start("name"), self.lines))
         self._advance()
         return name, position
 
@@ -216,9 +267,9 @@ class _MiniOOParser:
         if not packages and not self.errors and not self.bad:
             self._error("at least one package declaration")
         # every lexer error is known once `eof` is current; they are reported first
-        self.line, self.line_start, self.counted = 1, 0, 0
-        self.errors[:0] = [ParseError(self._position(offset), expected, found)
+        self.errors[:0] = [ParseError(_Offset((offset, self.lines)), expected, found)
                            for offset, expected, found in self.bad]
+        self.lines.starts.extend(map(re.Match.end, re.finditer("\n", self.source)))
         return packages
 
     def _package(self) -> PackageDef:
@@ -265,25 +316,27 @@ class _MiniOOParser:
         # one match per member, up to `}` or the first member `_MEMBER` does not match;
         # the token productions read the body on from there and report its errors
         source, sets, intern, pos = self.source, self.sets, sys.intern, self.match.end()
+        lines, read_sets, qualified = self.lines, self.reads, self._qualified
         while member := self.member(source, pos):
             field, first, second, kind, abstract, method, weight, reads, uses = member.groups()
             if field is not None:
-                target = None if first is None else _qualified(package, first, second)
+                target = None if first is None else qualified(package, first, second)
                 kind = NO_TARGET if first is None else _ATTRIBUTE_KINDS.get(kind, ASSOCIATION)
                 attributes.append(AttributeDef(intern(field), target, kind,
-                                               self._position(member.start("field"))))
+                                               _Offset((member.start("field"), lines))))
             elif weight is not None and (len(weight) > _MAX_WEIGHT_DIGITS
                                          or int(weight) > MAX_WEIGHT):
                 break  # the token productions report the weight
             else:
-                reads = () if reads is None else [
-                    intern(name) for name, _ in self.items(source, *member.span("reads"))]
-                uses = () if uses is None else [_qualified(package, *names) for names in
+                read_set = read_sets.get(reads)
+                if read_set is None:
+                    read_sets[reads] = read_set = _shared(
+                        sets, [intern(name) for name, _ in self.items(reads)])
+                uses = () if uses is None else [qualified(package, *names) for names in
                                                 self.items(source, *member.span("uses"))]
                 methods.append(MethodDef(
                     intern(method), abstract is not None, 1 if weight is None else int(weight),
-                    _shared(sets, reads), _shared(sets, uses),
-                    self._position(member.start("method"))))
+                    read_set, _shared(sets, uses), _Offset((member.start("method"), lines))))
             pos = member.end()
         self._next = _TOKEN_RE.finditer(source, pos).__next__
         self._advance()
@@ -382,14 +435,15 @@ class _MiniOOParser:
                 self._fail("a class name")
             second = self.text
             self._advance()
-        return _qualified(default_package, first, second)
+        return self._qualified(default_package, first, second)
 
-
-def _qualified(package: str, first: str, second: str | None) -> QualifiedName:
-    """The typeref `first` (in `package`) or `first.second`, its names interned."""
-    if second:
-        return QualifiedName(sys.intern(first), sys.intern(second))
-    return QualifiedName(package, sys.intern(first))
+    def _qualified(self, package: str, first: str, second: str | None) -> QualifiedName:
+        """The typeref `first` (in `package`) or `first.second`, one object per name."""
+        key = (first, second) if second else (package, first)
+        name = self.names.get(key)
+        if name is None:
+            name = self.names[key] = QualifiedName(sys.intern(key[0]), sys.intern(key[1]))
+        return name
 
 
 def _shared(sets: dict[frozenset, frozenset], items: Iterable) -> frozenset:

@@ -8,7 +8,6 @@ silently coerced to 0.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -85,17 +84,25 @@ def cbo(model: CodeModel, name: QualifiedName) -> int:
 
 def lcom(cls: ClassDef) -> int:
     """Lack of cohesion in methods: disjoint-read-set method pairs minus
-    intersecting pairs, floored at zero."""
-    read_sets = [method.reads for method in cls.methods]
-    if len(read_sets) < 2:
-        return 0
-    disjoint = intersecting = 0
-    for a, b in itertools.combinations(read_sets, 2):
-        if a & b:
-            intersecting += 1
-        else:
-            disjoint += 1
-    return max(disjoint - intersecting, 0)
+    intersecting pairs, floored at zero.
+
+    Linear in the reads, not in the pairs: bit i of an attribute's mask is set
+    when method i reads it, so the methods after method i that share a read
+    with it are the bits above i in the union of its attributes' masks.  The
+    other pairs of the n(n-1)/2 are disjoint."""
+    methods = cls.methods
+    readers: dict[str, int] = {}
+    for i, method in enumerate(methods):
+        for name in method.reads:
+            readers[name] = readers.get(name, 0) | 1 << i
+    intersecting = 0
+    for i, method in enumerate(methods):
+        shared = 0
+        for name in method.reads:
+            shared |= readers[name]
+        intersecting += (shared >> i + 1).bit_count()
+    n = len(methods)
+    return max(n * (n - 1) // 2 - 2 * intersecting, 0)
 
 
 def afferent(model: CodeModel, package: str) -> int:

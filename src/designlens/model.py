@@ -73,6 +73,10 @@ class QualifiedName(_Name):
 
 @dataclass(frozen=True, slots=True)
 class SourcePosition:
+    """Where a declaration or an error was read.  A MiniOO parse gives each one a
+    stand-in that keeps the source offset, works out the line and column when they
+    are read, and equals, hashes, prints and pickles as this class."""
+
     line: int | None    # 1-based; None in an interchange document
     column: int | None  # 1-based, in Unicode scalar values
     path: str | None = None  # the file read, if any
@@ -111,8 +115,10 @@ class MethodDef:
     def __post_init__(self) -> None:
         if not (str.isascii(self.name) and str.isidentifier(self.name)):
             raise ValueError(f"method {self.name!r}: not an identifier")
-        object.__setattr__(self, "reads", frozenset(self.reads))
-        object.__setattr__(self, "uses", frozenset(self.uses))
+        if type(self.reads) is not frozenset:
+            object.__setattr__(self, "reads", frozenset(self.reads))
+        if type(self.uses) is not frozenset:
+            object.__setattr__(self, "uses", frozenset(self.uses))
         if not 1 <= self.weight <= MAX_WEIGHT:
             raise ValueError(f"method {self.name!r}: weight must be from 1 to {MAX_WEIGHT}")
 
@@ -129,9 +135,12 @@ class ClassDef:
     def __post_init__(self) -> None:
         if not (str.isascii(self.name) and str.isidentifier(self.name)):
             raise ValueError(f"class {self.name!r}: not an identifier")
-        object.__setattr__(self, "parents", tuple(self.parents))
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(self, "methods", tuple(self.methods))
+        if type(self.parents) is not tuple:
+            object.__setattr__(self, "parents", tuple(self.parents))
+        if type(self.attributes) is not tuple:
+            object.__setattr__(self, "attributes", tuple(self.attributes))
+        if type(self.methods) is not tuple:
+            object.__setattr__(self, "methods", tuple(self.methods))
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,7 +152,8 @@ class PackageDef:
     def __post_init__(self) -> None:
         if not (str.isascii(self.name) and str.isidentifier(self.name)):
             raise ValueError(f"package {self.name!r}: not an identifier")
-        object.__setattr__(self, "classes", tuple(self.classes))
+        if type(self.classes) is not tuple:
+            object.__setattr__(self, "classes", tuple(self.classes))
 
 
 _T = TypeVar("_T")

@@ -1,6 +1,8 @@
+import copy
 import gc
 import io
 import json
+import pickle
 import random
 import re
 import tracemalloc
@@ -42,7 +44,9 @@ from designlens.model import (
     PackageDef,
     QualifiedName,
     ValidationError,
+    build_model,
 )
+from conftest import FIXTURES
 from modelgen import (
     LEXICAL_CHARACTERS,
     MUTATED_DOCUMENTS,
@@ -217,6 +221,114 @@ def test_declaration_parse_exposes_a_position_index(reference_source):
     assert packages[0].classes[1].position.line == 3
     assert packages[1].classes[1].methods[0].position.line == 7
     assert packages[1].classes[1].methods[0].position.path == "reference.minioo"
+
+
+# -- positions: a source offset, resolved to a line and column only when read ---------
+
+
+@pytest.mark.parametrize("source,expected", [
+    # only "\n" ends a line: a "\r" before it is the last column of its line
+    ("package p {\r\n  class A {\r\n    field x: int; }\r\n}\r\n", [(1, 9), (2, 9), (3, 11)]),
+    # offsets and columns count code points, whatever their length in UTF-8 or UTF-16
+    ("// \u00e9\u2603\U0001F600\npackage p { class A { field x: int; } }",
+     [(2, 9), (2, 19), (2, 29)]),
+    # a source that starts with its package, and a last line with no "\n"
+    ("package p {\n class A { field x: int; } }", [(1, 9), (2, 8), (2, 18)]),
+])
+def test_declarations_are_located_by_line_and_code_point_column(source, expected):
+    packages = parse_minioo_declarations(source, "m.minioo")
+    assert [(d.position.line, d.position.column) for d in _declarations(packages)] == expected
+    assert _parsed(parse_minioo_declarations, source) == _parsed(reference_parse_declarations,
+                                                                 source)
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("x", ["1:1: expected 'package', found 'x'"]),
+    ("package p {\r\n class A { field x: ; } }", ["2:21: expected a type name, found ';'"]),
+    ("package p { } // \U0001F600\n\u2603 \U0001F600 #",
+     ["2:1: expected a token, found '\u2603'", "2:3: expected a token, found '\U0001F600'",
+      "2:5: expected a token, found '#'"]),
+    ("package p {\n class A {", ["2:11: expected 'field', 'method' or '}', found end of input",
+                                "2:11: expected 'class' or '}', found end of input"]),
+])
+def test_errors_are_located_by_line_and_code_point_column(source, expected):
+    with pytest.raises(ParseFailure) as excinfo:
+        parse_minioo_declarations(source, "m.minioo")
+    assert [str(error) for error in excinfo.value.errors] == expected
+    assert _parsed(parse_minioo_declarations, source) == _parsed(reference_parse_declarations,
+                                                                 source)
+
+
+@pytest.mark.parametrize("second,expected", [
+    ("package b {\n  class B { field \u00e9x: int; method m reads (\U0001F600); }\n}\n",
+     ["2:19: expected a name, found '\u00e9x'", "2:44: expected a token, found '\U0001F600'",
+      "2:21: expected a field name, found ':'", "2:45: expected an attribute name, found ')'"]),
+    ("// \u00fcber \u2603\npackage b {\n  class B { field x int; method m weight 0; }\n}",
+     ["3:21: expected ':', found 'int'", "3:42: expected a positive integer, found '0'"]),
+    ("package b {\n  class B extends a.Gone { field x: int; }\n  class B { }\n}\n  // \u00e9\n",
+     ["3:9: DuplicateClass at b.B: class 'B' is declared more than once in package 'b'",
+      "2:9: UnresolvedReference at b.B: parent class 'a.Gone' is not declared"]),
+], ids=["lexer", "parser", "validation"])
+def test_errors_in_the_second_of_two_files_are_located_in_it(tmp_path, second, expected):
+    first, other = tmp_path / "a.minioo", tmp_path / "b.minioo"
+    first.write_text("package a {\n  class A { field x: int; method m reads (x); }\n}\n",
+                     encoding="utf-8")
+    other.write_text(second, encoding="utf-8")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    assert cli.run(["analyze", str(first), str(other)], stdout=stdout,
+                   stderr=stderr) == cli.EXIT_INPUT
+    assert stdout.getvalue() == ""
+    assert stderr.getvalue() == "".join(f"{other}:{line}\n" for line in expected)
+
+
+def test_a_parsed_position_equals_pickles_and_copies_as_a_source_position(reference_source):
+    packages = parse_minioo_declarations(reference_source, "reference.minioo")
+    position = packages[1].classes[1].methods[0].position
+    expected = SourcePosition(7, 23, "reference.minioo")
+    assert position == expected and expected == position and hash(position) == hash(expected)
+    assert not position != expected and position != SourcePosition(7, 22, "reference.minioo")
+    assert repr(position) == str(position) == repr(expected)
+    duplicates = [copy.copy(position), copy.deepcopy(position),
+                  *(pickle.loads(pickle.dumps(position, protocol))
+                    for protocol in range(pickle.HIGHEST_PROTOCOL + 1))]
+    assert all(type(d) is SourcePosition and d == expected for d in duplicates)
+    positions = [d.position for d in _declarations(packages)]
+    for duplicate in (pickle.loads(pickle.dumps(packages)), copy.deepcopy(packages)):
+        assert duplicate == packages
+        assert [d.position for d in _declarations(duplicate)] == positions
+
+
+def test_no_position_keeps_the_source_text_alive():
+    # a position holds its offset and one record per file, which keeps the line starts
+    source = write_minioo(random_model(random.Random(3), max_classes=40))
+    packages = parse_minioo_declarations(source, "m.minioo")
+    reached, seen, stack = [], set(), [packages]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        reached.append(obj)
+        stack.extend(gc.get_referents(obj))
+    assert len(reached) > 1000 and any(type(obj).__name__ == "_Lines" for obj in reached)
+    assert not any(obj is source or (isinstance(obj, str) and len(obj) > 100)
+                   for obj in reached)
+
+
+def test_a_clean_parse_and_analysis_resolve_no_position(monkeypatch, reference_source):
+    resolved = []
+
+    def counted(starts, offset):
+        resolved.append(offset)
+        return bisect_right(starts, offset)
+
+    monkeypatch.setattr(designlens.frontends, "bisect_right", counted)
+    packages = parse_minioo_declarations(reference_source, "reference.minioo")
+    build_model(packages)
+    assert cli.run(["analyze", str(FIXTURES / "reference.minioo")], stdout=io.StringIO(),
+                   stderr=io.StringIO()) == cli.EXIT_OK
+    assert resolved == []
+    assert packages[1].position.line == 5 and len(resolved) == 1
 
 
 def test_semantic_errors_carry_source_positions():
@@ -409,8 +521,8 @@ def _assert_one_object_per_distinct_name_and_read_use_set(packages):
     names = [*(d.name for d in declarations), *(name for m in methods for name in m.reads),
              *(segment for name in references for segment in name)]
     sets = [s for method in methods for s in (method.reads, method.uses)]
-    assert len(names) == 35 and len(sets) == 14
-    for kept in (names, sets):
+    assert len(names) == 35 and len(sets) == 14 and len(references) == 6
+    for kept in (names, sets, references):
         first = {}
         assert all(first.setdefault(value, value) is value for value in kept), kept
     empty = [s for s in sets if not s]
@@ -426,6 +538,42 @@ def test_a_decode_keeps_one_object_per_distinct_name_and_read_use_set():
     # `json.loads` makes a new string for every value it reads
     document = write_interchange(parse_minioo(_SHARING_SOURCE))
     _assert_one_object_per_distinct_name_and_read_use_set(decode_interchange(document))
+
+
+def test_each_distinct_reads_text_is_read_once(monkeypatch):
+    read = []
+    init = _MiniOOParser.__init__
+
+    def counting(self, *args):
+        init(self, *args)
+        findall = self.items
+
+        def items(*args):
+            if len(args) == 1:  # a `reads` text; a `uses` list is read off the source
+                read.append(args[0])
+            return findall(*args)
+        self.items = items
+
+    monkeypatch.setattr(_MiniOOParser, "__init__", counting)
+    source = ("package p { class A { field a: int; field b: int;\n"
+              "  method m1 reads (a, b); method m2 reads (a, b); method m3 reads (b, a);\n"
+              "  method m4 reads (a // c\n  , b); method m5 reads (a); method m6;\n"
+              "  method m7 reads (a, b); method m8 reads (a); } }")
+    reads = [m.reads for m in parse_minioo_declarations(source)[0].classes[0].methods]
+    assert sorted(read) == sorted({"a, b", "b, a", "a // c\n  , b", "a"})
+    assert reads[0] == {"a", "b"} and all(r is reads[0] for r in (*reads[1:4], reads[6]))
+    assert reads[4] == {"a"} and reads[7] is reads[4]
+    assert reads[5] == frozenset()
+
+
+def test_an_unqualified_reference_names_a_class_of_its_own_package():
+    source = ("package p { class A { } class U { field f: A; method m uses (A); } }\n"
+              "package q { class A { } class U { field f: A; method m uses (A, p.A); } }")
+    p, q = (package.classes[1] for package in parse_minioo_declarations(source))
+    assert (p.attributes[0].target, q.attributes[0].target) == (qn("p", "A"), qn("q", "A"))
+    assert p.methods[0].uses == {qn("p", "A")}
+    assert q.methods[0].uses == {qn("q", "A"), qn("p", "A")}
+    assert p.attributes[0].target in q.methods[0].uses
 
 
 def test_a_parse_keeps_few_bytes_per_declaration():

@@ -146,6 +146,22 @@ def test_slotted_declarations_pickle_copy_and_stay_frozen(kind):
             declaration.position = None
 
 
+def test_declarations_keep_their_collections_and_convert_any_other_iterable():
+    reads, uses, parents = frozenset({"b"}), frozenset({_USED}), (_USED,)
+    method = MethodDef("m", reads=reads, uses=uses)
+    cls = ClassDef("A", parents=parents, methods=(method,))
+    assert method.reads is reads and method.uses is uses and cls.parents is parents
+
+    class Tagged(frozenset):
+        pass
+
+    converted = MethodDef("m", reads=["b"], uses=Tagged(uses))
+    assert type(converted.reads) is type(converted.uses) is frozenset and converted == method
+    listed = ClassDef("A", parents=[_USED], attributes=iter(()), methods=[method])
+    assert type(listed.parents) is type(listed.attributes) is type(listed.methods) is tuple
+    assert listed == cls and type(PackageDef("p", [cls]).classes) is tuple
+
+
 def test_method_weight_must_be_positive():
     with pytest.raises(ValueError):
         MethodDef("m", weight=0)
