@@ -290,7 +290,7 @@ def _load_inputs(paths: list[str], stderr: TextIO) -> tuple[list[PackageDef], in
             print(f"error: {path}: unsupported input extension '{suffix}'", file=stderr)
             return [], EXIT_USAGE
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_bytes().decode("utf-8")  # exact text: no newline translation
         except OSError as exc:
             print(f"error: cannot read {path}: {exc.strerror or exc}", file=stderr)
             return [], EXIT_USAGE

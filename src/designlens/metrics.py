@@ -10,20 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
-from .model import (
-    INHERIT,
-    ClassDef,
-    CodeModel,
-    NotFoundError,
-    PackageDef,
-    QualifiedName,
-    class_edges,
-    once_per_model,
-    resolve,
-)
-from .tarjan import strongly_connected_components
+from .model import ClassDef, CodeModel, PackageDef, QualifiedName, edge_table, resolve
 
 
 class UnknownPackageError(KeyError):
@@ -66,20 +54,20 @@ def wmc(cls: ClassDef) -> int:
 def dit(model: CodeModel, name: QualifiedName) -> int:
     """Depth of inheritance tree: longest inherit path from the class to a root."""
     resolve(model, name)
-    return _counts(model).dit[name]
+    return edge_table(model).dit[name]
 
 
 def noc(model: CodeModel, name: QualifiedName) -> int:
     """Number of children: classes anywhere in the model listing this class as a direct parent."""
     resolve(model, name)
-    return _counts(model).noc[name]
+    return edge_table(model).noc[name]
 
 
 def cbo(model: CodeModel, name: QualifiedName) -> int:
     """Coupling between object classes: distinct other classes linked by a
     non-inherit edge in either direction."""
     resolve(model, name)
-    return _counts(model).cbo[name]
+    return edge_table(model).cbo[name]
 
 
 def lcom(cls: ClassDef) -> int:
@@ -108,13 +96,13 @@ def lcom(cls: ClassDef) -> int:
 def afferent(model: CodeModel, package: str) -> int:
     """Ca: distinct classes outside the package with any edge into it (inherit included)."""
     _require_package(model, package)
-    return _counts(model).ca[package]
+    return edge_table(model).ca[package]
 
 
 def efferent(model: CodeModel, package: str) -> int:
     """Ce: distinct classes outside the package that its classes have any edge toward."""
     _require_package(model, package)
-    return _counts(model).ce[package]
+    return edge_table(model).ce[package]
 
 
 def instability(ca: int, ce: int) -> Fraction | None:
@@ -139,7 +127,7 @@ def main_sequence_distance(a: Fraction, i: Fraction) -> Fraction:
 
 def compute_all(model: CodeModel) -> MetricsReport:
     """Every metric for every class and package; reads the table the single-metric calls read."""
-    counts = _counts(model)
+    counts = edge_table(model)
     per_class: dict[QualifiedName, ClassMetrics] = {}
     for name, cls in sorted(model.iter_classes()):
         per_class[name] = ClassMetrics(name, wmc(cls), counts.dit[name], counts.noc[name],
@@ -153,51 +141,6 @@ def compute_all(model: CodeModel) -> MetricsReport:
         d = main_sequence_distance(a, i) if a is not None and i is not None else None
         per_package[pkg.name] = PackageMetrics(pkg.name, ca, ce, i, a, d)
     return MetricsReport(per_class, per_package)
-
-
-class _Counts(NamedTuple):
-    dit: dict[QualifiedName, int]
-    noc: dict[QualifiedName, int]
-    cbo: dict[QualifiedName, int]
-    ca: dict[str, int]
-    ce: dict[str, int]
-
-
-@once_per_model
-def _counts(model: CodeModel) -> _Counts:
-    """DIT, NOC and CBO of every class, Ca and Ce of every package."""
-    children = {name: 0 for name, _ in model.iter_classes()}
-    coupled: dict[QualifiedName, set[QualifiedName]] = {name: set() for name in children}
-    incoming: dict[str, set[QualifiedName]] = {pkg.name: set() for pkg in model.packages}
-    outgoing: dict[str, set[QualifiedName]] = {pkg.name: set() for pkg in model.packages}
-    for source, target, kind in class_edges(model):
-        try:
-            linked = coupled[target]
-        except KeyError:  # a model built without `build_model` may name any class
-            raise NotFoundError(f"class '{target}' is not declared") from None
-        if source.package != target.package:
-            incoming[target.package].add(source)
-            outgoing[source.package].add(target)
-        if kind != INHERIT and source != target:
-            coupled[source].add(target)
-            linked.add(source)
-    # Tarjan completes a class after every class it extends, so its parents'
-    # depths are known when it comes out; only classes with parents need a walk.
-    parents = {name: cls.parents for name, cls in model.iter_classes() if cls.parents}
-    depths = dict.fromkeys(children, 0)
-    for component in strongly_connected_components(parents, parents):
-        name = component[0]
-        direct = parents.get(name, ())
-        if len(component) > 1 or name in direct:
-            raise ValueError(f"class '{name}' is in an inheritance cycle")
-        depths[name] = 1 + max(depths[p] for p in direct) if direct else 0
-        for parent in dict.fromkeys(direct):
-            children[parent] += 1
-
-    def sizes(sets: dict) -> dict:
-        return {key: len(members) for key, members in sets.items()}
-
-    return _Counts(depths, children, sizes(coupled), sizes(incoming), sizes(outgoing))
 
 
 def _require_package(model: CodeModel, package: str) -> None:

@@ -1,8 +1,11 @@
-"""In-memory code model: packages, classes, members, and derived dependency graphs.
+"""In-memory code model: packages, classes, members, and what is derived from them.
 
 The model is the single input to all analysis.  It is immutable after
 construction and only `build_model` produces a validated instance; every
-other operation assumes (and may rely on) a valid model.
+other operation assumes (and may rely on) a valid model.  `_targets` is the
+one place that spells out the edges a class declares.  One walk of them per
+model builds the `edge_table` that the metrics, the package graph and DIP
+read; the class graph is built only on request.
 
 Declarations read from MiniOO source carry the `position` they were declared
 at, and those decoded from a named interchange file carry the file, so a
@@ -16,7 +19,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
-from .tarjan import cycles
+from .tarjan import cycles, strongly_connected_components
 
 # Relationship kinds carried by dependency edges.
 INHERIT = "inherit"
@@ -353,41 +356,96 @@ def resolve(model: CodeModel, name: QualifiedName) -> ClassDef:
         raise NotFoundError(f"class '{name}' is not declared") from None
 
 
-def class_edges(model: CodeModel) -> Iterator[DependencyEdge]:
-    """Every declared class edge: parents (inherit), attribute targets (their
-    kind) and method uses (use), in declaration order.  An edge declared more
-    than once is yielded more than once."""
-    for qn, cls in model.iter_classes():
-        for parent in cls.parents:
-            yield DependencyEdge(qn, parent, INHERIT)
-        for attr in cls.attributes:
-            if attr.target is not None:
-                yield DependencyEdge(qn, attr.target, attr.kind)
-        for method in cls.methods:
-            for target in method.uses:
-                yield DependencyEdge(qn, target, USE)
+def _targets(cls: ClassDef) -> Iterator[tuple[QualifiedName, str]]:
+    """Every edge `cls` declares, as (target, kind): parents (inherit), attribute
+    targets (their kind) and method uses (use), in declaration order.  An edge
+    declared more than once is yielded more than once."""
+    for parent in cls.parents:
+        yield parent, INHERIT
+    for attr in cls.attributes:
+        if attr.target is not None:
+            yield attr.target, attr.kind
+    for method in cls.methods:
+        for target in method.uses:
+            yield target, USE
 
 
 @once_per_model
 def class_graph(model: CodeModel) -> DependencyGraph:
     """Class-granularity graph of inherit, aggregation, association and use edges,
     built once per model and only on request: an analysis never builds it."""
-    return DependencyGraph(tuple(sorted(model._index)), tuple(sorted(set(class_edges(model)))),
-                           "class")
+    edges = {DependencyEdge(source, target, kind)
+             for source, cls in model.iter_classes() for target, kind in _targets(cls)}
+    return DependencyGraph(tuple(sorted(model._index)), tuple(sorted(edges)), "class")
 
 
 @once_per_model
 def package_graph(model: CodeModel) -> DependencyGraph:
-    """Package-granularity graph: P->Q iff some class edge crosses from P to Q (P != Q)."""
+    """Package-granularity graph: P->Q iff some class edge crosses from P to Q (P != Q),
+    with the smallest kind among the class edges that cross."""
     nodes = sorted(QualifiedName(pkg.name) for pkg in model.packages)
-    crossing: dict[tuple[str, str], str] = {}
-    for source, target, kind in class_edges(model):
-        if source.package != target.package:
-            key = (source.package, target.package)
-            # collapse duplicates; keep the lexicographically smallest kind
-            if key not in crossing or kind < crossing[key]:
-                crossing[key] = kind
     edges = tuple(sorted(
         DependencyEdge(QualifiedName(src), QualifiedName(dst), kind)
-        for (src, dst), kind in crossing.items()))
+        for (src, dst), kind in edge_table(model).crossing.items()))
     return DependencyGraph(tuple(nodes), edges, "package")
+
+
+class EdgeTable(NamedTuple):
+    dit: dict[QualifiedName, int]
+    noc: dict[QualifiedName, int]
+    cbo: dict[QualifiedName, int]
+    ca: dict[str, int]
+    ce: dict[str, int]
+    crossing: dict[tuple[str, str], str]  # (source, target) package -> smallest kind
+    dip: set[tuple[QualifiedName, QualifiedName, str]]  # non-inherit, abstract -> concrete
+
+
+@once_per_model
+def edge_table(model: CodeModel) -> EdgeTable:
+    """DIT, NOC and CBO of every class, Ca and Ce of every package, each package
+    crossing and the DIP edges, from one walk of the edges each class declares."""
+    index = model._index
+    coupled: dict[QualifiedName, set[QualifiedName]] = {name: set() for name in index}
+    incoming: dict[str, set[QualifiedName]] = {pkg.name: set() for pkg in model.packages}
+    outgoing: dict[str, set[QualifiedName]] = {pkg.name: set() for pkg in model.packages}
+    crossing: dict[tuple[str, str], str] = {}
+    dip: set[tuple[QualifiedName, QualifiedName, str]] = set()
+    parents: dict[QualifiedName, tuple[QualifiedName, ...]] = {}
+    for source, cls in index.items():
+        package, abstract, linked_out = source.package, cls.is_abstract, coupled[source]
+        if cls.parents:
+            parents[source] = cls.parents
+        for target, kind in _targets(cls):
+            try:
+                linked = coupled[target]
+            except KeyError:  # a model built without `build_model` may name any class
+                raise NotFoundError(f"class '{target}' is not declared") from None
+            if target.package != package:
+                incoming[target.package].add(source)
+                outgoing[package].add(target)
+                key = (package, target.package)
+                if kind < crossing.setdefault(key, kind):
+                    crossing[key] = kind
+            if kind != INHERIT:
+                if target != source:
+                    linked_out.add(target)
+                    linked.add(source)
+                if abstract and not index[target].is_abstract:
+                    dip.add((source, target, kind))
+    # Tarjan completes a class after every class it extends, so its parents'
+    # depths are known when it comes out; only classes with parents need a walk.
+    depths, children = dict.fromkeys(index, 0), dict.fromkeys(index, 0)
+    for component in strongly_connected_components(parents, parents):
+        name = component[0]
+        direct = parents.get(name, ())
+        if len(component) > 1 or name in direct:
+            raise ValueError(f"class '{name}' is in an inheritance cycle")
+        depths[name] = 1 + max(depths[p] for p in direct) if direct else 0
+        for parent in dict.fromkeys(direct):
+            children[parent] += 1
+
+    def sizes(sets: dict) -> dict:
+        return {key: len(members) for key, members in sets.items()}
+
+    return EdgeTable(depths, children, sizes(coupled), sizes(incoming), sizes(outgoing),
+                     crossing, dip)

@@ -1,10 +1,11 @@
-"""Principle checks over metrics, the package graph and the declared class edges.
+"""Principle checks over metrics and the model's edge table.
 
 Violations: package dependency cycles (ADP) and dependencies pointing toward
 less stable packages (SDP).  Advisories: main-sequence zoning (SAP), low
 cohesion (SRP), and abstract classes depending on concrete ones (DIP, which
-reads the declared class edges).  Checks skip UNDEFINED metric values instead
-of inventing numbers for them.
+reads the DIP edges of the table that also feeds the metrics and the package
+graph).  Checks skip UNDEFINED metric values instead of inventing numbers for
+them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .metrics import MetricsReport
-from .model import INHERIT, CodeModel, DependencyGraph, class_edges, package_graph, resolve
+from .model import CodeModel, DependencyGraph, edge_table, package_graph, resolve
 from .tarjan import cycles
 
 RULE_ADP = "ADP"
@@ -139,11 +140,8 @@ def srp_advisories(model: CodeModel, report: MetricsReport, thresholds: Threshol
 def dip_advisories(model: CodeModel) -> list[Finding]:
     """DIP: an abstract class should not depend on a concrete one.  One finding per
     distinct declared non-inherit edge, in (source, target, kind) order."""
-    abstract = {name: cls.is_abstract for name, cls in model.iter_classes()}
-    edges = {edge for edge in class_edges(model)
-             if edge.kind != INHERIT and abstract[edge.source] and not abstract[edge.target]}
     return [_finding(RULE_DIP, f"{source}->{target}", {"kind": kind})
-            for source, target, kind in sorted(edges)]
+            for source, target, kind in sorted(edge_table(model).dip)]
 
 
 def empty_package_warnings(model: CodeModel) -> list[Finding]:

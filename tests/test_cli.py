@@ -24,8 +24,8 @@ from designlens.cli import (
     load_config,
     run,
 )
-from designlens.frontends import tokenize
-from designlens.model import MAX_WEIGHT
+from designlens.frontends import ParseFailure, parse_minioo_declarations, tokenize
+from designlens.model import MAX_WEIGHT, ModelError, build_model
 from designlens.principles import Thresholds
 from conftest import FIXTURES, GOLDEN
 from modelgen import MUTATED_DOCUMENTS, random_model, write_minioo
@@ -125,6 +125,23 @@ def test_semantic_error_exits_three_with_position(tmp_path):
     assert code == EXIT_INPUT
     assert out == ""
     assert f"{path}:2:" in err and "UnresolvedReference" in err
+
+
+@pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+@pytest.mark.parametrize("source", [
+    "package p {%s  class A extends q.Gone { }%s}%s",
+    "package p {%s  class 9A { }%s}%s",
+    "package p { // note%s  class A extends q.Gone { }%s}%s",
+], ids=["semantic", "syntax", "comment"])
+def test_cli_reports_the_library_positions_for_cr_newlines(tmp_path, newline, source):
+    text = source % (newline, newline, newline)
+    path = tmp_path / "m.minioo"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises((ParseFailure, ModelError)) as caught:
+        build_model(parse_minioo_declarations(text, str(path)))
+    expected = "".join(f"{path}:{error}\n" for error in caught.value.errors)
+    code, out, err = invoke("analyze", str(path))
+    assert (code, out, err) == (EXIT_INPUT, "", expected)
 
 
 # -- inputs ---------------------------------------------------------------------

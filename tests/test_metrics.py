@@ -9,9 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from designlens import cli
-from designlens import metrics as metrics_module
 from designlens import model as model_module
-from designlens import principles as principles_module
 from designlens.frontends import parse_minioo
 from designlens.metrics import (
     UnknownPackageError,
@@ -594,44 +592,46 @@ def test_unknown_subjects_raise_after_the_table_is_built():
             metric(model, "missing")
 
 
+def _count_walks(monkeypatch):
+    """Record each class whose declared edges are walked."""
+    real, walked = model_module._targets, []
+
+    def counting(cls):
+        walked.append(cls)
+        return real(cls)
+
+    monkeypatch.setattr(model_module, "_targets", counting)
+    return walked
+
+
 def test_point_queries_derive_class_edges_once_per_model(monkeypatch):
     model = random_model(random.Random(61), max_packages=4, max_classes=6)
-    real = model_module.class_edges
-    calls = []
-
-    def counting(model):
-        calls.append(model)
-        return real(model)
-
-    monkeypatch.setattr(metrics_module, "class_edges", counting)
-    monkeypatch.setattr(model_module, "class_edges", counting)
+    walked = _count_walks(monkeypatch)
     for name, _ in model.iter_classes():
+        dit(model, name)
+        noc(model, name)
         cbo(model, name)
     for pkg in model.packages:
         afferent(model, pkg.name)
         efferent(model, pkg.name)
-    assert calls == [model]
+    compute_all(model)
+    assert list(map(id, walked)) == [id(cls) for _, cls in model.iter_classes()]
 
 
 def test_one_cli_run_builds_no_class_graph(monkeypatch):
-    real_edges, real_graph = model_module.class_edges, model_module.DependencyGraph
-    edge_calls, graphs = [], []
-
-    def counting_edges(model):
-        edge_calls.append(model)
-        return real_edges(model)
+    real_graph, graphs = model_module.DependencyGraph, []
 
     def counting_graph(nodes, edges, granularity):
         graphs.append(granularity)
         return real_graph(nodes, edges, granularity)
 
-    monkeypatch.setattr(metrics_module, "class_edges", counting_edges)
-    monkeypatch.setattr(model_module, "class_edges", counting_edges)
-    monkeypatch.setattr(principles_module, "class_edges", counting_edges)
+    walked = _count_walks(monkeypatch)
     monkeypatch.setattr(model_module, "DependencyGraph", counting_graph)
-    assert cli.run(["analyze", str(FIXTURES / "reference.minioo")], stdout=io.StringIO()) == 0
-    # one walk each for the metric table, the package graph and DIP, all on one model
-    assert len(edge_calls) == 3 and len(set(map(id, edge_calls))) == 1
+    source = FIXTURES / "reference.minioo"
+    assert cli.run(["analyze", str(source)], stdout=io.StringIO()) == 0
+    # one walk of each class's edges feeds the metric table, the package graph and DIP
+    model = parse_minioo(source.read_text(encoding="utf-8"))
+    assert walked == [cls for _, cls in model.iter_classes()]
     assert graphs == ["package"]
 
 

@@ -503,3 +503,11 @@ def test_package_edges_are_exactly_the_image_of_cross_class_references():
         actual = {(e.source.package, e.target.package) for e in package_graph(model).edges}
         assert actual == expected
         assert set(package_graph(model).nodes) == {qn(p.name) for p in model.packages}
+        # each package edge carries the smallest kind among the class edges crossing it
+        kinds = {}
+        for edge in class_graph(model).edges:
+            key = (edge.source.package, edge.target.package)
+            if key[0] != key[1]:
+                kinds[key] = min(kinds.get(key, edge.kind), edge.kind)
+        assert {(e.source.package, e.target.package): e.kind
+                for e in package_graph(model).edges} == kinds
