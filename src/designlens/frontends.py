@@ -13,7 +13,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, KeysView, NoReturn
+from typing import Any, Callable, Iterable, KeysView, NoReturn
 
 from .model import (
     AGGREGATION,
@@ -151,26 +151,16 @@ _MEMBER = (
 # One item of a matched `reads` or `uses` list: a name, or both names of `pkg.Class`.
 _ITEM = rf"[ \t\r\n,]*(?://[^\n]*$[ \t\r\n,]*)*({_NAME})(?:{_SKIP}\.{_SKIP}({_NAME}))?"
 
-# A token is (kind, text, offset): kind is "name", "int", "eof" or the
-# punctuation character itself; offset indexes the source in code points.
-_Token = tuple[str, str, int]
-
 
 def _echo(text: str) -> str:
     """An offending token as a syntax error repeats it: quoted, cut to 40 characters."""
     return repr(text[:40])
 
 
-def tokenize(source: str, bad: list[tuple[int, str, str]]) -> Iterator[_Token]:
-    """Yield the tokens of MiniOO source, then one `eof`.  Each illegal character or
-    word is skipped and appended to `bad` as (offset, expected, found)."""
-    scanner = _MiniOOParser(source, None, bad)
-    while True:
-        kind, text = scanner.kind, scanner.text
-        yield (text if kind == "punctuation" else kind, text, scanner.match.start(kind))
-        if kind == "eof":
-            return
-        scanner._advance()
+def _too_heavy(weight: str) -> bool:
+    """Whether a weight, an INT of no leading zero, is over MAX_WEIGHT; one with more
+    digits than MAX_WEIGHT is never converted."""
+    return len(weight) > _MAX_WEIGHT_DIGITS or int(weight) > MAX_WEIGHT
 
 
 class _Panic(Exception):
@@ -185,10 +175,9 @@ class _MiniOOParser:
     read or use set is kept through `sets` and each typeref through `names`, so equal
     ones are one object.  Each distinct `reads` text is read once, through `reads`."""
 
-    def __init__(self, source: str, path: str | None,
-                 bad: list[tuple[int, str, str]] | None = None):
+    def __init__(self, source: str, path: str | None):
         self.source = source
-        self.bad = [] if bad is None else bad  # the lexer's (offset, expected, found)
+        self.bad: list[tuple[int, str, str]] = []  # the lexer's (offset, expected, found)
         self._next = _TOKEN_RE.finditer(source).__next__
         self._advance()
         self.errors: list[ParseError] = []
@@ -233,13 +222,17 @@ class _MiniOOParser:
             self._fail(f"'{text}'")
         self._advance()
 
-    def _declare(self, expected: str) -> tuple[str, _Offset]:
-        """Read a declared name and the position where it is declared."""
+    def _name(self, expected: str) -> str:
         if self.kind != "name":
             self._fail(expected)
-        name, position = sys.intern(self.text), _Offset((self.match.start("name"), self.lines))
+        name = self.text
         self._advance()
-        return name, position
+        return name
+
+    def _declare(self, expected: str) -> tuple[str, _Offset]:
+        """Read a declared name and the position where it is declared."""
+        position = _Offset((self.match.start(self.kind), self.lines))
+        return sys.intern(self._name(expected)), position
 
     def _synchronize(self) -> str | None:
         """Skip ahead past the next ';' or '}'; returns the consumed terminator."""
@@ -305,16 +298,16 @@ class _MiniOOParser:
         parents: list[QualifiedName] = []
         if self.text == "extends":
             self._advance()
-            parents.append(self._typeref(package))
+            parents.append(self._qualified(package, *self._typeref()))
             while self.text == ",":
                 self._advance()
-                parents.append(self._typeref(package))
+                parents.append(self._qualified(package, *self._typeref()))
         if self.text != "{":
             self._fail("'{'")
         attributes: list[AttributeDef] = []
         methods: list[MethodDef] = []
-        # one match per member, up to `}` or the first member `_MEMBER` does not match;
-        # the token productions read the body on from there and report its errors
+        # one match per member, up to `}` or the first member `_MEMBER` does not match:
+        # that member is malformed, so the body is read on from it only to report errors
         source, sets, intern, pos = self.source, self.sets, sys.intern, self.match.end()
         lines, read_sets, qualified = self.lines, self.reads, self._qualified
         while member := self.member(source, pos):
@@ -324,9 +317,8 @@ class _MiniOOParser:
                 kind = NO_TARGET if first is None else _ATTRIBUTE_KINDS.get(kind, ASSOCIATION)
                 attributes.append(AttributeDef(intern(field), target, kind,
                                                _Offset((member.start("field"), lines))))
-            elif weight is not None and (len(weight) > _MAX_WEIGHT_DIGITS
-                                         or int(weight) > MAX_WEIGHT):
-                break  # the token productions report the weight
+            elif weight is not None and _too_heavy(weight):
+                break  # `_method` reports the weight
             else:
                 read_set = read_sets.get(reads)
                 if read_set is None:
@@ -345,9 +337,9 @@ class _MiniOOParser:
             text = self.text
             try:
                 if text == "field":
-                    attributes.append(self._field(package))
+                    self._field()
                 elif text == "method" or text == "abstract":
-                    methods.append(self._method(package))
+                    self._method()
                 elif text == "}":
                     self._advance()
                     closed = True
@@ -359,83 +351,61 @@ class _MiniOOParser:
                         position)
 
     # `_class` reads each well-formed member with one `_MEMBER` match: `_field` and
-    # `_method` read only from a malformed member on, and report its errors.
-    def _field(self, package: str) -> AttributeDef:
+    # `_method` read only from a malformed member on, so they report its errors and those
+    # of the members after it, and build nothing.
+    def _field(self) -> None:
         self._advance()
-        name, position = self._declare("a field name")
+        self._name("a field name")
         self._expect(":")
-        if self.kind != "name":
-            self._fail("a type name")
         if self.text in _PRIMITIVES:
             self._advance()
-            target, attribute_kind = None, NO_TARGET
         else:
-            target = self._typeref(package)
-            attribute_kind = ASSOCIATION
+            self._typeref()
             if self.text == ",":
                 self._advance()
-                attribute_kind = _ATTRIBUTE_KINDS.get(self.text)
-                if attribute_kind is None:
+                if self.text not in _ATTRIBUTE_KINDS:
                     self._fail("'assoc' or 'aggr'")
                 self._advance()
         self._expect(";")
-        return AttributeDef(name, target, attribute_kind, position)
 
-    def _method(self, package: str) -> MethodDef:
-        is_abstract = self.text == "abstract"
-        self._advance()
-        if is_abstract:
-            self._expect("method")
-        name, position = self._declare("a method name")
-        weight = 1
+    def _method(self) -> None:
+        if self.text == "abstract":
+            self._advance()
+        self._expect("method")
+        self._name("a method name")
         if self.text == "weight":
             self._advance()
-            text = self.text
-            # INT must match [1-9][0-9]*; one longer than MAX_WEIGHT is never converted
-            if self.kind != "int" or text[0] == "0":
+            # INT must match [1-9][0-9]*
+            if self.kind != "int" or self.text[0] == "0":
                 self._fail("a positive integer")
-            weight = int(text) if len(text) <= _MAX_WEIGHT_DIGITS else MAX_WEIGHT + 1
-            if weight > MAX_WEIGHT:
+            if _too_heavy(self.text):
                 self._fail(f"a weight of at most {MAX_WEIGHT}")
             self._advance()
-        reads: list[str] = []
         if self.text == "reads":
             self._advance()
             self._expect("(")
-            while True:
-                if self.kind != "name":
-                    self._fail("an attribute name")
-                reads.append(sys.intern(self.text))
+            self._name("an attribute name")
+            while self.text == ",":
                 self._advance()
-                if self.text != ",":
-                    break
-                self._advance()
+                self._name("an attribute name")
             self._expect(")")
-        uses: list[QualifiedName] = []
         if self.text == "uses":
             self._advance()
             self._expect("(")
-            uses.append(self._typeref(package))
+            self._typeref()
             while self.text == ",":
                 self._advance()
-                uses.append(self._typeref(package))
+                self._typeref()
             self._expect(")")
         self._expect(";")
-        return MethodDef(name, is_abstract, weight, _shared(self.sets, reads),
-                         _shared(self.sets, uses), position)
 
-    def _typeref(self, default_package: str) -> QualifiedName:
-        if self.kind != "name":
-            self._fail("a type name")
-        first, second = self.text, None
+    def _typeref(self) -> tuple[str, str | None]:
+        """Read a typeref: `first`, or `first.second`."""
+        first = self._name("a type name")
+        if self.text != ".":
+            return first, None
         self._advance()
-        if self.text == ".":
-            self._advance()
-            if self.kind != "name":
-                self._fail("a class name")
-            second = self.text
-            self._advance()
-        return self._qualified(default_package, first, second)
+        return first, self._name("a class name")
 
     def _qualified(self, package: str, first: str, second: str | None) -> QualifiedName:
         """The typeref `first` (in `package`) or `first.second`, one object per name."""

@@ -24,11 +24,12 @@ from designlens.cli import (
     load_config,
     run,
 )
-from designlens.frontends import ParseFailure, parse_minioo_declarations, tokenize
+from designlens.frontends import ParseFailure, parse_minioo_declarations
 from designlens.model import MAX_WEIGHT, ModelError, build_model
 from designlens.principles import Thresholds
 from conftest import FIXTURES, GOLDEN
 from modelgen import MUTATED_DOCUMENTS, random_model, write_minioo
+from test_frontends import reference_token_stream
 
 REFERENCE = str(FIXTURES / "reference.minioo")
 CYCLIC = str(FIXTURES / "cyclic.minioo")
@@ -254,7 +255,7 @@ def _collide(source, rng):
     """`source` with every name renamed onto a few shared ones: mostly one new name per
     old name, so references still resolve and declarations collide, sometimes a stray one."""
     renames, pieces, end = {}, [], 0
-    for kind, text, offset in tokenize(source, []):
+    for kind, text, offset in reference_token_stream(source, []):
         if kind == "name" and text not in _KEYWORDS:
             new = (renames.setdefault(text, rng.choice(_COLLIDING_NAMES)) if rng.random() < 0.9
                    else rng.choice(_COLLIDING_NAMES))
@@ -268,7 +269,7 @@ def _declarations(files):
     walking the tokens with a stack of the loci whose braces are open."""
     index = defaultdict(list)
     for path, source in files.items():
-        tokens = list(tokenize(source, []))
+        tokens = list(reference_token_stream(source, []))
         scopes, declared = [], None
         for (_, text, _), (kind, name, offset) in zip(tokens, tokens[1:]):
             if text in _DECLARING and kind == "name":

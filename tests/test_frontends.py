@@ -8,6 +8,7 @@ import re
 import tracemalloc
 from bisect import bisect_right
 from typing import Any, Iterator, NoReturn
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,6 @@ from designlens.frontends import (
     parse_minioo,
     parse_minioo_declarations,
     read_interchange,
-    tokenize,
     unique_keys,
     write_interchange,
 )
@@ -359,7 +359,7 @@ def test_first_error_position_stays_near_every_deleted_token(reference_source):
     # is only detectable later; every other deletion must be reported no
     # further than the following token.
     lex_errors = []
-    tokens = list(tokenize(reference_source, lex_errors))[:-1]  # drop EOF
+    tokens = list(reference_token_stream(reference_source, lex_errors))[:-1]  # drop EOF
     assert lex_errors == []
     for index, (_, text, offset) in enumerate(tokens):
         mutated = reference_source[:offset] + reference_source[offset + len(text):]
@@ -380,9 +380,9 @@ def test_first_error_position_stays_near_every_deleted_token(reference_source):
 
 
 def reference_tokenize(source):
-    """The character-by-character MiniOO lexer that `tokenize` replaced: tokens
-    as (kind, text, line, column) and its errors as ParseErrors, a word cut to 40
-    characters."""
+    """The character-by-character MiniOO lexer that the parser's scanner replaced:
+    tokens as (kind, text, line, column) and its errors as ParseErrors, a word cut to
+    40 characters."""
     tokens = []
     errors = []
     line, column = 1, 1
@@ -438,13 +438,26 @@ def _line_and_column(source, offset):
     return _line(source, offset), offset - source.rfind("\n", 0, offset)
 
 
+def _scan(source):
+    """The parser's scanner stepped to the end, one `_MiniOOParser._advance` at a time:
+    its tokens as (kind, text, offset), where kind is "name", "int", "eof" or the
+    punctuation itself, the last one `eof`, and its errors as (offset, expected, found)."""
+    scanner = _MiniOOParser(source, None)
+    tokens = []
+    while True:
+        kind, text = scanner.kind, scanner.text
+        tokens.append((text if kind == "punctuation" else kind, text, scanner.match.start(kind)))
+        if kind == "eof":
+            return tokens, scanner.bad
+        scanner._advance()
+
+
 def _lex(source):
-    """`tokenize`'s tokens as (kind, text, line, column) and its errors as ParseErrors."""
-    bad = []
-    tokens = [(kind, text, *_line_and_column(source, offset))
-              for kind, text, offset in tokenize(source, bad)]
-    return tokens, [ParseError(SourcePosition(*_line_and_column(source, offset)), expected, found)
-                    for offset, expected, found in bad]
+    """The scanner's tokens as (kind, text, line, column) and its errors as ParseErrors."""
+    tokens, bad = _scan(source)
+    return ([(kind, text, *_line_and_column(source, offset)) for kind, text, offset in tokens],
+            [ParseError(SourcePosition(*_line_and_column(source, offset)), expected, found)
+             for offset, expected, found in bad])
 
 
 _LEXICAL = st.text(alphabet=st.sampled_from(LEXICAL_CHARACTERS))
@@ -860,9 +873,8 @@ def _parsed(parse, source):
 def test_parser_matches_the_reference_on_mutated_sources(source):
     assert _parsed(parse_minioo_declarations, source) == _parsed(reference_parse_declarations,
                                                                  source)
-    bad, reference_bad = [], []
-    assert list(tokenize(source, bad)) == list(reference_token_stream(source, reference_bad))
-    assert bad == reference_bad
+    reference_bad = []
+    assert _scan(source) == (list(reference_token_stream(source, reference_bad)), reference_bad)
 
 
 def test_parser_matches_the_reference_on_the_reference_fixture(reference_source):
@@ -898,31 +910,43 @@ def test_scan_restarts_and_abstract_members_are_located(source, expected):
                                                                  source)
 
 
-def _commented(source):
-    """`source` rebuilt from its tokens with a comment line between every two of them."""
-    return "// c\n".join(text for kind, text, _ in tokenize(source, []) if kind != "eof")
+def _commented(source, rng, share):
+    """`source` with a `// c` line or a newline put before about `share` of its tokens,
+    `eof` included, each drawn by `rng`."""
+    pieces, end = [], 0
+    for _, text, offset in reference_token_stream(source, []):
+        separator = rng.choice(("// c\n", "\n")) if rng.random() < share else ""
+        pieces += [source[end:offset], separator, text]
+        end = offset + len(text)
+    return "".join(pieces)
 
 
-def test_valid_members_never_enter_the_token_member_productions(monkeypatch, reference_source):
-    # each well-formed member is one `_MEMBER` match: a pattern narrowed by mistake
-    # would keep every declaration right and only show as calls to these productions
+_VALID_SOURCES = (
+    st.sampled_from([(FIXTURES / "reference.minioo").read_text(encoding="utf-8"),
+                     _SHARING_SOURCE])
+    | st.integers(0, 2**16).map(
+        lambda seed: write_minioo(random_model(random.Random(seed), max_classes=12))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=_VALID_SOURCES, share=st.sampled_from((0.0, 0.2, 1.0)), seed=st.integers(0, 2**16))
+def test_valid_members_never_enter_the_token_member_productions(source, share, seed):
+    # each well-formed member is one `_MEMBER` match, and the checkers `_field` and
+    # `_method` build nothing: a valid member the pattern missed would be dropped
+    source = _commented(source, random.Random(seed), share)
     calls = []
 
-    def counted(production):
-        def count(self, package):
-            calls.append(production.__name__)
-            return production(self, package)
+    def counted(checker):
+        def count(self):
+            calls.append(checker.__name__)
+            return checker(self)
         return count
 
-    monkeypatch.setattr(_MiniOOParser, "_field", counted(_MiniOOParser._field))
-    monkeypatch.setattr(_MiniOOParser, "_method", counted(_MiniOOParser._method))
-    sources = [reference_source, _commented(reference_source), _SHARING_SOURCE,
-               *(write_minioo(random_model(random.Random(seed), max_classes=12))
-                 for seed in range(4))]
-    for source in sources:
+    with patch.object(_MiniOOParser, "_field", counted(_MiniOOParser._field)), \
+            patch.object(_MiniOOParser, "_method", counted(_MiniOOParser._method)):
         packages = parse_minioo_declarations(source, "m.minioo")
-        assert [(d, d.position) for d in _declarations(packages)] == _parsed(
-            reference_parse_declarations, source)
+    assert [(d, d.position) for d in _declarations(packages)] == _parsed(
+        reference_parse_declarations, source)
     assert calls == []
 
 

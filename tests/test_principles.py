@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from designlens.frontends import parse_minioo
-from designlens.metrics import compute_all
+from designlens.metrics import MetricsReport, compute_all
 from designlens.model import (
     AGGREGATION,
     ASSOCIATION,
@@ -314,6 +315,15 @@ def test_sdp_skips_undefined_instability():
     assert report.per_package["alone"].instability is None
     # no crash, and only defined edges are judged
     assert {f.locus for f in sdp_violations(model, report)} == sdp_oracle(model)
+    # a model's own report has UNDEFINED only on a package without edges, so one built
+    # by hand puts it on either end of the flagged edge p->q, which is then skipped
+    model = coupling_model(4, 1, 1, 3)
+    report = compute_all(model)
+    assert "p->q" in {f.locus for f in sdp_violations(model, report)}
+    for end in ("p", "q"):
+        undefined = dataclasses.replace(report.per_package[end], instability=None)
+        hand_built = MetricsReport(report.per_class, {**report.per_package, end: undefined})
+        assert "p->q" not in {f.locus for f in sdp_violations(model, hand_built)}
 
 
 # -- SAP -------------------------------------------------------------------------
