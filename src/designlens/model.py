@@ -1,11 +1,11 @@
 """In-memory code model: packages, classes, members, and what is derived from them.
 
-The model is the single input to all analysis.  It is immutable after
-construction and only `build_model` produces a validated instance; every
-other operation assumes (and may rely on) a valid model.  `_targets` is the
-one place that spells out the edges a class declares.  One walk of them per
-model builds the `edge_table` that the metrics, the package graph and DIP
-read; the class graph is built only on request.
+The model is the single input to all analysis.  A `CodeModel` is valid by
+construction: building one runs `validate_packages` and raises `ModelError`
+with every error found, so every other operation may rely on a valid model.
+`_targets` is the one place that spells out the edges a class declares.  One
+walk of them per model builds the `edge_table` that the metrics, the package
+graph and DIP read; the class graph is built only on request.
 
 Declarations read from MiniOO source carry the `position` they were declared
 at, and those decoded from a named interchange file carry the file, so a
@@ -164,10 +164,10 @@ _T = TypeVar("_T")
 
 @dataclass(frozen=True)
 class CodeModel:
-    """Validated universe of packages and classes.  Construct via `build_model`.
-
-    Immutable, so whatever is derived from it is computed once, on first use,
-    and kept on the model (see `once_per_model`).
+    """Validated universe of packages and classes: construction raises `ModelError`
+    with the complete error list, so no invalid instance exists.  Unpickling and
+    copying do not validate again.  Immutable, so whatever is derived from it is
+    computed once, on first use, and kept on the model (see `once_per_model`).
     """
 
     packages: tuple[PackageDef, ...]
@@ -176,11 +176,14 @@ class CodeModel:
     _derived: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "packages", tuple(self.packages))
+        packages = tuple(self.packages)
+        errors = validate_packages(packages)
+        if errors:
+            raise ModelError(errors)
+        object.__setattr__(self, "packages", packages)
         object.__setattr__(self, "_index", {QualifiedName(pkg.name, cls.name): cls
-                                            for pkg in self.packages for cls in pkg.classes})
-        # reversed, so the first of two same-named packages wins, as in a scan
-        object.__setattr__(self, "_packages", {pkg.name: pkg for pkg in reversed(self.packages)})
+                                            for pkg in packages for cls in pkg.classes})
+        object.__setattr__(self, "_packages", {pkg.name: pkg for pkg in packages})
 
     def iter_classes(self) -> Iterator[tuple[QualifiedName, ClassDef]]:
         """Yield (name, class) pairs in declaration order."""
@@ -336,20 +339,13 @@ def validate_packages(packages: Iterable[PackageDef]) -> list[ValidationError]:
 
 
 def build_model(packages: Iterable[PackageDef]) -> CodeModel:
-    """Validate declarations and return the immutable model.
-
-    Raises ModelError carrying the complete list of validation errors;
-    a partial model is never produced.
-    """
-    packages = list(packages)
-    errors = validate_packages(packages)
-    if errors:
-        raise ModelError(errors)
+    """Validate declarations and return the immutable model, as `CodeModel` does:
+    raises ModelError carrying the complete list of validation errors."""
     return CodeModel(tuple(packages))
 
 
 def resolve(model: CodeModel, name: QualifiedName) -> ClassDef:
-    """Look up a declared class; on a valid model this never fails."""
+    """Look up a declared class; raises NotFoundError for a name the model does not declare."""
     try:
         return model._index[name]
     except KeyError:
@@ -416,10 +412,6 @@ def edge_table(model: CodeModel) -> EdgeTable:
         if cls.parents:
             parents[source] = cls.parents
         for target, kind in _targets(cls):
-            try:
-                linked = coupled[target]
-            except KeyError:  # a model built without `build_model` may name any class
-                raise NotFoundError(f"class '{target}' is not declared") from None
             if target.package != package:
                 incoming[target.package].add(source)
                 outgoing[package].add(target)
@@ -429,17 +421,14 @@ def edge_table(model: CodeModel) -> EdgeTable:
             if kind != INHERIT:
                 if target != source:
                     linked_out.add(target)
-                    linked.add(source)
+                    coupled[target].add(source)
                 if abstract and not index[target].is_abstract:
                     dip.add((source, target, kind))
-    # Tarjan completes a class after every class it extends, so its parents'
-    # depths are known when it comes out; only classes with parents need a walk.
+    # Inheritance is acyclic, so Tarjan yields one class at a time, each after every
+    # class it extends; only classes with parents need a walk.
     depths, children = dict.fromkeys(index, 0), dict.fromkeys(index, 0)
-    for component in strongly_connected_components(parents, parents):
-        name = component[0]
+    for [name] in strongly_connected_components(parents, parents):
         direct = parents.get(name, ())
-        if len(component) > 1 or name in direct:
-            raise ValueError(f"class '{name}' is in an inheritance cycle")
         depths[name] = 1 + max(depths[p] for p in direct) if direct else 0
         for parent in dict.fromkeys(direct):
             children[parent] += 1

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import gc
 import io
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +26,8 @@ from designlens.cli import (
     load_config,
     run,
 )
-from designlens.frontends import ParseFailure, parse_minioo_declarations
-from designlens.model import MAX_WEIGHT, ModelError, build_model
+from designlens.frontends import ParseFailure, parse_minioo_declarations, write_interchange
+from designlens.model import MAX_WEIGHT, ModelError, PackageDef, build_model
 from designlens.principles import Thresholds
 from conftest import FIXTURES, GOLDEN
 from modelgen import MUTATED_DOCUMENTS, random_model, write_minioo
@@ -166,6 +168,49 @@ def test_multiple_files_concatenate_into_one_model(tmp_path):
                           "--format", "csv")
     assert code == EXIT_OK
     assert "a,ca,1" in out
+
+
+_WRITERS = {".minioo": write_minioo, ".json": write_interchange}
+
+
+def _shuffled(packages, rng):
+    """`packages` with packages, classes, attributes, methods and parents in a new order."""
+    def mixed(items):
+        return tuple(rng.sample(items, len(items)))
+
+    return mixed([PackageDef(pkg.name, mixed([
+        dataclasses.replace(cls, parents=mixed(cls.parents), attributes=mixed(cls.attributes),
+                            methods=mixed(cls.methods))
+        for cls in pkg.classes])) for pkg in packages])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32), rng=st.randoms(use_true_random=False),
+       flags=st.sampled_from([(), ("--strict",), ("--fail-on", "dip,srp")]))
+def test_every_form_of_one_model_gives_the_same_report(tmp_path_factory, seed, rng, flags):
+    model = random_model(random.Random(seed))
+    directory = tmp_path_factory.mktemp("forms")
+    packages = model.packages
+    cuts = [0, *sorted(rng.sample(range(1, len(packages)), rng.randint(0, min(2, len(packages) - 1)))), len(packages)]
+    parts = [packages[start:end] for start, end in zip(cuts, cuts[1:])]
+    forms = [
+        [("one.minioo", packages)],
+        [("one.json", packages)],
+        [(f"shuffled{rng.choice(list(_WRITERS))}", _shuffled(packages, rng))],
+        [(f"part{index}{rng.choice(list(_WRITERS))}", part) for index, part in enumerate(parts)],
+    ]
+    for output in ("json", "text"):
+        results = set()
+        for form, files in enumerate(forms):
+            paths = []
+            for name, packages in files:
+                path = directory / f"{form}-{name}"
+                # the writers read only `.packages`: one part alone need not be a valid model
+                path.write_text(_WRITERS[path.suffix](SimpleNamespace(packages=packages)),
+                                encoding="utf-8")
+                paths.append(str(path))
+            results.add(invoke("analyze", *paths, "--format", output, *flags))
+        assert len(results) == 1, results
 
 
 def test_same_package_in_two_files_is_rejected(tmp_path):

@@ -29,16 +29,20 @@ from designlens.metrics import (
 from designlens.model import (
     ASSOCIATION,
     INHERIT,
+    INHERITANCE_CYCLE,
+    UNRESOLVED_REFERENCE,
     AttributeDef,
     ClassDef,
     CodeModel,
     MethodDef,
+    ModelError,
     NotFoundError,
     PackageDef,
     QualifiedName,
     build_model,
     class_graph,
     resolve,
+    validate_packages,
 )
 from conftest import FIXTURES
 from modelgen import random_model
@@ -232,13 +236,12 @@ def test_deep_hierarchy_is_walked_without_recursion():
 def test_metrics_of_an_unvalidated_inheritance_cycle_raise(parent_lists):
     classes = tuple(ClassDef(f"C{i}", parents=tuple(qn("p", f"C{j}") for j in parents))
                     for i, parents in enumerate(parent_lists))
-    model = CodeModel((PackageDef("p", classes),))  # not validated by build_model
-    queries = [lambda: dit(model, qn("p", "C0")), lambda: noc(model, qn("p", "C0")),
-               lambda: cbo(model, qn("p", "C0")), lambda: afferent(model, "p"),
-               lambda: efferent(model, "p"), lambda: compute_all(model)]
-    for query in queries:
-        with pytest.raises(ValueError, match=r"class 'p\.C[01]' is in an inheritance cycle"):
-            query()
+    packages = (PackageDef("p", classes),)
+    for construct in (CodeModel, build_model):  # no model with a cycle exists to measure
+        with pytest.raises(ModelError) as excinfo:
+            construct(packages)
+        assert excinfo.value.errors == validate_packages(packages)
+        assert [error.code for error in excinfo.value.errors] == [INHERITANCE_CYCLE]
 
 
 _QUERIES = {
@@ -257,9 +260,12 @@ def test_metrics_of_an_edge_to_an_undeclared_class_raise(query, edge, package):
     cls = ClassDef("A", parents=(gone,) if edge == "parent" else (),
                    attributes=(AttributeDef("f", gone, ASSOCIATION),) if edge == "field" else (),
                    methods=(method("m", uses=[gone]),) if edge == "use" else ())
-    model = CodeModel((PackageDef("p", (cls,)),))  # not validated by build_model
-    with pytest.raises(NotFoundError, match=rf"class '{package}\.Gone' is not declared"):
-        _QUERIES[query](model)
+    packages = (PackageDef("p", (cls,)),)
+    for construct in (CodeModel, build_model):  # the query never runs: construction raises
+        with pytest.raises(ModelError) as excinfo:
+            _QUERIES[query](construct(packages))
+        assert excinfo.value.errors == validate_packages(packages)
+        assert [error.code for error in excinfo.value.errors] == [UNRESOLVED_REFERENCE]
 
 
 # -- NOC ------------------------------------------------------------------------------

@@ -4,7 +4,10 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from designlens import model as model_module
 from designlens.model import (
     ABSTRACT_METHOD_IN_CONCRETE_CLASS,
     AGGREGATION,
@@ -34,7 +37,7 @@ from designlens.model import (
     resolve,
     validate_packages,
 )
-from modelgen import random_model
+from modelgen import random_model, random_packages
 
 
 def qn(package, cls=""):
@@ -348,6 +351,118 @@ def test_every_injected_defect_is_caught():
         with pytest.raises(ModelError) as excinfo:
             build_model(packages)
         assert excinfo.value.errors == errors
+
+
+def _references(cls):
+    return [*cls.parents, *(attr.target for attr in cls.attributes if attr.target),
+            *(target for method in cls.methods for target in method.uses)]
+
+
+def _break(packages, edit, rng):
+    """`packages` with the one `edit` applied, and the error code the edit must cause
+    (None for "none", or when the packages offer nothing to break that way)."""
+    declared = [(p, c) for p, pkg in enumerate(packages) for c in range(len(pkg.classes))]
+
+    def name(p, c):
+        return qn(packages[p].name, packages[p].classes[c].name)
+
+    def replace_class(p, c, cls):
+        classes = list(packages[p].classes)
+        if cls is None:
+            del classes[c]
+        else:
+            classes[c] = cls
+        packages[p] = PackageDef(packages[p].name, tuple(classes))
+
+    if edit == "drop":  # a class another class references
+        referenced = {(ref, name(p, c)) for p, c in declared
+                      for ref in _references(packages[p].classes[c])}
+        targets = [(p, c) for p, c in declared
+                   if any(ref == name(p, c) != by for ref, by in referenced)]
+        if targets:
+            replace_class(*rng.choice(targets), None)
+            return UNRESOLVED_REFERENCE
+    elif edit == "duplicate":
+        members = [(p, c) for p, c in declared
+                   if packages[p].classes[c].attributes or packages[p].classes[c].methods]
+        what = rng.choice(["package"] + ["class"] * bool(declared) + ["member"] * bool(members))
+        if what == "package":
+            packages.append(rng.choice(packages))
+            return DUPLICATE_PACKAGE
+        if what == "class":
+            p, c = rng.choice(declared)
+            packages[p] = PackageDef(packages[p].name,
+                                     packages[p].classes + (packages[p].classes[c],))
+            return DUPLICATE_CLASS
+        p, c = rng.choice(members)
+        cls = packages[p].classes[c]
+        if cls.attributes and (not cls.methods or rng.random() < 0.5):
+            cls = dataclasses.replace(cls, attributes=cls.attributes + (cls.attributes[0],))
+        else:
+            cls = dataclasses.replace(cls, methods=cls.methods + (cls.methods[-1],))
+        replace_class(p, c, cls)
+        return DUPLICATE_MEMBER
+    elif edit == "cycle" and declared:  # an early class extends a later one below it
+        p, c = rng.choice(declared)
+        early = name(p, c)
+        below = {early}
+        for q, d in declared:
+            if set(packages[q].classes[d].parents) & below:
+                below.add(name(q, d))
+        cls = packages[p].classes[c]
+        replace_class(p, c, dataclasses.replace(
+            cls, parents=cls.parents + (rng.choice(sorted(below)),)))
+        return INHERITANCE_CYCLE
+    elif edit == "abstract":
+        concrete = [(p, c) for p, c in declared if not packages[p].classes[c].is_abstract]
+        if concrete:
+            p, c = rng.choice(concrete)
+            cls = packages[p].classes[c]
+            replace_class(p, c, dataclasses.replace(
+                cls, methods=cls.methods + (MethodDef("abstract_m", is_abstract=True),)))
+            return ABSTRACT_METHOD_IN_CONCRETE_CLASS
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32),
+       edit=st.sampled_from(["none", "drop", "duplicate", "cycle", "abstract"]))
+def test_constructing_a_model_raises_exactly_the_validation_errors(seed, edit):
+    rng = random.Random(seed)
+    packages = random_packages(rng)
+    code = _break(packages, edit, rng)
+    expected = validate_packages(packages)
+    assert (code is None) == (expected == []) and code in {None, *(e.code for e in expected)}
+    for construct in (CodeModel, build_model):
+        if expected:
+            with pytest.raises(ModelError) as excinfo:
+                construct(packages)
+            assert [str(e) for e in excinfo.value.errors] == [str(e) for e in expected]
+        else:
+            assert construct(packages).packages == tuple(packages)
+
+
+def test_pickling_and_copying_a_model_do_not_validate_it_again(monkeypatch):
+    calls = []
+
+    def counted(packages):
+        calls.append(packages)
+        return validate_packages(packages)
+
+    monkeypatch.setattr(model_module, "validate_packages", counted)
+    rng = random.Random(23)
+    for _ in range(20):
+        model = random_model(rng)
+        package_graph(model)  # something derived travels with the copies
+        assert len(calls) == 1
+        calls.clear()
+        duplicates = [pickle.loads(pickle.dumps(model, protocol))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        duplicates += [copy.copy(model), copy.deepcopy(model)]
+        assert calls == []
+        for duplicate in duplicates:
+            assert duplicate == model and package_graph(duplicate) == package_graph(model)
+        assert calls == []
 
 
 def test_model_is_immutable():
