@@ -33,7 +33,7 @@ from .model import (
     validate_packages,
 )
 from .principles import Finding, Thresholds, detect_cycles, run_all
-from .report import LayeredReport, build_report, render
+from .report import LayeredReport, build_report, render, write_report
 
 __version__ = "0.1.0"
 
@@ -71,4 +71,5 @@ __all__ = [
     "run_all",
     "validate_packages",
     "write_interchange",
+    "write_report",
 ]

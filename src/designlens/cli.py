@@ -1,4 +1,4 @@
-"""Command-line driver: analyze inputs, render the report, enforce quality gates.
+"""Command-line driver: analyze inputs, write the report, enforce quality gates.
 
 Exit codes: 0 clean, 1 gate failure or fail-on finding, 2 usage error,
 3 parse/validation error (no report is emitted on 3).
@@ -44,7 +44,7 @@ from .report import (
     RELATIONSHIP_METRICS,
     LayeredReport,
     build_report,
-    render,
+    write_report,
 )
 
 EXIT_OK = 0
@@ -235,13 +235,13 @@ def run(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = N
         color = (args.format == "text" and args.out is None
                  and not os.environ.get(NO_COLOR_ENV)
                  and getattr(stdout, "isatty", lambda: False)())
-        output = render(layered, args.format, color=color)
 
-        try:
+        try:  # the report exists, so --out is opened only now
             if args.out is not None:
-                Path(args.out).write_text(output, encoding="utf-8")
+                with open(args.out, "w", encoding="utf-8") as out:
+                    write_report(layered, args.format, out)
             else:
-                stdout.write(output)
+                write_report(layered, args.format, stdout, color)
                 stdout.flush()
         except OSError as exc:
             target = "standard output" if args.out is None else args.out

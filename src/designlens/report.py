@@ -1,4 +1,4 @@
-"""Layered quality report: assembly plus text, JSON, and CSV renderers.
+"""Layered quality report: assembly plus text, JSON, and CSV writers.
 
 The four layers mirror the design workflow: class design, relationships,
 packaging, principles.  All output is canonical: fixed key order, name-sorted
@@ -13,6 +13,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, TextIO
 
 from .metrics import MetricsReport, format_rational
 from .model import CodeModel
@@ -84,34 +85,43 @@ def _layer(name: str, columns: tuple[str, ...], subjects: list[tuple[str, object
 
 
 def render(report: LayeredReport, format: str, color: bool = False) -> str:
-    """Render a layered report as 'text', 'json', or 'csv'."""
-    if format == "json":
-        return _render_json(report)
-    if format == "csv":
-        return _render_csv(report)
-    if format == "text":
-        return _render_text(report, color)
-    raise ValueError(f"unknown format {format!r}")
+    """The report as one string: `write_report` into memory."""
+    out = io.StringIO()
+    write_report(report, format, out, color)
+    return out.getvalue()
+
+
+def write_report(report: LayeredReport, format: str, out: TextIO, color: bool = False) -> None:
+    """Write a layered report to `out` as 'text', 'json', or 'csv', one metric row,
+    aggregate block or finding per write; no string holds a whole layer."""
+    if format not in _WRITERS:
+        raise ValueError(f"unknown format {format!r}")
+    _WRITERS[format](report, out, color)
 
 
 # -- JSON ----------------------------------------------------------------------
 
 
-def _render_json(report: LayeredReport) -> str:
-    return '{"layers":[' + ",".join(map(_json_layer, report.layers)) + "]}\n"
-
-
-def _json_layer(layer: Layer) -> str:
-    cells = ",".join(
-        f'{{"subject":{_json(subject)},"name":{_json(column)},"value":{_json(value)}}}'
-        for subject, values in layer.rows for column, value in zip(layer.columns, values))
-    aggregates = ",".join(
-        f'{_json(metric)}:{{"min":{_json(stats["min"])},"max":{_json(stats["max"])},'
-        f'"mean":{_json(stats["mean"])}}}'
-        for metric, stats in layer.aggregates.items())
-    findings = ",".join(map(_json_finding, layer.findings))
-    return (f'{{"name":{_json(layer.name)},"metrics":[{cells}],'
-            f'"aggregates":{{{aggregates}}},"findings":[{findings}]}}')
+def _write_json(report: LayeredReport, out: TextIO, color: bool) -> None:
+    out.write('{"layers":[')
+    for index, layer in enumerate(report.layers):
+        out.write(f'{"," if index else ""}{{"name":{_json(layer.name)},"metrics":[')
+        names = [f'{_json(column)},"value":' for column in layer.columns]
+        separator = ""
+        for subject, values in layer.rows:
+            head = f'{{"subject":{_json(subject)},"name":'
+            out.write(separator + ",".join(
+                f"{head}{name}{_json(value)}}}" for name, value in zip(names, values)))
+            separator = ","
+        out.write('],"aggregates":{')
+        for number, (metric, stats) in enumerate(layer.aggregates.items()):
+            out.write(f'{"," if number else ""}{_json(metric)}:{{"min":{_json(stats["min"])},'
+                      f'"max":{_json(stats["max"])},"mean":{_json(stats["mean"])}}}')
+        out.write('},"findings":[')
+        for number, finding in enumerate(layer.findings):
+            out.write(("," if number else "") + _json_finding(finding))
+        out.write("]}")
+    out.write("]}\n")
 
 
 def _json_finding(finding: Finding) -> str:
@@ -130,8 +140,7 @@ def _json(value: object) -> str:
 # -- CSV -----------------------------------------------------------------------
 
 
-def _render_csv(report: LayeredReport) -> str:
-    out = io.StringIO()
+def _write_csv(report: LayeredReport, out: TextIO, color: bool) -> None:
     writer = csv.writer(out, lineterminator="\n")
     for index, layer in enumerate(report.layers):
         if index:
@@ -145,9 +154,8 @@ def _render_csv(report: LayeredReport) -> str:
         else:
             writer.writerow(["subject", "metric", "value"])
             for subject, values in layer.rows:
-                for column, value in zip(layer.columns, values):
-                    writer.writerow([subject, column, _format_value(value, "")])
-    return out.getvalue()
+                writer.writerows([subject, column, _format_value(value, "")]
+                                 for column, value in zip(layer.columns, values))
 
 
 def _format_value(value: int | Fraction | None, undefined: str) -> str:
@@ -169,49 +177,54 @@ def _format_evidence(evidence: dict) -> str:
 # -- text ------------------------------------------------------------------------
 
 
-def _render_text(report: LayeredReport, color: bool) -> str:
-    lines: list[str] = []
+def _write_text(report: LayeredReport, out: TextIO, color: bool) -> None:
     for index, layer in enumerate(report.layers, start=1):
         if index > 1:
-            lines.append("")
+            out.write("\n")
         heading = f"Layer {index}: {layer.name}"
-        lines.append(f"{_BOLD}{heading}{_RESET}" if color else heading)
+        out.write(f"{_BOLD}{heading}{_RESET}\n" if color else f"{heading}\n")
         if layer.name == LAYER_PRINCIPLES:
-            lines.extend(_text_findings(layer.findings, color))
+            _text_findings(layer.findings, out, color)
         else:
-            lines.extend(_text_metrics(layer))
-    return "\n".join(lines) + "\n"
+            _text_metrics(layer, out)
 
 
-def _text_metrics(layer: Layer) -> list[str]:
+def _text_metrics(layer: Layer, out: TextIO) -> None:
+    """Two passes over the rows: one for the column widths, one to write each line."""
     if not layer.rows:
-        return ["  (no data)"]
-    table = [["subject", *layer.columns]]
-    table += [[subject, *(_format_value(value, "-") for value in values)]
-              for subject, values in layer.rows]
-    widths = [max(len(cell) for cell in column) for column in zip(*table)]
-    lines = ["  " + "  ".join(
-        cell.ljust(widths[i]) if i == 0 else cell.rjust(widths[i])
-        for i, cell in enumerate(row)).rstrip()
-        for row in table]
+        out.write("  (no data)\n")
+        return
+    widths = [max(len("subject"), max(len(subject) for subject, _ in layer.rows))]
+    widths += [max(len(column), max(len(_format_value(values[i], "-")) for _, values in layer.rows))
+               for i, column in enumerate(layer.columns)]
+    out.write(_text_row("subject", layer.columns, widths))
+    for subject, values in layer.rows:
+        out.write(_text_row(subject, [_format_value(value, "-") for value in values], widths))
     for metric, stats in layer.aggregates.items():
-        lines.append(f"  {metric}: min {_format_value(stats['min'], '-')}"
-                     f"  max {_format_value(stats['max'], '-')}"
-                     f"  mean {_format_value(stats['mean'], '-')}")
-    return lines
+        out.write(f"  {metric}: min {_format_value(stats['min'], '-')}"
+                  f"  max {_format_value(stats['max'], '-')}"
+                  f"  mean {_format_value(stats['mean'], '-')}\n")
 
 
-def _text_findings(findings: tuple[Finding, ...], color: bool) -> list[str]:
+def _text_row(subject: str, cells: Iterable[str], widths: list[int]) -> str:
+    padded = (cell.rjust(width) for cell, width in zip(cells, widths[1:]))
+    return "  " + "  ".join([subject.ljust(widths[0]), *padded]).rstrip() + "\n"
+
+
+def _text_findings(findings: tuple[Finding, ...], out: TextIO, color: bool) -> None:
     if not findings:
-        return ["  (no findings)"]
-    rows = [[f.rule, f.severity, f.locus, _format_evidence(f.evidence)] for f in findings]
-    widths = [max(len(row[i]) for row in rows) for i in range(3)]
-    lines = []
-    for row, finding in zip(rows, findings):
-        severity = row[1].ljust(widths[1])
+        out.write("  (no findings)\n")
+        return
+    rule_width = max(len(f.rule) for f in findings)
+    severity_width = max(len(f.severity) for f in findings)
+    locus_width = max(len(f.locus) for f in findings)
+    for finding in findings:
+        severity = finding.severity.ljust(severity_width)
         if color:
             severity = _SEVERITY_COLOR[finding.severity] + severity + _RESET
-        lines.append(f"  {row[0].ljust(widths[0])}  {severity}  {row[2].ljust(widths[2])}"
-                     f"  {row[3]}".rstrip())
-    return lines
+        out.write(f"  {finding.rule.ljust(rule_width)}  {severity}  "
+                  f"{finding.locus.ljust(locus_width)}  {_format_evidence(finding.evidence)}"
+                  .rstrip() + "\n")
 
+
+_WRITERS = {"json": _write_json, "csv": _write_csv, "text": _write_text}

@@ -26,16 +26,26 @@ from designlens.cli import (
     load_config,
     run,
 )
-from designlens.frontends import ParseFailure, parse_minioo_declarations, write_interchange
+from designlens.frontends import (
+    ParseFailure,
+    parse_minioo,
+    parse_minioo_declarations,
+    write_interchange,
+)
 from designlens.model import MAX_WEIGHT, ModelError, PackageDef, build_model
 from designlens.principles import Thresholds
+from designlens.report import render
 from conftest import FIXTURES, GOLDEN
 from modelgen import MUTATED_DOCUMENTS, random_model, write_minioo
 from test_frontends import reference_token_stream
+from test_report import full_report
 
 REFERENCE = str(FIXTURES / "reference.minioo")
 CYCLIC = str(FIXTURES / "cyclic.minioo")
 BROKEN = str(FIXTURES / "broken.minioo")
+
+
+_EXTENSIONS = {"text": "txt", "json": "json", "csv": "csv"}
 
 
 class _Tty(io.StringIO):
@@ -468,6 +478,41 @@ def test_out_into_a_missing_directory_is_a_usage_error(tmp_path):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("source", ["reference", "findings", "random"])
+def test_one_writer_gives_every_destination_the_same_bytes(tmp_path, monkeypatch, source):
+    monkeypatch.delenv("DESIGNLENS_NO_COLOR", raising=False)
+    path = FIXTURES / f"{source}.minioo"
+    if source == "random":
+        path = tmp_path / path.name
+        path.write_text(write_minioo(random_model(random.Random(11), max_packages=6,
+                                                  max_classes=10)), encoding="utf-8")
+    report = full_report(parse_minioo(path.read_text(encoding="utf-8")))
+    for fmt, ext in _EXTENSIONS.items():
+        rendered = render(report, fmt)
+        if source != "random":
+            assert rendered.encode("utf-8") == (GOLDEN / f"{source}.{ext}").read_bytes()
+        target = tmp_path / f"report.{ext}"
+        assert invoke("analyze", str(path), "--format", fmt, "--out", str(target)) == (
+            EXIT_OK, "", "")
+        assert target.read_bytes() == rendered.encode("utf-8")
+        assert invoke("analyze", str(path), "--format", fmt) == (EXIT_OK, rendered, "")
+    stdout = _Tty()
+    assert run(["analyze", str(path)], stdout=stdout, stderr=io.StringIO()) == EXIT_OK
+    assert stdout.getvalue() == render(report, "text", color=True)
+
+
+def test_out_is_not_opened_when_no_report_is_produced(tmp_path):
+    target = tmp_path / "report.json"
+    target.write_bytes(b"an earlier report\n")
+    config = tmp_path / "bad.json"
+    config.write_text('{"gates":{}}', encoding="utf-8")
+    code, _, err = invoke("analyze", REFERENCE, "--config", str(config), "--out", str(target))
+    assert (code, err) == (EXIT_USAGE, "error: 'gates' must be an array\n")
+    code, _, err = invoke("analyze", BROKEN, "--out", str(target))
+    assert code == EXIT_INPUT and "expected a type name" in err
+    assert target.read_bytes() == b"an earlier report\n"
+
+
 class _FullWrite(io.StringIO):
     def write(self, text):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
@@ -487,15 +532,24 @@ def test_a_failed_write_to_standard_output_is_a_usage_error(stream):
         EXIT_USAGE, f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n")
 
 
-def test_module_entry_point_prints_the_golden_json():
+def test_module_entry_point_writes_the_golden_reports(tmp_path):
     # perfbench/run.py starts the CLI this way; no other test runs main() or its __main__ guard
     root = Path(__file__).parent.parent
-    result = subprocess.run(
-        [sys.executable, "-m", "designlens.cli", "analyze", "tests/fixtures/reference.minioo",
-         "--format", "json"],
-        cwd=root, env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, timeout=60)
-    assert (result.returncode, result.stderr) == (EXIT_OK, b"")
-    assert result.stdout == (GOLDEN / "reference.json").read_bytes()
+
+    def entry_point(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "designlens.cli", "analyze", "tests/fixtures/reference.minioo",
+             *argv], cwd=root, env={**os.environ, "PYTHONPATH": "src"}, capture_output=True,
+            timeout=60)
+
+    for fmt, ext in _EXTENSIONS.items():
+        result = entry_point("--format", fmt)
+        assert (result.returncode, result.stderr) == (EXIT_OK, b"")
+        assert result.stdout == (GOLDEN / f"reference.{ext}").read_bytes()
+    target = tmp_path / "report.json"
+    result = entry_point("--format", "json", "--out", str(target))
+    assert (result.returncode, result.stdout, result.stderr) == (EXIT_OK, b"", b"")
+    assert target.read_bytes() == (GOLDEN / "reference.json").read_bytes()
 
 
 def test_stdout_is_byte_identical_across_runs():

@@ -3,6 +3,7 @@ import io
 import json
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from designlens.model import ClassDef, CodeModel, PackageDef, build_model
 from designlens.principles import SEVERITY_BY_RULE, run_all
 from designlens.report import (
     CLASS_DESIGN_METRICS,
+    FORMATS,
     LAYER_CLASS_DESIGN,
     LAYER_PACKAGING,
     LAYER_PRINCIPLES,
@@ -23,6 +25,7 @@ from designlens.report import (
     RELATIONSHIP_METRICS,
     build_report,
     render,
+    write_report,
 )
 from conftest import FIXTURES, GOLDEN
 from modelgen import random_model
@@ -183,6 +186,10 @@ def test_text_color_styling_is_opt_in(cyclic_source):
 
 
 def test_unknown_format_is_rejected(reference_source):
+    out = io.StringIO()
+    with pytest.raises(ValueError):
+        write_report(full_report(parse_minioo(reference_source)), "xml", out)
+    assert out.getvalue() == ""
     with pytest.raises(ValueError):
         render(full_report(parse_minioo(reference_source)), "xml")
 
@@ -265,6 +272,39 @@ def test_reference_fixture_matches_golden_rendering(fixture, fmt, ext):
     report = full_report(parse_minioo((FIXTURES / f"{fixture}.minioo").read_text(encoding="utf-8")))
     golden = (GOLDEN / f"{fixture}.{ext}").read_text(encoding="utf-8")
     assert render(report, fmt) == golden
+
+
+# -- memory ----------------------------------------------------------------------
+
+
+class _CountingSink(io.TextIOBase):
+    """A destination that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.length = 0
+
+    def write(self, text):
+        self.length += len(text)
+        return len(text)
+
+
+def test_writing_a_report_holds_no_whole_report_string():
+    # Long class names give a large report from a cheap model. csv.writer allocates a
+    # fixed 128 KB record buffer on its first row, so the CSV report is kept above 1.3 MB.
+    stem = "C" + "x" * 150
+    report = full_report(CodeModel(tuple(
+        PackageDef(f"p{p}", tuple(ClassDef(f"{stem}{c}") for c in range(500))) for p in range(5))))
+    for fmt in FORMATS:
+        sink = _CountingSink()
+        tracemalloc.start()
+        try:
+            write_report(report, fmt, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.length == len(render(report, fmt)), fmt
+        assert peak <= sink.length / 10, (fmt, peak, sink.length)
+    assert len(render(report, "json")) >= 500_000
 
 
 def reference_render_json(report):
