@@ -468,19 +468,119 @@ def _locus(path: _Path) -> str:
     return f"{_locus(parent)}[{key}]" if type(key) is int else f"{_locus(parent)}.{key}"
 
 
-class _SchemaWalker:
-    """Strict walk of the interchange document; collects every schema error.
+def _is_name(value: Any) -> bool:
+    """Whether a JSON value is a name: an ASCII identifier."""
+    return type(value) is str and value.isascii() and value.isidentifier()
 
-    Any error rejects the whole document, so a declaration is built only while
-    there is none.  Each distinct valid `pkg.Class` is checked once and shared, each
-    name kept is interned, and each read or use set is kept through `sets`.
+
+def _is_qualified(text: str) -> bool:
+    """Whether a string is a `pkg.Class` name."""
+    package, dot, cls = text.partition(".")
+    return bool(dot) and text.isascii() and package.isidentifier() and cls.isidentifier()
+
+
+def _all_of(kind: type, value: Any) -> bool:
+    """Whether a JSON value is an array of `kind` declarations only."""
+    return type(value) is list and all(type(item) is kind for item in value)
+
+
+# Each attribute kind, to the one string object every attribute of that kind keeps.
+_KINDS = {kind: kind for kind in (ASSOCIATION, AGGREGATION, NO_TARGET)}
+
+
+class _DeclarationBuilder:
+    """Builds each declaration of a decode as its JSON object closes: `hook` is the
+    decode's `object_pairs_hook`, so a valid document never exists as a tree of dicts.
+
+    An object's key set tells its kind.  It is built only if it passes every check
+    `_SchemaWalker` makes of it, all before any constructor runs, and its arrays hold
+    declarations of the right type; any other object stays a dict.  The root, once
+    each package is built, becomes `(packages,)`, which no JSON text decodes to.
+    Names are interned, and each distinct `pkg.Class` string and read or use set is
+    one object.
     """
+
+    def __init__(self, position: SourcePosition | None) -> None:
+        self.position = position
+        self.names: dict[str, QualifiedName] = {}
+        self.sets: dict[frozenset, frozenset] = {}
+
+    def hook(self, pairs: list[tuple[str, Any]]) -> Any:
+        obj = unique_keys(pairs)
+        keys = obj.keys()
+        if keys == _METHOD_KEYS:
+            built = self.method(obj)
+        elif keys == _ATTRIBUTE_KEYS:
+            built = self.attribute(obj)
+        elif keys == _CLASS_KEYS:
+            built = self.class_(obj)
+        elif keys == _PACKAGE_KEYS:
+            built = self.package(obj)
+        elif keys == _ROOT_KEYS and _all_of(PackageDef, obj["packages"]):
+            built = (obj["packages"],)
+        else:
+            built = None
+        return obj if built is None else built
+
+    def qualified(self, value: Any) -> QualifiedName | None:
+        if type(value) is not str:  # before the lookup: an array or object is unhashable
+            return None
+        name = self.names.get(value)
+        if name is None and _is_qualified(value):
+            package, _, cls = value.partition(".")
+            name = self.names[value] = QualifiedName(sys.intern(package), sys.intern(cls))
+        return name
+
+    def qualified_list(self, value: Any) -> list[QualifiedName] | None:
+        if type(value) is not list:
+            return None
+        names = [self.qualified(item) for item in value]
+        return None if None in names else names
+
+    def package(self, obj: dict) -> PackageDef | None:
+        name, classes = obj["name"], obj["classes"]
+        if not (_is_name(name) and _all_of(ClassDef, classes)):
+            return None
+        return PackageDef(sys.intern(name), tuple(classes), self.position)
+
+    def class_(self, obj: dict) -> ClassDef | None:
+        name, is_abstract, attributes, methods = (
+            obj["name"], obj["abstract"], obj["attributes"], obj["methods"])
+        parents = self.qualified_list(obj["parents"])
+        if not (_is_name(name) and type(is_abstract) is bool and parents is not None
+                and _all_of(AttributeDef, attributes) and _all_of(MethodDef, methods)):
+            return None
+        return ClassDef(sys.intern(name), is_abstract, tuple(parents), tuple(attributes),
+                        tuple(methods), self.position)
+
+    def attribute(self, obj: dict) -> AttributeDef | None:
+        name, target, kind = obj["name"], obj["target"], obj["kind"]
+        if target is not None and (target := self.qualified(target)) is None:
+            return None
+        kind = _KINDS.get(kind) if type(kind) is str else None
+        if not (_is_name(name) and kind is not None and (kind == NO_TARGET) == (target is None)):
+            return None
+        return AttributeDef(sys.intern(name), target, kind, self.position)
+
+    def method(self, obj: dict) -> MethodDef | None:
+        name, is_abstract, weight, reads = obj["name"], obj["abstract"], obj["weight"], obj["reads"]
+        uses = self.qualified_list(obj["uses"])
+        if not (_is_name(name) and type(is_abstract) is bool and type(weight) is int
+                and 1 <= weight <= MAX_WEIGHT and type(reads) is list
+                and all(map(_is_name, reads)) and uses is not None):
+            return None
+        intern, sets = sys.intern, self.sets
+        return MethodDef(intern(name), is_abstract, weight, _shared(sets, map(intern, reads)),
+                         _shared(sets, uses), self.position)
+
+
+class _SchemaWalker:
+    """Strict walk of an interchange document that did not decode to declarations:
+    it collects every schema error, and builds nothing."""
 
     def __init__(self, position: SourcePosition | None) -> None:
         self.errors: list[ValidationError] = []
         self.position = position
-        self.names: dict[str, QualifiedName] = {}
-        self.sets: dict[frozenset, frozenset] = {}
 
     def error(self, path: _Path, message: str) -> None:
         self.errors.append(ValidationError(SCHEMA_ERROR, _locus(path), message, self.position))
@@ -501,89 +601,75 @@ class _SchemaWalker:
             self.error((path, key), "missing field")
         return None if missing else value
 
-    def items(self, value: Any, path: _Path, decode: Callable[[Any, _Path], Any]) -> list:
-        """Decode each element of an array at `path[i]`."""
+    def items(self, value: Any, path: _Path, check: Callable[[Any, _Path], Any]) -> None:
+        """Check each element of an array at `path[i]`."""
         if type(value) is not list:
-            self.expected(path, "an array", value)
-            return []
-        return [decode(item, (path, i)) for i, item in enumerate(value)]
+            return self.expected(path, "an array", value)
+        for i, item in enumerate(value):
+            check(item, (path, i))
 
-    def identifier(self, value: Any, path: _Path) -> str | None:
+    def identifier(self, value: Any, path: _Path) -> None:
         if type(value) is not str:
-            return self.expected(path, "a string", value)
-        if not (value.isascii() and value.isidentifier()):
-            return self.error(path, f"not a valid identifier: {value!r}")
-        return sys.intern(value)
+            self.expected(path, "a string", value)
+        elif not _is_name(value):
+            self.error(path, f"not a valid identifier: {value!r}")
 
-    def qualified(self, value: Any, path: _Path) -> QualifiedName | None:
+    def qualified(self, value: Any, path: _Path) -> bool:
+        """Check a `pkg.Class` string; whether it is one."""
         if type(value) is not str:
-            return self.expected(path, "a string", value)
-        name = self.names.get(value)
-        if name is None:
-            package, dot, cls = value.partition(".")
-            if not (dot and value.isascii() and package.isidentifier() and cls.isidentifier()):
-                return self.error(path, f"expected 'pkg.Class', got {value!r}")
-            name = self.names[value] = QualifiedName(sys.intern(package), sys.intern(cls))
-        return name
+            self.expected(path, "a string", value)
+        elif not _is_qualified(value):
+            self.error(path, f"expected 'pkg.Class', got {value!r}")
+        else:
+            return True
+        return False
 
-    def package(self, value: Any, path: _Path) -> PackageDef | None:
+    def package(self, value: Any, path: _Path) -> None:
         obj = self.obj(value, path, _PACKAGE_KEYS)
-        if obj is None:
-            return None
-        name = self.identifier(obj["name"], (path, "name"))
-        classes = self.items(obj["classes"], (path, "classes"), self.class_)
-        return None if self.errors else PackageDef(name, tuple(classes), self.position)
+        if obj is not None:
+            self.identifier(obj["name"], (path, "name"))
+            self.items(obj["classes"], (path, "classes"), self.class_)
 
-    def class_(self, value: Any, path: _Path) -> ClassDef | None:
+    def class_(self, value: Any, path: _Path) -> None:
         obj = self.obj(value, path, _CLASS_KEYS)
         if obj is None:
-            return None
-        name = self.identifier(obj["name"], (path, "name"))
-        is_abstract = obj["abstract"]
-        if type(is_abstract) is not bool:
-            self.expected((path, "abstract"), "a boolean", is_abstract)
-        parents = self.items(obj["parents"], (path, "parents"), self.qualified)
-        attributes = self.items(obj["attributes"], (path, "attributes"), self.attribute)
-        methods = self.items(obj["methods"], (path, "methods"), self.method)
-        return None if self.errors else ClassDef(
-            name, is_abstract, tuple(parents), tuple(attributes), tuple(methods), self.position)
+            return
+        self.identifier(obj["name"], (path, "name"))
+        if type(obj["abstract"]) is not bool:
+            self.expected((path, "abstract"), "a boolean", obj["abstract"])
+        self.items(obj["parents"], (path, "parents"), self.qualified)
+        self.items(obj["attributes"], (path, "attributes"), self.attribute)
+        self.items(obj["methods"], (path, "methods"), self.method)
 
-    def attribute(self, value: Any, path: _Path) -> AttributeDef | None:
+    def attribute(self, value: Any, path: _Path) -> None:
         obj = self.obj(value, path, _ATTRIBUTE_KEYS)
         if obj is None:
-            return None
-        name = self.identifier(obj["name"], (path, "name"))
-        target = None
-        if obj["target"] is not None:
-            target = self.qualified(obj["target"], (path, "target"))
-            if target is None:
-                return None
+            return
+        self.identifier(obj["name"], (path, "name"))
+        target = obj["target"]
+        if target is not None and not self.qualified(target, (path, "target")):
+            return
         kind = obj["kind"]
         if kind not in (ASSOCIATION, AGGREGATION, NO_TARGET):
-            return self.error((path, "kind"),
-                              f"expected 'association', 'aggregation' or 'none', got {kind!r}")
-        if (kind == NO_TARGET) != (target is None):
+            self.error((path, "kind"),
+                       f"expected 'association', 'aggregation' or 'none', got {kind!r}")
+        elif (kind == NO_TARGET) != (target is None):
             self.error((path, "kind"), "kind 'none' is required exactly when target is null")
-        return None if self.errors else AttributeDef(name, target, kind, self.position)
 
-    def method(self, value: Any, path: _Path) -> MethodDef | None:
+    def method(self, value: Any, path: _Path) -> None:
         obj = self.obj(value, path, _METHOD_KEYS)
         if obj is None:
-            return None
-        name = self.identifier(obj["name"], (path, "name"))
-        is_abstract = obj["abstract"]
-        if type(is_abstract) is not bool:
-            self.expected((path, "abstract"), "a boolean", is_abstract)
+            return
+        self.identifier(obj["name"], (path, "name"))
+        if type(obj["abstract"]) is not bool:
+            self.expected((path, "abstract"), "a boolean", obj["abstract"])
         weight = obj["weight"]
         if type(weight) is not int or weight < 1:
             self.error((path, "weight"), f"expected a positive integer, got {weight!r}")
         elif weight > MAX_WEIGHT:
             self.error((path, "weight"), f"expected a weight of at most {MAX_WEIGHT}")
-        reads = self.items(obj["reads"], (path, "reads"), self.identifier)
-        uses = self.items(obj["uses"], (path, "uses"), self.qualified)
-        return None if self.errors else MethodDef(
-            name, is_abstract, weight, _shared(self.sets, reads), _shared(self.sets, uses),
-            self.position)
+        self.items(obj["reads"], (path, "reads"), self.identifier)
+        self.items(obj["uses"], (path, "uses"), self.qualified)
 
 
 def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -598,16 +684,12 @@ def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
-def decode_interchange(document: str, path: str | None = None) -> list[PackageDef]:
-    """Decode an interchange document to declarations, without semantic validation.
-
-    Given a `path`, each declaration and each error has a position naming that
-    file (no line or column).  Raises ModelError with MalformedDocument /
-    SchemaError entries (the locus is the JSON path of the offending field).
-    """
-    position = SourcePosition(None, None, path) if path is not None else None
+def _loads(document: str, hook: Callable[[list[tuple[str, Any]]], Any],
+           position: SourcePosition | None) -> Any:
+    """`json.loads` with `hook` as the `object_pairs_hook`; raises ModelError with a
+    MalformedDocument entry for a text that is not strict JSON."""
     try:
-        data = json.loads(document, object_pairs_hook=unique_keys)
+        return json.loads(document, object_pairs_hook=hook)
     except json.JSONDecodeError as exc:
         raise ModelError([ValidationError(MALFORMED_DOCUMENT, f"line {exc.lineno}",
                                           f"not well-formed JSON: {exc.msg}", position)]) from None
@@ -618,13 +700,27 @@ def decode_interchange(document: str, path: str | None = None) -> list[PackageDe
         raise ModelError([ValidationError(
             MALFORMED_DOCUMENT, "document", "JSON nesting is too deep", position)]) from None
 
+
+def decode_interchange(document: str, path: str | None = None) -> list[PackageDef]:
+    """Decode an interchange document to declarations, without semantic validation.
+
+    Each declaration is built as its JSON object closes, so a valid document never
+    exists as a tree of dicts.  A document that does not decode to declarations is
+    decoded a second time, to plain dicts, only to collect its errors.  Given a
+    `path`, each declaration and each error has a position naming that file (no line
+    or column).  Raises ModelError with MalformedDocument / SchemaError entries (the
+    locus is the JSON path of the offending field).
+    """
+    position = SourcePosition(None, None, path) if path is not None else None
+    built = _loads(document, _DeclarationBuilder(position).hook, position)
+    if type(built) is tuple:
+        return built[0]
+    del built  # the dicts and declarations of the first decode; the walker needs none
     walker = _SchemaWalker(position)
-    root = walker.obj(data, None, _ROOT_KEYS)
-    packages = [] if root is None else walker.items(root["packages"], (None, "packages"),
-                                                    walker.package)
-    if walker.errors:
-        raise ModelError(walker.errors)
-    return packages
+    root = walker.obj(_loads(document, unique_keys, position), None, _ROOT_KEYS)
+    if root is not None:
+        walker.items(root["packages"], (None, "packages"), walker.package)
+    raise ModelError(walker.errors)
 
 
 def read_interchange(document: str) -> CodeModel:

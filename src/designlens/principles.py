@@ -40,7 +40,7 @@ SEVERITY_BY_RULE = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Finding:
     """One principle violation, advisory, or warning with its measured evidence."""
 

@@ -131,18 +131,31 @@ _SCHEMA_KEYS = ("packages", "name", "classes", "abstract", "parents", "attribute
 
 def mutate_document(document: str, rng: random.Random) -> str:
     """`document` with one to three random edits: a value swapped for junk or
-    deleted, or a junk key or element added to an object or array."""
+    deleted, a junk key or element added to an object or array, one object's keys
+    reordered, or a copy of one of the document's objects or arrays put in place of a
+    value or added to an object or array, so a method may land among the attributes,
+    a class among the parents, or the root inside itself."""
     data = json.loads(document)
     for _ in range(rng.randint(1, 3)):
         slots = []  # (container, key) of every value, and (container, None) to add to it
+        containers = []
         stack = [data]
         while stack:
             node = stack.pop()
+            containers.append(node)
             keys = list(node) if isinstance(node, dict) else range(len(node))
             slots += [(node, None), *((node, key) for key in keys)]
             stack += [node[key] for key in keys if isinstance(node[key], (dict, list))]
+        edit = rng.random()
+        if edit < 0.15:
+            node = rng.choice([node for node in containers if isinstance(node, dict)])
+            items = list(node.items())
+            rng.shuffle(items)
+            node.clear()
+            node.update(items)
+            continue
         node, key = rng.choice(slots)
-        junk = copy.deepcopy(rng.choice(_JUNK))
+        junk = copy.deepcopy(rng.choice(containers if edit < 0.4 else _JUNK))
         if key is None and isinstance(node, dict):
             node[rng.choice(_SCHEMA_KEYS)] = junk
         elif key is None:

@@ -552,6 +552,43 @@ def test_module_entry_point_writes_the_golden_reports(tmp_path):
     assert target.read_bytes() == (GOLDEN / "reference.json").read_bytes()
 
 
+# Semantic errors of every kind, several of each, in one input.
+_ERRORS_SOURCE = """
+package p {
+  class A extends B { field x: int; method m reads (y, x, z) uses (q.Gone, p.Lost); }
+  class B extends C { abstract method f; }
+  class C extends A { field x: int; field x: q.D; }
+  class A { }
+}
+package q { class D extends p.Nowhere, p.C { } }
+package p { }
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # both frontends keep names in sets and memos, and the analysis iterates many sets
+    model = random_model(random.Random(3), max_packages=8, max_classes=40, allow_empty=False)
+    inputs = {"m.json": write_interchange(model), "m.minioo": write_minioo(model),
+              "errors.minioo": _ERRORS_SOURCE}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    root = Path(__file__).parent.parent
+
+    def analyze(name, seed):
+        result = subprocess.run(
+            [sys.executable, "-m", "designlens.cli", "analyze", str(tmp_path / name),
+             "--format", "json"], cwd=root, capture_output=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": "src", "PYTHONHASHSEED": seed})
+        return result.returncode, result.stderr, result.stdout
+
+    runs = {name: [analyze(name, seed) for seed in ("1", "2")] for name in inputs}
+    assert [runs[name][0][0] for name in inputs] == [EXIT_OK, EXIT_OK, EXIT_INPUT]
+    assert runs["m.json"][0][2] == runs["m.minioo"][0][2] and runs["m.json"][0][2]
+    assert runs["errors.minioo"][0][1].count(b"\n") > 8
+    for first, second in runs.values():
+        assert first == second
+
+
 def test_stdout_is_byte_identical_across_runs():
     first = invoke("analyze", REFERENCE, "--format", "json")
     second = invoke("analyze", REFERENCE, "--format", "json")

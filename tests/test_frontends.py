@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import designlens
-from designlens import cli
+from designlens import cli, frontends
 from designlens.frontends import (
     MALFORMED_DOCUMENT,
     SCHEMA_ERROR,
@@ -1101,6 +1101,36 @@ def test_each_distinct_name_is_decoded_to_one_shared_object():
     references = [*cls.parents, *(attr.target for attr in cls.attributes), use]
     assert references == [qn("q", "B")] * 4
     assert all(reference is references[0] for reference in references)
+
+
+def test_a_decode_peaks_below_twice_what_it_keeps():
+    # a decode that built a dict tree and then walked it peaked at about 3 times
+    document = write_interchange(random_model(random.Random(5), max_packages=12,
+                                              max_classes=50, allow_empty=False))
+    tracemalloc.start()
+    try:
+        packages = decode_interchange(document)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(pkg.classes) for pkg in packages) > 300
+    assert peak < 2 * kept
+
+
+def test_only_a_rejected_document_is_walked(monkeypatch):
+    walked = []
+
+    class Walker(frontends._SchemaWalker):
+        def __init__(self, *args):
+            walked.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(frontends, "_SchemaWalker", Walker)
+    assert decode_interchange(_one_class_document())
+    assert walked == []
+    with pytest.raises(ModelError):
+        decode_interchange(_one_class_document(abstract=0))
+    assert len(walked) == 1
 
 
 def test_an_invalid_name_is_reported_at_each_occurrence():

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -558,3 +560,21 @@ def test_checks_never_trip_on_undefined_values():
         for finding in findings:
             if finding.rule in (RULE_SDP, RULE_SAP_PAIN, RULE_SAP_USELESS):
                 assert None not in finding.evidence.values()
+
+
+def test_a_finding_is_slotted_and_compares_prints_copies_and_pickles_as_before():
+    finding = Finding(RULE_DIP, "advisory", "a.B->a.C", {"kind": "use"})
+    assert not hasattr(finding, "__dict__")
+    assert finding == Finding(RULE_DIP, "advisory", "a.B->a.C", {"kind": "use"})
+    assert finding != Finding(RULE_DIP, "advisory", "a.B->a.C", {"kind": "inherit"})
+    assert repr(finding) == ("Finding(rule='DIP', severity='advisory', locus='a.B->a.C', "
+                             "evidence={'kind': 'use'})")
+    for twin in (copy.copy(finding), copy.deepcopy(finding),
+                 pickle.loads(pickle.dumps(finding))):
+        assert type(twin) is Finding and twin == finding
+    moved = dataclasses.replace(finding, locus="a.B->a.D")
+    assert (moved.locus, moved.evidence) == ("a.B->a.D", finding.evidence)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        finding.locus = "x"
+    with pytest.raises(TypeError):  # the evidence is a dict
+        hash(finding)
