@@ -57,15 +57,16 @@ class _Lines:
         return SourcePosition(line, offset - starts[line - 1] + 1, self.path)
 
 
-class _Offset(tuple):
-    """A MiniOO position, `(offset, lines)`: its line and column are resolved only when
-    read.  It equals, hashes, prints, pickles and copies as its `SourcePosition`."""
+class _Offset(int):
+    """A MiniOO position: an `int`, its source offset, of a class each parse makes,
+    whose `lines` is the file the parse read.  Its line and column are resolved only
+    when read.  It equals, hashes, prints, pickles and copies as its `SourcePosition`."""
 
     __slots__ = ()
+    lines: _Lines  # a class attribute of each parse's subclass
 
     def resolved(self) -> SourcePosition:
-        offset, lines = self
-        return lines.resolve(offset)
+        return self.lines.resolve(self)
 
     @property
     def line(self) -> int:
@@ -77,7 +78,10 @@ class _Offset(tuple):
 
     @property
     def path(self) -> str | None:
-        return self[1].path
+        return self.lines.path
+
+    def __bool__(self) -> bool:
+        return True  # a position, at offset 0 too
 
     def __eq__(self, other: object) -> bool:
         return self.resolved() == other
@@ -90,6 +94,12 @@ class _Offset(tuple):
 
     def __repr__(self) -> str:
         return repr(self.resolved())
+
+    def __str__(self) -> str:
+        return str(self.resolved())
+
+    def __format__(self, spec: str) -> str:
+        return format(self.resolved(), spec)
 
     def __reduce__(self) -> tuple:
         position = self.resolved()
@@ -181,7 +191,9 @@ class _MiniOOParser:
         self._next = _TOKEN_RE.finditer(source).__next__
         self._advance()
         self.errors: list[ParseError] = []
-        self.lines = _Lines(path)  # every position of the parse points at it
+        self.lines = _Lines(path)
+        # every position of the parse is one `at(offset)`; only they refer to this class
+        self.at = type("_Offset", (_Offset,), {"__slots__": (), "lines": self.lines})
         self.sets: dict[frozenset, frozenset] = {}
         self.names: dict[tuple[str, str], QualifiedName] = {}
         # each distinct `reads` text matched, to its set; no list at all is the empty set
@@ -210,8 +222,7 @@ class _MiniOOParser:
 
     def _error(self, expected: str) -> None:
         found = "end of input" if self.kind == "eof" else _echo(self.text)
-        self.errors.append(ParseError(_Offset((self.match.start(self.kind), self.lines)),
-                                      expected, found))
+        self.errors.append(ParseError(self.at(self.match.start(self.kind)), expected, found))
 
     def _fail(self, expected: str) -> NoReturn:
         self._error(expected)
@@ -231,7 +242,7 @@ class _MiniOOParser:
 
     def _declare(self, expected: str) -> tuple[str, _Offset]:
         """Read a declared name and the position where it is declared."""
-        position = _Offset((self.match.start(self.kind), self.lines))
+        position = self.at(self.match.start(self.kind))
         return sys.intern(self._name(expected)), position
 
     def _synchronize(self) -> str | None:
@@ -260,7 +271,7 @@ class _MiniOOParser:
         if not packages and not self.errors and not self.bad:
             self._error("at least one package declaration")
         # every lexer error is known once `eof` is current; they are reported first
-        self.errors[:0] = [ParseError(_Offset((offset, self.lines)), expected, found)
+        self.errors[:0] = [ParseError(self.at(offset), expected, found)
                            for offset, expected, found in self.bad]
         self.lines.starts.extend(map(re.Match.end, re.finditer("\n", self.source)))
         return packages
@@ -309,14 +320,14 @@ class _MiniOOParser:
         # one match per member, up to `}` or the first member `_MEMBER` does not match:
         # that member is malformed, so the body is read on from it only to report errors
         source, sets, intern, pos = self.source, self.sets, sys.intern, self.match.end()
-        lines, read_sets, qualified = self.lines, self.reads, self._qualified
+        at, read_sets, qualified = self.at, self.reads, self._qualified
         while member := self.member(source, pos):
             field, first, second, kind, abstract, method, weight, reads, uses = member.groups()
             if field is not None:
                 target = None if first is None else qualified(package, first, second)
                 kind = NO_TARGET if first is None else _ATTRIBUTE_KINDS.get(kind, ASSOCIATION)
                 attributes.append(AttributeDef(intern(field), target, kind,
-                                               _Offset((member.start("field"), lines))))
+                                               at(member.start("field"))))
             elif weight is not None and _too_heavy(weight):
                 break  # `_method` reports the weight
             else:
@@ -328,7 +339,7 @@ class _MiniOOParser:
                                                 self.items(source, *member.span("uses"))]
                 methods.append(MethodDef(
                     intern(method), abstract is not None, 1 if weight is None else int(weight),
-                    read_set, _shared(sets, uses), _Offset((member.start("method"), lines))))
+                    read_set, _shared(sets, uses), at(member.start("method"))))
             pos = member.end()
         self._next = _TOKEN_RE.finditer(source, pos).__next__
         self._advance()

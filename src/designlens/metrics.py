@@ -18,7 +18,7 @@ class UnknownPackageError(KeyError):
     """The named package is not declared in the model."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassMetrics:
     name: QualifiedName
     wmc: int
@@ -28,7 +28,7 @@ class ClassMetrics:
     lcom: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PackageMetrics:
     name: str
     ca: int

@@ -6,6 +6,7 @@ import pickle
 import random
 import re
 import tracemalloc
+import weakref
 from bisect import bisect_right
 from typing import Any, Iterator, NoReturn
 from unittest.mock import patch
@@ -23,6 +24,7 @@ from designlens.frontends import (
     ParseFailure,
     SourcePosition,
     _MiniOOParser,
+    _Offset,
     decode_interchange,
     parse_minioo,
     parse_minioo_declarations,
@@ -299,7 +301,8 @@ def test_a_parsed_position_equals_pickles_and_copies_as_a_source_position(refere
 
 
 def test_no_position_keeps_the_source_text_alive():
-    # a position holds its offset and one record per file, which keeps the line starts
+    # a position is its offset, of a class made per parse that holds one record per
+    # file, which keeps the line starts
     source = write_minioo(random_model(random.Random(3), max_classes=40))
     packages = parse_minioo_declarations(source, "m.minioo")
     reached, seen, stack = [], set(), [packages]
@@ -310,9 +313,31 @@ def test_no_position_keeps_the_source_text_alive():
         seen.add(id(obj))
         reached.append(obj)
         stack.extend(gc.get_referents(obj))
-    assert len(reached) > 1000 and any(type(obj).__name__ == "_Lines" for obj in reached)
+        if isinstance(obj, _Offset):  # its class, skipped above, holds the file record
+            stack.append(type(obj).lines)
+    positions = sum(isinstance(obj, _Offset) for obj in reached)
+    assert positions == sum(1 for _ in _declarations(packages)) > 100
+    assert any(type(obj).__name__ == "_Lines" for obj in reached)
     assert not any(obj is source or (isinstance(obj, str) and len(obj) > 100)
                    for obj in reached)
+
+
+def test_a_position_at_offset_zero_is_true_and_prints_and_collects_as_a_position():
+    # a position is an int of a class made per parse: it must not act as its offset
+    with pytest.raises(ParseFailure) as excinfo:
+        parse_minioo_declarations("x", "m.minioo")
+    position = excinfo.value.errors[0].position
+    expected = SourcePosition(1, 1, "m.minioo")
+    assert position and position == expected
+    assert str(position) == format(position) == f"{position}" == repr(expected)
+    assert str(ValidationError("X", "p", "m", position)) == "1:1: X at p: m"
+    assert gc.get_referents(position) == [type(position)]
+    packages = parse_minioo_declarations("package p { class A { field x: int; } }")
+    per_parse = weakref.ref(type(packages[0].position))
+    assert type(packages[0].classes[0].position) is per_parse()
+    del packages
+    gc.collect()  # a class sits in reference cycles, so only the collector frees it
+    assert per_parse() is None
 
 
 def test_a_clean_parse_and_analysis_resolve_no_position(monkeypatch, reference_source):
@@ -590,9 +615,10 @@ def test_an_unqualified_reference_names_a_class_of_its_own_package():
 
 
 def test_a_parse_keeps_few_bytes_per_declaration():
-    # slotted declarations, interned names and shared read/use sets keep 280 B per
-    # declaration of this model; a __dict__ per declaration, a string per name and a
-    # frozenset per read/use list kept 615 B
+    # slotted declarations, interned names, shared read/use sets and one-int positions
+    # keep 248 B per declaration of this model; a tuple and an int per position kept
+    # 292 B, and a __dict__ per declaration, a string per name and a frozenset per
+    # read/use list 615 B
     source = write_minioo(random_model(random.Random(0), max_packages=4, max_classes=250))
     warm = parse_minioo_declarations(source)  # its names are interned while tracing is off
     gc.collect()  # a full collection empties the free lists, so all the parse keeps is traced
@@ -604,7 +630,7 @@ def test_a_parse_keeps_few_bytes_per_declaration():
         tracemalloc.stop()
     declarations = sum(1 for _ in _declarations(packages))
     assert packages == warm and declarations > 2000
-    assert retained / declarations < 370
+    assert retained / declarations < 270
 
 
 # -- the parser against the one it replaced -----------------------------------------

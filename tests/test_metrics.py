@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import io
 import itertools
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -12,6 +15,8 @@ from designlens import cli
 from designlens import model as model_module
 from designlens.frontends import parse_minioo
 from designlens.metrics import (
+    ClassMetrics,
+    PackageMetrics,
     UnknownPackageError,
     abstractness,
     afferent,
@@ -649,6 +654,27 @@ def test_compute_all_iterates_in_name_order():
     report = compute_all(model)
     assert list(report.per_class) == sorted(report.per_class)
     assert list(report.per_package) == ["alpha", "zeta"]
+
+
+@pytest.mark.parametrize("values,expected_repr,count", [
+    (ClassMetrics(QualifiedName("a", "B"), 3, 1, 0, 2, 1),
+     "ClassMetrics(name=QualifiedName(package='a', cls='B'), wmc=3, dit=1, noc=0, cbo=2, "
+     "lcom=1)", "cbo"),
+    (PackageMetrics("a", 1, 2, Fraction(2, 3), Fraction(0), None),
+     "PackageMetrics(name='a', ca=1, ce=2, instability=Fraction(2, 3), "
+     "abstractness=Fraction(0, 1), distance=None)", "ce"),
+], ids=["class", "package"])
+def test_metric_values_are_slotted_and_compare_print_copy_and_pickle_as_before(
+        values, expected_repr, count):
+    assert not hasattr(values, "__dict__")
+    assert repr(values) == expected_repr
+    for twin in (copy.copy(values), copy.deepcopy(values), pickle.loads(pickle.dumps(values))):
+        assert type(twin) is type(values) and twin == values and hash(twin) == hash(values)
+    moved = dataclasses.replace(values, **{count: 7})
+    assert moved != values and getattr(moved, count) == 7 and moved.name == values.name
+    assert dataclasses.replace(moved, **{count: getattr(values, count)}) == values
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        values.name = "x"
 
 
 # -- rendering of rationals -----------------------------------------------------------------
