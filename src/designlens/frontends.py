@@ -479,127 +479,58 @@ def _locus(path: _Path) -> str:
     return f"{_locus(parent)}[{key}]" if type(key) is int else f"{_locus(parent)}.{key}"
 
 
-def _is_name(value: Any) -> bool:
-    """Whether a JSON value is a name: an ASCII identifier."""
-    return type(value) is str and value.isascii() and value.isidentifier()
-
-
-def _is_qualified(text: str) -> bool:
-    """Whether a string is a `pkg.Class` name."""
-    package, dot, cls = text.partition(".")
-    return bool(dot) and text.isascii() and package.isidentifier() and cls.isidentifier()
-
-
-def _all_of(kind: type, value: Any) -> bool:
-    """Whether a JSON value is an array of `kind` declarations only."""
-    return type(value) is list and all(type(item) is kind for item in value)
-
-
 # Each attribute kind, to the one string object every attribute of that kind keeps.
 _KINDS = {kind: kind for kind in (ASSOCIATION, AGGREGATION, NO_TARGET)}
 
 
-class _DeclarationBuilder:
-    """Builds each declaration of a decode as its JSON object closes: `hook` is the
-    decode's `object_pairs_hook`, so a valid document never exists as a tree of dicts.
+class _Schema:
+    """The interchange schema.  `package`, `class_`, `attribute` and `method` each
+    check one JSON value, given its parent's path and its key there, and return its
+    declaration, or None once they have reported why the value is not one: each
+    builds only if no failure was counted while it ran.  `root` checks a document and
+    returns its packages array; the document is valid if no failure was counted at
+    all.  Only a schema given an `errors` list keeps the errors.  Names are interned,
+    and each distinct `pkg.Class` string and read or use set is one object.
 
-    An object's key set tells its kind.  It is built only if it passes every check
-    `_SchemaWalker` makes of it, all before any constructor runs, and its arrays hold
-    declarations of the right type; any other object stays a dict.  The root, once
-    each package is built, becomes `(packages,)`, which no JSON text decodes to.
-    Names are interned, and each distinct `pkg.Class` string and read or use set is
-    one object.
+    As a decode's `object_pairs_hook`, it checks each object that may be a
+    declaration as it closes, and puts the declaration in its place; an array
+    element already built as the declaration the array holds is taken as it is.
     """
 
-    def __init__(self, position: SourcePosition | None) -> None:
+    def __init__(self, position: SourcePosition | None,
+                 errors: list[ValidationError] | None = None) -> None:
         self.position = position
+        self.errors = errors
+        self.failures = 0
         self.names: dict[str, QualifiedName] = {}
         self.sets: dict[frozenset, frozenset] = {}
 
     def hook(self, pairs: list[tuple[str, Any]]) -> Any:
         obj = unique_keys(pairs)
-        keys = obj.keys()
-        if keys == _METHOD_KEYS:
-            built = self.method(obj)
-        elif keys == _ATTRIBUTE_KEYS:
-            built = self.attribute(obj)
-        elif keys == _CLASS_KEYS:
-            built = self.class_(obj)
-        elif keys == _PACKAGE_KEYS:
-            built = self.package(obj)
-        elif keys == _ROOT_KEYS and _all_of(PackageDef, obj["packages"]):
-            built = (obj["packages"],)
+        # checked as the declaration with a field only it has; `fields` checks the rest
+        if "weight" in obj:
+            built = self.method(obj, None, None)
+        elif "kind" in obj:
+            built = self.attribute(obj, None, None)
+        elif "methods" in obj:
+            built = self.class_(obj, None, None)
+        elif "classes" in obj:
+            built = self.package(obj, None, None)
         else:
-            built = None
+            return obj
         return obj if built is None else built
 
-    def qualified(self, value: Any) -> QualifiedName | None:
-        if type(value) is not str:  # before the lookup: an array or object is unhashable
-            return None
-        name = self.names.get(value)
-        if name is None and _is_qualified(value):
-            package, _, cls = value.partition(".")
-            name = self.names[value] = QualifiedName(sys.intern(package), sys.intern(cls))
-        return name
-
-    def qualified_list(self, value: Any) -> list[QualifiedName] | None:
-        if type(value) is not list:
-            return None
-        names = [self.qualified(item) for item in value]
-        return None if None in names else names
-
-    def package(self, obj: dict) -> PackageDef | None:
-        name, classes = obj["name"], obj["classes"]
-        if not (_is_name(name) and _all_of(ClassDef, classes)):
-            return None
-        return PackageDef(sys.intern(name), tuple(classes), self.position)
-
-    def class_(self, obj: dict) -> ClassDef | None:
-        name, is_abstract, attributes, methods = (
-            obj["name"], obj["abstract"], obj["attributes"], obj["methods"])
-        parents = self.qualified_list(obj["parents"])
-        if not (_is_name(name) and type(is_abstract) is bool and parents is not None
-                and _all_of(AttributeDef, attributes) and _all_of(MethodDef, methods)):
-            return None
-        return ClassDef(sys.intern(name), is_abstract, tuple(parents), tuple(attributes),
-                        tuple(methods), self.position)
-
-    def attribute(self, obj: dict) -> AttributeDef | None:
-        name, target, kind = obj["name"], obj["target"], obj["kind"]
-        if target is not None and (target := self.qualified(target)) is None:
-            return None
-        kind = _KINDS.get(kind) if type(kind) is str else None
-        if not (_is_name(name) and kind is not None and (kind == NO_TARGET) == (target is None)):
-            return None
-        return AttributeDef(sys.intern(name), target, kind, self.position)
-
-    def method(self, obj: dict) -> MethodDef | None:
-        name, is_abstract, weight, reads = obj["name"], obj["abstract"], obj["weight"], obj["reads"]
-        uses = self.qualified_list(obj["uses"])
-        if not (_is_name(name) and type(is_abstract) is bool and type(weight) is int
-                and 1 <= weight <= MAX_WEIGHT and type(reads) is list
-                and all(map(_is_name, reads)) and uses is not None):
-            return None
-        intern, sets = sys.intern, self.sets
-        return MethodDef(intern(name), is_abstract, weight, _shared(sets, map(intern, reads)),
-                         _shared(sets, uses), self.position)
-
-
-class _SchemaWalker:
-    """Strict walk of an interchange document that did not decode to declarations:
-    it collects every schema error, and builds nothing."""
-
-    def __init__(self, position: SourcePosition | None) -> None:
-        self.errors: list[ValidationError] = []
-        self.position = position
-
     def error(self, path: _Path, message: str) -> None:
-        self.errors.append(ValidationError(SCHEMA_ERROR, _locus(path), message, self.position))
+        self.failures += 1
+        if self.errors is not None:
+            self.errors.append(ValidationError(SCHEMA_ERROR, _locus(path), message,
+                                               self.position))
 
     def expected(self, path: _Path, what: str, value: Any) -> None:
         self.error(path, f"expected {what}, got {type(value).__name__}")
 
-    def obj(self, value: Any, path: _Path, keys: KeysView[str]) -> dict | None:
+    def fields(self, value: Any, path: _Path, keys: KeysView[str]) -> dict | None:
+        """`value`, an object with every field of `keys`; reports each missing or unknown one."""
         if type(value) is not dict:
             return self.expected(path, "an object", value)
         if value.keys() == keys:
@@ -612,75 +543,106 @@ class _SchemaWalker:
             self.error((path, key), "missing field")
         return None if missing else value
 
-    def items(self, value: Any, path: _Path, check: Callable[[Any, _Path], Any]) -> None:
-        """Check each element of an array at `path[i]`."""
+    def items(self, value: Any, parent: _Path, key: str,
+              check: Callable[[Any, _Path, int], Any], built: type | None = None) -> list | None:
+        """An array, each element replaced by what `check` returns for it; an element
+        of type `built` is taken as it is."""
         if type(value) is not list:
-            return self.expected(path, "an array", value)
-        for i, item in enumerate(value):
-            check(item, (path, i))
+            return self.expected((parent, key), "an array", value)
+        path = (parent, key)
+        for index, item in enumerate(value):
+            if type(item) is not built:
+                value[index] = check(item, path, index)
+        return value
 
-    def identifier(self, value: Any, path: _Path) -> None:
+    def name(self, value: Any, parent: _Path, key: str | int) -> str | None:
+        """An ASCII identifier, interned."""
         if type(value) is not str:
-            self.expected(path, "a string", value)
-        elif not _is_name(value):
-            self.error(path, f"not a valid identifier: {value!r}")
+            return self.expected((parent, key), "a string", value)
+        if value.isascii() and value.isidentifier():
+            return sys.intern(value)
+        return self.error((parent, key), f"not a valid identifier: {value!r}")
 
-    def qualified(self, value: Any, path: _Path) -> bool:
-        """Check a `pkg.Class` string; whether it is one."""
-        if type(value) is not str:
-            self.expected(path, "a string", value)
-        elif not _is_qualified(value):
-            self.error(path, f"expected 'pkg.Class', got {value!r}")
-        else:
-            return True
-        return False
+    def qualified(self, value: Any, parent: _Path, key: str | int) -> QualifiedName | None:
+        """A `pkg.Class` name, one object per distinct string."""
+        if type(value) is not str:  # before the lookup: an array or object is unhashable
+            return self.expected((parent, key), "a string", value)
+        name = self.names.get(value)
+        if name is None:
+            package, dot, cls = value.partition(".")
+            if not (dot and value.isascii() and package.isidentifier() and cls.isidentifier()):
+                return self.error((parent, key), f"expected 'pkg.Class', got {value!r}")
+            name = self.names[value] = QualifiedName(sys.intern(package), sys.intern(cls))
+        return name
 
-    def package(self, value: Any, path: _Path) -> None:
-        obj = self.obj(value, path, _PACKAGE_KEYS)
+    def root(self, value: Any) -> list | None:
+        obj = self.fields(value, None, _ROOT_KEYS)
         if obj is not None:
-            self.identifier(obj["name"], (path, "name"))
-            self.items(obj["classes"], (path, "classes"), self.class_)
+            return self.items(obj["packages"], None, "packages", self.package, PackageDef)
 
-    def class_(self, value: Any, path: _Path) -> None:
-        obj = self.obj(value, path, _CLASS_KEYS)
+    def package(self, value: Any, parent: _Path, key: int | None) -> PackageDef | None:
+        failures = self.failures
+        obj = self.fields(value, path := (parent, key), _PACKAGE_KEYS)
         if obj is None:
-            return
-        self.identifier(obj["name"], (path, "name"))
-        if type(obj["abstract"]) is not bool:
-            self.expected((path, "abstract"), "a boolean", obj["abstract"])
-        self.items(obj["parents"], (path, "parents"), self.qualified)
-        self.items(obj["attributes"], (path, "attributes"), self.attribute)
-        self.items(obj["methods"], (path, "methods"), self.method)
+            return None
+        name = self.name(obj["name"], path, "name")
+        classes = self.items(obj["classes"], path, "classes", self.class_, ClassDef)
+        if self.failures == failures:
+            return PackageDef(name, tuple(classes), self.position)
 
-    def attribute(self, value: Any, path: _Path) -> None:
-        obj = self.obj(value, path, _ATTRIBUTE_KEYS)
+    def class_(self, value: Any, parent: _Path, key: int | None) -> ClassDef | None:
+        failures = self.failures
+        obj = self.fields(value, path := (parent, key), _CLASS_KEYS)
         if obj is None:
-            return
-        self.identifier(obj["name"], (path, "name"))
-        target = obj["target"]
-        if target is not None and not self.qualified(target, (path, "target")):
-            return
-        kind = obj["kind"]
-        if kind not in (ASSOCIATION, AGGREGATION, NO_TARGET):
+            return None
+        name = self.name(obj["name"], path, "name")
+        is_abstract = obj["abstract"]
+        if type(is_abstract) is not bool:
+            self.expected((path, "abstract"), "a boolean", is_abstract)
+        parents = self.items(obj["parents"], path, "parents", self.qualified)
+        attributes = self.items(obj["attributes"], path, "attributes", self.attribute,
+                                AttributeDef)
+        methods = self.items(obj["methods"], path, "methods", self.method, MethodDef)
+        if self.failures == failures:
+            return ClassDef(name, is_abstract, tuple(parents), tuple(attributes),
+                            tuple(methods), self.position)
+
+    def attribute(self, value: Any, parent: _Path, key: int | None) -> AttributeDef | None:
+        failures = self.failures
+        obj = self.fields(value, path := (parent, key), _ATTRIBUTE_KEYS)
+        if obj is None:
+            return None
+        name = self.name(obj["name"], path, "name")
+        target, kind = obj["target"], obj["kind"]
+        if target is not None and (target := self.qualified(target, path, "target")) is None:
+            return None
+        shared = _KINDS.get(kind) if type(kind) is str else None
+        if shared is None:
             self.error((path, "kind"),
                        f"expected 'association', 'aggregation' or 'none', got {kind!r}")
-        elif (kind == NO_TARGET) != (target is None):
+        elif (shared == NO_TARGET) != (target is None):
             self.error((path, "kind"), "kind 'none' is required exactly when target is null")
+        if self.failures == failures:
+            return AttributeDef(name, target, shared, self.position)
 
-    def method(self, value: Any, path: _Path) -> None:
-        obj = self.obj(value, path, _METHOD_KEYS)
+    def method(self, value: Any, parent: _Path, key: int | None) -> MethodDef | None:
+        failures = self.failures
+        obj = self.fields(value, path := (parent, key), _METHOD_KEYS)
         if obj is None:
-            return
-        self.identifier(obj["name"], (path, "name"))
-        if type(obj["abstract"]) is not bool:
-            self.expected((path, "abstract"), "a boolean", obj["abstract"])
-        weight = obj["weight"]
+            return None
+        name = self.name(obj["name"], path, "name")
+        is_abstract, weight = obj["abstract"], obj["weight"]
+        if type(is_abstract) is not bool:
+            self.expected((path, "abstract"), "a boolean", is_abstract)
         if type(weight) is not int or weight < 1:
             self.error((path, "weight"), f"expected a positive integer, got {weight!r}")
         elif weight > MAX_WEIGHT:
             self.error((path, "weight"), f"expected a weight of at most {MAX_WEIGHT}")
-        self.items(obj["reads"], (path, "reads"), self.identifier)
-        self.items(obj["uses"], (path, "uses"), self.qualified)
+        reads = self.items(obj["reads"], path, "reads", self.name)
+        uses = self.items(obj["uses"], path, "uses", self.qualified)
+        if self.failures == failures:
+            return MethodDef(name, is_abstract, weight, _shared(self.sets, reads),
+                         _shared(self.sets, uses), self.position)
 
 
 def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -715,23 +677,21 @@ def _loads(document: str, hook: Callable[[list[tuple[str, Any]]], Any],
 def decode_interchange(document: str, path: str | None = None) -> list[PackageDef]:
     """Decode an interchange document to declarations, without semantic validation.
 
-    Each declaration is built as its JSON object closes, so a valid document never
-    exists as a tree of dicts.  A document that does not decode to declarations is
-    decoded a second time, to plain dicts, only to collect its errors.  Given a
-    `path`, each declaration and each error has a position naming that file (no line
-    or column).  Raises ModelError with MalformedDocument / SchemaError entries (the
-    locus is the JSON path of the offending field).
+    The schema runs as the decode's object hook, so a valid document never exists as
+    a tree of dicts.  Only a document it rejects is decoded again, to plain dicts, for
+    the schema to walk and collect every error.  Given a `path`, each declaration and
+    each error has a position naming that file (no line or column).  Raises
+    ModelError with MalformedDocument / SchemaError entries (the locus is the JSON
+    path of the offending field).
     """
     position = SourcePosition(None, None, path) if path is not None else None
-    built = _loads(document, _DeclarationBuilder(position).hook, position)
-    if type(built) is tuple:
-        return built[0]
-    del built  # the dicts and declarations of the first decode; the walker needs none
-    walker = _SchemaWalker(position)
-    root = walker.obj(_loads(document, unique_keys, position), None, _ROOT_KEYS)
-    if root is not None:
-        walker.items(root["packages"], (None, "packages"), walker.package)
-    raise ModelError(walker.errors)
+    schema = _Schema(position)
+    packages = schema.root(_loads(document, schema.hook, position))
+    if not schema.failures:
+        return packages
+    schema = _Schema(position, errors=[])
+    schema.root(_loads(document, unique_keys, position))
+    raise ModelError(schema.errors)
 
 
 def read_interchange(document: str) -> CodeModel:

@@ -1021,10 +1021,29 @@ def test_missing_class_name_reports_schema_path():
     assert errors[0].locus == "packages[0].classes[0].name"
 
 
-def test_unknown_key_is_a_schema_error():
+@pytest.mark.parametrize("level,locus", [
+    ((), "bogus"),
+    (("packages", 0), "packages[0].bogus"),
+    (("packages", 0, "classes", 0), "packages[0].classes[0].bogus"),
+    (("packages", 0, "classes", 0, "attributes", 0), "packages[0].classes[0].attributes[0].bogus"),
+    (("packages", 0, "classes", 0, "methods", 0), "packages[0].classes[0].methods[0].bogus"),
+], ids=["root", "package", "class", "attribute", "method"])
+def test_unknown_key_is_a_schema_error(level, locus):
+    # the object is otherwise valid, so only the unknown key keeps it from being built
+    data = {"packages": [{"name": "p", "classes": [
+        {"name": "A", "abstract": False, "parents": [],
+         "attributes": [{"name": "x", "target": None, "kind": NO_TARGET}],
+         "methods": [{"name": "m", "abstract": False, "weight": 1, "reads": ["x"],
+                      "uses": []}]}]}]}
+    assert decode_interchange(json.dumps(data))
+    obj = data
+    for key in level:
+        obj = obj[key]
+    obj["bogus"] = 1
     with pytest.raises(ModelError) as excinfo:
-        read_interchange('{"packages":[],"bogus":1}')
-    assert excinfo.value.errors[0].locus == "bogus"
+        read_interchange(json.dumps(data))
+    assert [(e.code, e.locus, e.message) for e in excinfo.value.errors] == [
+        (SCHEMA_ERROR, locus, "unknown field")]
 
 
 def test_malformed_json_reports_malformed_document():
@@ -1144,19 +1163,32 @@ def test_a_decode_peaks_below_twice_what_it_keeps():
 
 
 def test_only_a_rejected_document_is_walked(monkeypatch):
-    walked = []
+    # each decode's hook, and the error list of each schema made
+    hooks, error_lists = [], []
+    loads, schema = frontends._loads, frontends._Schema
 
-    class Walker(frontends._SchemaWalker):
-        def __init__(self, *args):
-            walked.append(args)
-            super().__init__(*args)
+    def spied_loads(document, hook, position):
+        hooks.append(hook)
+        return loads(document, hook, position)
 
-    monkeypatch.setattr(frontends, "_SchemaWalker", Walker)
+    class Schema(schema):
+        def __init__(self, position, errors=None):
+            error_lists.append(errors)
+            super().__init__(position, errors)
+
+    monkeypatch.setattr(frontends, "_loads", spied_loads)
+    monkeypatch.setattr(frontends, "_Schema", Schema)
     assert decode_interchange(_one_class_document())
-    assert walked == []
-    with pytest.raises(ModelError):
+    assert error_lists == [None]
+    assert [hook.__self__.errors for hook in hooks] == [None]
+    hooks.clear()
+    error_lists.clear()
+    with pytest.raises(ModelError) as excinfo:
         decode_interchange(_one_class_document(abstract=0))
-    assert len(walked) == 1
+    # the first decode collects nothing; the second builds no declaration and walks
+    assert error_lists == [None, excinfo.value.errors]
+    assert hooks[0].__self__.errors is None and hooks[1:] == [unique_keys]
+    assert [e.locus for e in excinfo.value.errors] == ["packages[0].classes[0].abstract"]
 
 
 def test_an_invalid_name_is_reported_at_each_occurrence():

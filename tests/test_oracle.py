@@ -7,13 +7,17 @@ shadow `tests/modelgen.py`.
 """
 
 import importlib.util
+import io
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import designlens
+from designlens import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -53,3 +57,64 @@ def test_report_matches_the_independent_oracle(shape, seed):
     expected = oracle.Analysis(data).report()
     assert oracle.diff(expected, oracle.read_json_report(designlens.render(report, "json"))) == []
     assert oracle.diff(expected, oracle.read_text_report(designlens.render(report, "text"))) == []
+
+
+# Each number of a config is drawn with the text that states it.
+def _integers(top):
+    return st.integers(0, top).map(lambda n: (n, str(n)))
+
+
+def _hundredths(top):
+    """`top` hundredths at most: an integer, or a decimal with two places."""
+    return st.integers(0, top).map(lambda n: (Fraction(n, 100), f"{n // 100}.{n % 100:02d}")
+                                   if n % 100 else (n // 100, str(n // 100)))
+
+
+_THRESHOLDS = {"srp_lcom_min": _integers(5), "srp_method_min": _integers(5),
+               "sap_distance_min": _hundredths(100), "sap_extreme": _hundredths(49)}
+# a limit of 0 or 1 is often a gate's value exactly
+_LIMITS = _integers(1) | _hundredths(1200)
+_FAIL_ON = sorted(oracle.SEVERITY) + sorted(set(oracle.SEVERITY.values()))
+
+
+@st.composite
+def configs(draw):
+    """Thresholds, gates and fail-on tokens, and the `--config` text stating them."""
+    thresholds = {key: draw(_THRESHOLDS[key])
+                  for key in draw(st.lists(st.sampled_from(sorted(_THRESHOLDS)), unique=True))}
+    gates = draw(st.lists(st.tuples(st.sampled_from(cli.GATE_NAMES),
+                                    st.sampled_from(cli.COMPARATORS), _LIMITS),
+                          max_size=5))
+    fail_on = draw(st.lists(st.sampled_from(_FAIL_ON), unique=True, max_size=3))
+    text = ('{"thresholds":{%s},"gates":[%s],"fail_on":[%s]}' % (
+        ",".join(f'"{key}":{value[1]}' for key, value in thresholds.items()),
+        ",".join(f'["{name}","{comparator}",{limit[1]}]' for name, comparator, limit in gates),
+        ",".join(f'"{token.upper() if draw(st.booleans()) else token.lower()}"'
+                 for token in fail_on)))
+    return ({key: value[0] for key, value in thresholds.items()},
+            [(name, comparator, limit[0]) for name, comparator, limit in gates],
+            [token.lower() for token in fail_on], text)
+
+
+_READERS = {"json": oracle.read_json_report, "text": oracle.read_text_report}
+
+
+@settings(max_examples=25, deadline=None)
+@given(shapes(), st.integers(0, 2**32 - 1), configs(), st.sampled_from(["json", "minioo"]))
+def test_cli_exit_code_stderr_and_reports_match_the_oracle(shape, seed, config, form):
+    thresholds, gates, fail_on, text = config
+    data = modelgen.generate(shape, seed)
+    analysis = oracle.Analysis(data, thresholds)
+    expected, outcome = analysis.report(), (*analysis.cli_stderr(gates, fail_on), "")
+    write = modelgen.to_interchange if form == "json" else modelgen.to_minioo
+    with tempfile.TemporaryDirectory() as directory:
+        model, config_path, report = (Path(directory, name) for name in (
+            f"model.{form}", "config.json", "report"))
+        model.write_text(write(data), encoding="utf-8")
+        config_path.write_text(text, encoding="utf-8")
+        for report_format, read in _READERS.items():
+            stdout, stderr = io.StringIO(), io.StringIO()
+            code = cli.run(["analyze", str(model), "--format", report_format,
+                            "--config", str(config_path), "--out", str(report)], stdout, stderr)
+            assert (code, stderr.getvalue(), stdout.getvalue()) == outcome
+            assert oracle.diff(expected, read(report.read_text(encoding="utf-8"))) == []
