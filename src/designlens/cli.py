@@ -21,6 +21,7 @@ from .frontends import (
     ParseFailure,
     decode_interchange,
     parse_minioo_declarations,
+    reject_constant,
     unique_keys,
 )
 from .metrics import compute_all
@@ -108,10 +109,11 @@ def load_config(path: str | None) -> GateConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
-        data = json.loads(text, parse_float=_config_number, object_pairs_hook=unique_keys)
+        data = json.loads(text, parse_float=_config_number, object_pairs_hook=unique_keys,
+                          parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not well-formed JSON: {exc.msg} (line {exc.lineno})") from None
-    except ValueError as exc:  # a repeated key, or a number too long to convert
+    except ValueError as exc:  # a repeated key, NaN or Infinity, or too long a number
         raise ConfigError(f"config is rejected: {exc}") from None
     except RecursionError:
         raise ConfigError("config is not well-formed JSON: nesting is too deep") from None

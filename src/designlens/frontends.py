@@ -126,9 +126,9 @@ class ParseFailure(Exception):
         super().__init__(f"{len(self.errors)} syntax error(s): {head}")
 
 
-# Whitespace and `//` comments before a token.  A comment ends only at the end of its
-# line (`$`, multi-line), so no match backtracks into one to read a token there.
-_SKIP = r"[ \t\r\n]*(?://[^\n]*$[ \t\r\n]*)*"
+# Whitespace and `//` comments before a token.  No token starts with either, and a comment
+# runs to the end of its line, so each repeat is possessive: it keeps no backtracking state.
+_SKIP = r"[ \t\r\n]*+(?://[^\n]*+[ \t\r\n]*+)*+"
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*(?!\w)"
 
 # Skipped whitespace and `//` comments, then one token: an ASCII name, punctuation, an
@@ -139,7 +139,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<punctuation>[{}();:,.])"
     r"|(?P<int>[0-9]+)"
     r"|(?P<eof>\Z)"
-    r"|(?P<bad>\w+|.))", re.DOTALL | re.MULTILINE)
+    r"|(?P<bad>\w+|.))", re.DOTALL)
 
 _PRIMITIVE = rf"(?:{'|'.join(_PRIMITIVES)})(?!\w)"
 _TYPEREF = rf"{_NAME}(?:{_SKIP}\.{_SKIP}{_NAME})?"
@@ -159,7 +159,7 @@ _MEMBER = (
     rf"{_SKIP}\))?){_SKIP};")
 
 # One item of a matched `reads` or `uses` list: a name, or both names of `pkg.Class`.
-_ITEM = rf"[ \t\r\n,]*(?://[^\n]*$[ \t\r\n,]*)*({_NAME})(?:{_SKIP}\.{_SKIP}({_NAME}))?"
+_ITEM = rf"[ \t\r\n,]*+(?://[^\n]*+[ \t\r\n,]*+)*+({_NAME})(?:{_SKIP}\.{_SKIP}({_NAME}))?"
 
 
 def _echo(text: str) -> str:
@@ -200,8 +200,8 @@ class _MiniOOParser:
         self.reads: dict[str | None, frozenset] = {None: _shared(self.sets, ())}
         # compiled by the first parse, not on import, which they would slow by milliseconds;
         # `re` keeps them for every later parse
-        self.member = re.compile(_MEMBER, re.MULTILINE).match
-        self.items = re.compile(_ITEM, re.MULTILINE).findall
+        self.member = re.compile(_MEMBER).match
+        self.items = re.compile(_ITEM).findall
 
     # -- token stream helpers ------------------------------------------------
 
@@ -321,25 +321,26 @@ class _MiniOOParser:
         # that member is malformed, so the body is read on from it only to report errors
         source, sets, intern, pos = self.source, self.sets, sys.intern, self.match.end()
         at, read_sets, qualified = self.at, self.reads, self._qualified
+        empty = read_sets[None]
+        # groups by number: 1 `field`, 6 `method`, 9 `uses`
         while member := self.member(source, pos):
             field, first, second, kind, abstract, method, weight, reads, uses = member.groups()
             if field is not None:
                 target = None if first is None else qualified(package, first, second)
                 kind = NO_TARGET if first is None else _ATTRIBUTE_KINDS.get(kind, ASSOCIATION)
-                attributes.append(AttributeDef(intern(field), target, kind,
-                                               at(member.start("field"))))
-            elif weight is not None and _too_heavy(weight):
+                attributes.append(AttributeDef(intern(field), target, kind, at(member.start(1))))
+            elif weight is not None and len(weight) >= _MAX_WEIGHT_DIGITS and _too_heavy(weight):
                 break  # `_method` reports the weight
             else:
                 read_set = read_sets.get(reads)
                 if read_set is None:
                     read_sets[reads] = read_set = _shared(
                         sets, [intern(name) for name, _ in self.items(reads)])
-                uses = () if uses is None else [qualified(package, *names) for names in
-                                                self.items(source, *member.span("uses"))]
+                uses = empty if uses is None else _shared(sets, [
+                    qualified(package, *names) for names in self.items(source, *member.span(9))])
                 methods.append(MethodDef(
                     intern(method), abstract is not None, 1 if weight is None else int(weight),
-                    read_set, _shared(sets, uses), at(member.start("method"))))
+                    read_set, uses, at(member.start(6))))
             pos = member.end()
         self._next = _TOKEN_RE.finditer(source, pos).__next__
         self._advance()
@@ -657,16 +658,21 @@ def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
+def reject_constant(name: str) -> NoReturn:
+    """`parse_constant` for the strict JSON readers: RFC 8259 has no NaN or Infinity."""
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def _loads(document: str, hook: Callable[[list[tuple[str, Any]]], Any],
            position: SourcePosition | None) -> Any:
     """`json.loads` with `hook` as the `object_pairs_hook`; raises ModelError with a
     MalformedDocument entry for a text that is not strict JSON."""
     try:
-        return json.loads(document, object_pairs_hook=hook)
+        return json.loads(document, object_pairs_hook=hook, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise ModelError([ValidationError(MALFORMED_DOCUMENT, f"line {exc.lineno}",
                                           f"not well-formed JSON: {exc.msg}", position)]) from None
-    except ValueError as exc:  # a repeated key, or an integer too long to convert
+    except ValueError as exc:  # a repeated key, NaN or Infinity, or too long an integer
         raise ModelError([ValidationError(
             MALFORMED_DOCUMENT, "document", str(exc), position)]) from None
     except RecursionError:

@@ -750,6 +750,10 @@ def test_unknown_config_key_is_rejected(tmp_path):
     ('{"gates":[["max_dit","<="]]}', "'gates[0]' must be [name, comparator, limit]"),
     ('{"fail_on":"adp"}', "'fail_on' must be an array of strings"),
     ('{"gates":{}}', "'gates' must be an array"),
+    ('{"thresholds":{"sap_extreme":NaN}}', "config is rejected: NaN is not valid JSON"),
+    ('{"gates":[["max_dit","<=",Infinity]]}', "config is rejected: Infinity is not valid JSON"),
+    ('{"thresholds":{"srp_lcom_min":-Infinity}}',
+     "config is rejected: -Infinity is not valid JSON"),
 ])
 def test_malformed_configs_are_usage_errors(tmp_path, document, needle):
     config = tmp_path / "bad.json"

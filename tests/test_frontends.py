@@ -976,7 +976,7 @@ def test_valid_members_never_enter_the_token_member_productions(source, share, s
     assert calls == []
 
 
-@pytest.mark.parametrize("last", [False, True], ids=["between", "last"])
+@pytest.mark.parametrize("where", ["between", "last", "end"])
 @pytest.mark.parametrize("member", [
     "field a: int.Foo;", "field a: int, assoc;", "field a: Foo aggr;", "field a: p.Q.R;",
     "field a: p.int;", "field a: Foo,aggr;", "field a: Foo, assocx;", "field a: int // ;",
@@ -990,10 +990,18 @@ def test_valid_members_never_enter_the_token_member_productions(source, share, s
     "method m uses (p.);", "method m uses (B) reads (a);", "method m uses (int);",
     "field field: field;", "method method reads (reads) uses (uses.uses);",
     "field f\u00e9: int;", "field a: Fo\u00e9;", "field a:\r\n int;",
+    # skips: a comment to the end of input ("end"), `\r`-only line ends, which do not
+    # end a comment, comments holding `;`, `}` and `//` in lists, and a lone `/`
+    "method m; // no newline", "field a:\r// c\r int;", "method m\r// c\r;\rfield b: int;",
+    "method m reads (a // ; x } y / w // z\n, b) uses (A // ; q.B } r.C / t // s.D\n, p.C);",
+    "method m; / method k;", "method m;/\nfield b: int;", "method m /;",
 ])
-def test_member_edge_cases_match_the_reference(member, last):
-    body = f"field x: int;\n{member}" if last else f"field x: int;\n{member}\nmethod n;"
-    source = f"package p {{\n  class A {{\n{body}\n  }}\n}}\n"
+def test_member_edge_cases_match_the_reference(member, where):
+    body = f"field x: int;\n{member}"
+    # "end" leaves the class and the package open, so the member ends the input
+    source = {"between": f"package p {{\n  class A {{\n{body}\nmethod n;\n  }}\n}}\n",
+              "last": f"package p {{\n  class A {{\n{body}\n  }}\n}}\n",
+              "end": f"package p {{\n  class A {{\n{body}"}[where]
     assert _parsed(parse_minioo_declarations, source) == _parsed(reference_parse_declarations,
                                                                  source)
 
@@ -1046,10 +1054,19 @@ def test_unknown_key_is_a_schema_error(level, locus):
         (SCHEMA_ERROR, locus, "unknown field")]
 
 
-def test_malformed_json_reports_malformed_document():
+@pytest.mark.parametrize("document,message", [
+    ('{"packages": [', "not well-formed JSON: Expecting value"),
+    # RFC 8259 has no NaN or Infinity, though Python's `json` reads them as floats
+    ('{"packages":[{"name":"p","classes":[{"name":"A","abstract":false,"parents":[],'
+     '"attributes":[],"methods":[{"name":"m","abstract":false,"weight":NaN,"reads":[],'
+     '"uses":[]}]}]}]}', "NaN is not valid JSON"),
+    ('{"packages":Infinity}', "Infinity is not valid JSON"),
+    ('{"packages":[-Infinity]}', "-Infinity is not valid JSON"),
+], ids=["truncated", "NaN", "Infinity", "-Infinity"])
+def test_malformed_json_reports_malformed_document(document, message):
     with pytest.raises(ModelError) as excinfo:
-        read_interchange('{"packages": [')
-    assert excinfo.value.errors[0].code == MALFORMED_DOCUMENT
+        read_interchange(document)
+    assert [(e.code, e.message) for e in excinfo.value.errors] == [(MALFORMED_DOCUMENT, message)]
 
 
 @pytest.mark.parametrize("document", ['{"packages": [', '{"a":1,"a":2}', "[" * 200000,
