@@ -106,8 +106,10 @@ def load_config(path: str | None) -> GateConfig:
         return GateConfig(Thresholds())
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config {path} is not valid UTF-8") from None
     try:
         data = json.loads(text, parse_float=_config_number, object_pairs_hook=unique_keys,
                           parse_constant=reject_constant)
@@ -353,7 +355,15 @@ def _limit_text(value: int | Fraction) -> str:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The `designlens` process: `run`, flush, and exit without interpreter teardown."""
+    code = run(sys.argv[1:])
+    try:  # only --help's text can still be buffered: `run` flushes or reports the report
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
+        code = EXIT_USAGE
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

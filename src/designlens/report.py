@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Iterable, TextIO
 
 from .metrics import MetricsReport, format_rational
@@ -33,7 +34,6 @@ FORMATS = ("text", "json", "csv")
 _BOLD = "\x1b[1m"
 _RESET = "\x1b[0m"
 _SEVERITY_COLOR = {"violation": "\x1b[31m", "advisory": "\x1b[33m", "warning": "\x1b[35m"}
-_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,8 @@ def build_report(model: CodeModel, metrics: MetricsReport,
 
 
 def _layer(name: str, columns: tuple[str, ...], subjects: list[tuple[str, object]]) -> Layer:
-    rows = tuple((subject, tuple(getattr(values, column) for column in columns))
-                 for subject, values in subjects)
+    row = attrgetter(*columns)  # a tuple: every metric layer has two or more columns
+    rows = tuple((subject, row(values)) for subject, values in subjects)
     aggregates: dict[str, dict[str, int | Fraction]] = {}
     for column, cells in zip(columns, zip(*(values for _, values in rows))):
         defined = [value for value in cells if value is not None]
@@ -112,7 +112,7 @@ def _write_json(report: LayeredReport, out: TextIO, color: bool) -> None:
             head = f'{{"subject":{_json(subject)},"name":'
             out.write(separator + ",".join(
                 f"{head}{name}{_json(value)}}}" for name, value in zip(names, values)))
-            separator = ","
+            separator = "," if names else ""  # a row without columns writes nothing
         out.write('],"aggregates":{')
         for number, (metric, stats) in enumerate(layer.aggregates.items()):
             out.write(f'{"," if number else ""}{_json(metric)}:{{"min":{_json(stats["min"])},'
@@ -131,9 +131,15 @@ def _json_finding(finding: Finding) -> str:
 
 
 def _json(value: object) -> str:
-    """A JSON value without whitespace: numbers and None as every format writes them."""
-    if isinstance(value, (str, bool, list, tuple)):
-        return _JSON_ENCODER.encode(value)
+    """A JSON value without whitespace, by its exact type: strings as `json.dumps` writes
+    them, numbers and None as every format does."""
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is list or kind is tuple:
+        return f"[{','.join(map(_json, value))}]"
     return _format_value(value, "null")
 
 
@@ -162,9 +168,9 @@ def _format_value(value: int | Fraction | None, undefined: str) -> str:
     """A number as every format writes it; `undefined` stands for None."""
     if value is None:
         return undefined
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    return str(value)
+    if type(value) is int or not isinstance(value, Fraction):
+        return str(value)
+    return format_rational(value)
 
 
 def _format_evidence(evidence: dict) -> str:

@@ -532,24 +532,73 @@ def test_a_failed_write_to_standard_output_is_a_usage_error(stream):
         EXIT_USAGE, f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n")
 
 
+def _entry_point(*argv):
+    """Keyword arguments that start `python -m designlens.cli ARGV` as perfbench/run.py
+    does: the only way tests run main() and its __main__ guard. main() ends the process
+    with os._exit, so PYTHONUNBUFFERED is dropped: it would hide a missing flush."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return {"args": [sys.executable, "-m", "designlens.cli", *argv],
+            "cwd": Path(__file__).parent.parent, "env": {**env, "PYTHONPATH": "src"}}
+
+
 def test_module_entry_point_writes_the_golden_reports(tmp_path):
-    # perfbench/run.py starts the CLI this way; no other test runs main() or its __main__ guard
-    root = Path(__file__).parent.parent
-
-    def entry_point(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "designlens.cli", "analyze", "tests/fixtures/reference.minioo",
-             *argv], cwd=root, env={**os.environ, "PYTHONPATH": "src"}, capture_output=True,
-            timeout=60)
-
     for fmt, ext in _EXTENSIONS.items():
-        result = entry_point("--format", fmt)
+        result = subprocess.run(**_entry_point("analyze", REFERENCE, "--format", fmt),
+                                capture_output=True, timeout=60)
         assert (result.returncode, result.stderr) == (EXIT_OK, b"")
         assert result.stdout == (GOLDEN / f"reference.{ext}").read_bytes()
     target = tmp_path / "report.json"
-    result = entry_point("--format", "json", "--out", str(target))
+    result = subprocess.run(**_entry_point("analyze", REFERENCE, "--format", "json", "--out",
+                                           str(target)), capture_output=True, timeout=60)
     assert (result.returncode, result.stdout, result.stderr) == (EXIT_OK, b"", b"")
     assert target.read_bytes() == (GOLDEN / "reference.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["analyze", CYCLIC, "--fail-on", "adp"], EXIT_GATE_FAILURE),
+    (["analyze", REFERENCE, "--format", "yaml"], EXIT_USAGE),
+    (["analyze", str(FIXTURES / "missing.minioo")], EXIT_USAGE),
+    (["analyze", BROKEN], EXIT_INPUT),
+    (["--help"], EXIT_OK),  # the one output `run` leaves in the stdout buffer
+])
+def test_module_entry_point_exits_with_what_run_wrote(argv, expected, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps --help to, in both processes
+    assert run(argv) == expected
+    out, err = capsys.readouterr()
+    result = subprocess.run(**_entry_point(*argv), capture_output=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        expected, out.encode(), err.encode())
+
+
+def test_module_entry_point_reports_a_closed_standard_output_once(tmp_path):
+    # a report far larger than a pipe's buffer, so that writing it meets the closed end
+    path = tmp_path / "wide.minioo"
+    path.write_text("package p {\n" + "".join(f"  class C{i} {{ }}\n" for i in range(2000))
+                    + "}\n", encoding="utf-8")
+    with subprocess.Popen(**_entry_point("analyze", str(path), "--format", "json"),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        head = child.stdout.read(16)
+        child.stdout.close()
+        try:
+            _, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            child.kill()
+            raise
+    assert head == b'{"layers":[{"nam'
+    assert (child.returncode, err) == (
+        EXIT_USAGE, f"error: cannot write standard output: {os.strerror(errno.EPIPE)}\n".encode())
+
+
+def test_module_entry_point_reports_help_it_cannot_write():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(**_entry_point("--help"), stdout=write, stderr=subprocess.PIPE,
+                                timeout=60)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (
+        EXIT_USAGE, f"error: cannot write standard output: {os.strerror(errno.EPIPE)}\n".encode())
 
 
 # Semantic errors of every kind, several of each, in one input.
@@ -723,6 +772,22 @@ def test_config_numbers_are_bounded_in_digits(tmp_path, sign):
         assert (code, out) == (EXIT_USAGE, "")
         number = f"1e{exponent}"[:40]
         assert err == f"error: config is rejected: number {number} takes more than 1000 digits\n"
+
+
+@pytest.mark.parametrize("kind,reason", [
+    ("missing", f"cannot read config {{path}}: {os.strerror(errno.ENOENT)}"),
+    ("directory", f"cannot read config {{path}}: {os.strerror(errno.EISDIR)}"),
+    ("latin-1", "config {path} is not valid UTF-8"),
+], ids=["missing", "directory", "latin-1"])
+def test_an_unreadable_config_names_the_reason(tmp_path, kind, reason):
+    # worded as an unreadable input file is
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "latin-1":
+        path.write_bytes('{"fail_on":["adp"]} \N{MICRO SIGN}'.encode("latin-1"))
+    code, out, err = invoke("analyze", REFERENCE, "--config", str(path))
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {reason.format(path=path)}\n")
 
 
 def test_unknown_config_key_is_rejected(tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from designlens.frontends import parse_minioo
 from designlens.metrics import compute_all, format_rational
 from designlens.model import ClassDef, CodeModel, PackageDef, build_model
-from designlens.principles import SEVERITY_BY_RULE, run_all
+from designlens.principles import SEVERITY_BY_RULE, Finding, run_all
 from designlens.report import (
     CLASS_DESIGN_METRICS,
     FORMATS,
@@ -23,6 +23,8 @@ from designlens.report import (
     LAYER_RELATIONSHIPS,
     PACKAGING_METRICS,
     RELATIONSHIP_METRICS,
+    Layer,
+    LayeredReport,
     build_report,
     render,
     write_report,
@@ -353,6 +355,35 @@ def test_json_matches_the_reference_renderer_on_random_models():
             evidence_types.update(type(value) for value in finding.evidence.values())
     assert rules == set(SEVERITY_BY_RULE)
     assert evidence_types == {str, int, Fraction, list}
+
+
+# Characters a JSON string must escape or may only carry escaped in ASCII output:
+# quotes, backslashes, controls, non-ASCII, astral characters and lone surrogates.
+_AWKWARD = st.sampled_from('"\\/\x00\b\t\n\x1f\x7f\x80\xe9\u2028\ufeff\U0001f600\ud800\udfff')
+_TEXT = st.text(_AWKWARD | st.characters(blacklist_categories=()), max_size=6)
+_NUMBER = st.integers() | st.fractions()
+_CELL = st.none() | _NUMBER
+
+
+@st.composite
+def _hand_built_reports(draw):
+    layers = []
+    for _ in range(draw(st.integers(0, 3))):
+        columns = tuple(draw(st.lists(_TEXT, max_size=3)))
+        rows = draw(st.lists(st.tuples(_TEXT, st.tuples(*[_CELL] * len(columns))), max_size=3))
+        aggregates = draw(st.dictionaries(_TEXT, st.fixed_dictionaries(
+            {"min": _NUMBER, "max": _NUMBER, "mean": _NUMBER}), max_size=2))
+        layers.append(Layer(draw(_TEXT), columns, tuple(rows), aggregates, ()))
+    evidence = st.dictionaries(_TEXT, _CELL | _TEXT | st.lists(_TEXT, max_size=3), max_size=3)
+    findings = draw(st.lists(st.builds(Finding, _TEXT, _TEXT, _TEXT, evidence), max_size=3))
+    layers.append(Layer(draw(_TEXT), (), (), {}, tuple(findings)))
+    return LayeredReport(tuple(layers))
+
+
+@settings(max_examples=200, deadline=None)
+@given(report=_hand_built_reports())
+def test_json_escapes_any_text_as_the_reference_renderer_does(report):
+    assert render(report, "json") == reference_render_json(report)
 
 
 def test_render_build_pipeline_is_deterministic_end_to_end(reference_source):
