@@ -11,6 +11,7 @@ import gc
 import json
 import os
 import sys
+from contextlib import redirect_stdout
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -205,11 +206,18 @@ def run(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = N
 
         parser = _build_parser()
         try:
-            args = parser.parse_args(argv)
+            with redirect_stdout(stdout):  # argparse prints --help to sys.stdout
+                args = parser.parse_args(argv)
         except _UsageError as exc:
             print(f"error: {exc}", file=stderr)
             return EXIT_USAGE
         except SystemExit as exc:  # --help
+            try:
+                stdout.flush()
+            except OSError as error:
+                print(f"error: cannot write standard output: {error.strerror or error}",
+                      file=stderr)
+                return EXIT_USAGE
             return int(exc.code or 0)
 
         try:
@@ -355,13 +363,8 @@ def _limit_text(value: int | Fraction) -> str:
 
 
 def main() -> None:
-    """The `designlens` process: `run`, flush, and exit without interpreter teardown."""
+    """The `designlens` process: `run`, which flushes its output, then `os._exit`."""
     code = run(sys.argv[1:])
-    try:  # only --help's text can still be buffered: `run` flushes or reports the report
-        sys.stdout.flush()
-    except OSError as exc:
-        print(f"error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
-        code = EXIT_USAGE
     sys.stderr.flush()
     os._exit(code)
 

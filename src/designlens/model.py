@@ -268,6 +268,7 @@ def validate_packages(packages: Iterable[PackageDef]) -> list[ValidationError]:
         seen_packages.add(pkg.name)
 
     declared: dict[QualifiedName, ClassDef] = {}  # each class's first declaration
+    named: list[tuple[QualifiedName, ClassDef]] = []  # every declaration, in order
     for pkg in packages:
         seen_classes: set[str] = set()
         for cls in pkg.classes:
@@ -279,55 +280,54 @@ def validate_packages(packages: Iterable[PackageDef]) -> list[ValidationError]:
                     cls.position))
             seen_classes.add(cls.name)
             declared.setdefault(qn, cls)
+            named.append((qn, cls))
 
     parents: dict[QualifiedName, list[QualifiedName]] = {}  # declared parents only
-    for pkg in packages:
-        for cls in pkg.classes:
-            qn = QualifiedName(pkg.name, cls.name)
-            attr_names: set[str] = set()
-            for attr in cls.attributes:
-                if attr.name in attr_names:
-                    errors.append(ValidationError(
-                        DUPLICATE_MEMBER, f"{qn}.{attr.name}",
-                        f"attribute '{attr.name}' is declared more than once", attr.position))
-                attr_names.add(attr.name)
-                if attr.target is not None and attr.target not in declared:
-                    errors.append(ValidationError(
-                        UNRESOLVED_REFERENCE, f"{qn}.{attr.name}",
-                        f"attribute type '{attr.target}' is not declared", attr.position))
+    for qn, cls in named:
+        attr_names: set[str] = set()
+        for attr in cls.attributes:
+            if attr.name in attr_names:
+                errors.append(ValidationError(
+                    DUPLICATE_MEMBER, f"{qn}.{attr.name}",
+                    f"attribute '{attr.name}' is declared more than once", attr.position))
+            attr_names.add(attr.name)
+            if attr.target is not None and attr.target not in declared:
+                errors.append(ValidationError(
+                    UNRESOLVED_REFERENCE, f"{qn}.{attr.name}",
+                    f"attribute type '{attr.target}' is not declared", attr.position))
 
-            method_names: set[str] = set()
-            for method in cls.methods:
-                if method.name in method_names:
+        method_names: set[str] = set()
+        for method in cls.methods:
+            if method.name in method_names:
+                errors.append(ValidationError(
+                    DUPLICATE_MEMBER, f"{qn}.{method.name}",
+                    f"method '{method.name}' is declared more than once", method.position))
+            method_names.add(method.name)
+            if method.is_abstract and not cls.is_abstract:
+                errors.append(ValidationError(
+                    ABSTRACT_METHOD_IN_CONCRETE_CLASS, f"{qn}.{method.name}",
+                    f"abstract method '{method.name}' in concrete class '{cls.name}'",
+                    method.position))
+            if not method.reads <= attr_names:
+                for read in sorted(method.reads - attr_names):
                     errors.append(ValidationError(
-                        DUPLICATE_MEMBER, f"{qn}.{method.name}",
-                        f"method '{method.name}' is declared more than once", method.position))
-                method_names.add(method.name)
-                if method.is_abstract and not cls.is_abstract:
-                    errors.append(ValidationError(
-                        ABSTRACT_METHOD_IN_CONCRETE_CLASS, f"{qn}.{method.name}",
-                        f"abstract method '{method.name}' in concrete class '{cls.name}'",
+                        UNKNOWN_READ_ATTRIBUTE, f"{qn}.{method.name}",
+                        f"method '{method.name}' reads unknown attribute '{read}'",
                         method.position))
-                if not method.reads <= attr_names:
-                    for read in sorted(method.reads - attr_names):
-                        errors.append(ValidationError(
-                            UNKNOWN_READ_ATTRIBUTE, f"{qn}.{method.name}",
-                            f"method '{method.name}' reads unknown attribute '{read}'",
-                            method.position))
-                if not declared.keys() >= method.uses:
-                    # a filter, not `uses - declared.keys()`, which walks every class
-                    for target in sorted(t for t in method.uses if t not in declared):
-                        errors.append(ValidationError(
-                            UNRESOLVED_REFERENCE, f"{qn}.{method.name}",
-                            f"used class '{target}' is not declared", method.position))
-
-            for parent in cls.parents:
-                if parent in declared:
-                    parents.setdefault(qn, []).append(parent)
-                else:
+            if not declared.keys() >= method.uses:
+                # a filter, not `uses - declared.keys()`, which walks every class
+                for target in sorted(t for t in method.uses if t not in declared):
                     errors.append(ValidationError(
-                        UNRESOLVED_REFERENCE, str(qn),
-                        f"parent class '{parent}' is not declared", cls.position))
+                        UNRESOLVED_REFERENCE, f"{qn}.{method.name}",
+                        f"used class '{target}' is not declared", method.position))
+
+        for parent in cls.parents:
+            if parent in declared:
+                parents.setdefault(qn, []).append(parent)
+            else:
+                errors.append(ValidationError(
+                    UNRESOLVED_REFERENCE, str(qn),
+                    f"parent class '{parent}' is not declared", cls.position))
 
     # a cycle is reported at the first declaration of its smallest member
     for members in cycles(parents, parents):

@@ -2,36 +2,36 @@
 
 Every expected value is pinned against an oracle that is independent of the
 code path it checks (exhaustive enumeration, brute-force reachability, raw
-declaration scans).  Run with `pytest tests/test_acceptance.py -v -s`.
+declaration scans), imported from the module suite that owns it.  Run with
+`pytest tests/test_acceptance.py -v -s`.
 """
 
-import io
 import itertools
 import json
 import random
 import time
 from contextlib import contextmanager
 
-from designlens.cli import EXIT_GATE_FAILURE, EXIT_INPUT, EXIT_OK, EXIT_USAGE, run
+from designlens.cli import EXIT_GATE_FAILURE, EXIT_INPUT, EXIT_OK, EXIT_USAGE
 from designlens.frontends import parse_minioo, read_interchange, write_interchange
 from designlens.metrics import compute_all, dit, lcom, wmc
 from designlens.model import (
     AttributeDef,
     ClassDef,
     CodeModel,
-    DependencyEdge,
-    DependencyGraph,
     MethodDef,
     PackageDef,
     QualifiedName,
     build_model,
-    resolve,
 )
 from designlens.principles import detect_cycles, run_all, sdp_violations
 from designlens.report import build_report, render
 from conftest import FIXTURES, GOLDEN
+from modelgen import random_packages
+from test_cli import invoke
 from test_frontends import REFERENCE_MODEL
-from test_principles import coupling_model, sdp_oracle
+from test_metrics import lcom_pair_oracle, longest_root_path
+from test_principles import coupling_model, cycle_groups_oracle, package_digraph, sdp_oracle
 
 
 @contextmanager
@@ -60,11 +60,7 @@ def test_criterion_1_lcom_worked_example():
                        methods=(MethodDef("m1", reads=frozenset("abcd")),
                                 MethodDef("m2", reads=frozenset("abc")),
                                 MethodDef("m3", reads=frozenset("xyz"))))
-        pairs = list(itertools.combinations([set(m.reads) for m in cls.methods], 2))
-        disjoint = sum(1 for a, b in pairs if not a & b)
-        oracle = max(disjoint - (len(pairs) - disjoint), 0)
-        assert oracle == 1
-        assert lcom(cls) == oracle
+        assert lcom(cls) == lcom_pair_oracle(cls) == 1
 
 
 def test_criterion_2_instability_and_abstractness_ranges():
@@ -72,7 +68,7 @@ def test_criterion_2_instability_and_abstractness_ranges():
         rng = random.Random(101)
         stable_seen = fully_abstract_seen = 0
         for _ in range(1000):
-            model = build_model(_random_packages(rng))
+            model = build_model(random_packages(rng))
             report = compute_all(model)
             for pm in report.per_package.values():
                 if pm.instability is not None:
@@ -94,12 +90,12 @@ def test_criterion_3_adp_equals_brute_force_path_existence():
         pairs4 = [(a, b) for a in range(4) for b in range(4) if a != b]
         for mask in range(2 ** len(pairs4)):  # 4096 edge subsets, exhaustive
             edges = [pairs4[i] for i in range(len(pairs4)) if mask >> i & 1]
-            assert detect_cycles(_digraph(4, edges)) == _cycle_oracle(4, edges)
+            assert detect_cycles(package_digraph(4, edges)) == cycle_groups_oracle(4, edges)
         rng = random.Random(103)
         for _ in range(1000):
             edges = [(a, b) for a in range(12) for b in range(12)
                      if a != b and rng.random() < 0.12]
-            assert detect_cycles(_digraph(12, edges)) == _cycle_oracle(12, edges)
+            assert detect_cycles(package_digraph(12, edges)) == cycle_groups_oracle(12, edges)
 
 
 def test_criterion_4_dit_exhaustive_and_noc_sums():
@@ -116,10 +112,10 @@ def test_criterion_4_dit_exhaustive_and_noc_sums():
             model = CodeModel((PackageDef("p", tuple(  # construction validates each DAG
                 ClassDef(f"C{i}", parents=tuple(parents[i])) for i in range(6))),))
             for i in range(6):
-                assert dit(model, names[i]) == _longest_root_path(model, names[i]), mask
+                assert dit(model, names[i]) == longest_root_path(model, names[i]), mask
         rng = random.Random(107)
         for _ in range(200):
-            model = build_model(_random_packages(rng))
+            model = build_model(random_packages(rng))
             pair_count = sum(len(set(cls.parents)) for _, cls in model.iter_classes())
             report = compute_all(model)
             assert sum(cm.noc for cm in report.per_class.values()) == pair_count
@@ -146,7 +142,7 @@ def test_criterion_6_round_trip_and_golden_stability():
     with criterion(6, "500 interchange round-trips; fixture model and goldens byte-stable", 30.0):
         rng = random.Random(113)
         for _ in range(500):
-            model = build_model(_random_packages(rng))
+            model = build_model(random_packages(rng))
             assert read_interchange(write_interchange(model)) == model
         source = (FIXTURES / "reference.minioo").read_text(encoding="utf-8")
         assert parse_minioo(source) == REFERENCE_MODEL
@@ -163,18 +159,18 @@ def test_criterion_6_round_trip_and_golden_stability():
 
 def test_criterion_7_cli_end_to_end():
     with criterion(7, "CLI exit codes 1/0/2/3 across the four scenarios", 5.0):
-        code, out, _ = _invoke("analyze", str(FIXTURES / "cyclic.minioo"),
-                               "--fail-on", "adp", "--format", "json")
+        code, out, _ = invoke("analyze", str(FIXTURES / "cyclic.minioo"),
+                              "--fail-on", "adp", "--format", "json")
         assert code == EXIT_GATE_FAILURE
         findings = json.loads(out)["layers"][3]["findings"]
         adp = [f for f in findings if f["rule"] == "ADP"]
         assert len(adp) == 1 and adp[0]["evidence"]["members"] == ["app", "core"]
 
-        code, _, _ = _invoke("analyze", str(FIXTURES / "reference.minioo"))
+        code, _, _ = invoke("analyze", str(FIXTURES / "reference.minioo"))
         assert code == EXIT_OK
-        code, _, _ = _invoke("analyze", str(FIXTURES / "does-not-exist.minioo"))
+        code, _, _ = invoke("analyze", str(FIXTURES / "does-not-exist.minioo"))
         assert code == EXIT_USAGE
-        code, out, _ = _invoke("analyze", str(FIXTURES / "broken.minioo"))
+        code, out, _ = invoke("analyze", str(FIXTURES / "broken.minioo"))
         assert code == EXIT_INPUT and out == ""
 
 
@@ -190,60 +186,3 @@ def test_criterion_8_sdp_sweep_matches_eq3():
             assert (report.per_package["p"].ca, report.per_package["p"].ce) == (ca_p, ce_p)
             assert (report.per_package["q"].ca, report.per_package["q"].ce) == (ca_q, ce_q)
 
-
-# -- local oracles and helpers ----------------------------------------------------
-
-
-def _digraph(node_count, edges):
-    nodes = tuple(qn(f"n{i}") for i in range(node_count))
-    return DependencyGraph(
-        nodes,
-        tuple(sorted(DependencyEdge(qn(f"n{a}"), qn(f"n{b}"), "use") for a, b in edges)),
-        "package")
-
-
-def _cycle_oracle(node_count, edges):
-    reach = [[False] * node_count for _ in range(node_count)]
-    for a, b in edges:
-        reach[a][b] = True
-    for k in range(node_count):
-        for i in range(node_count):
-            if reach[i][k]:
-                row_k = reach[k]
-                row_i = reach[i]
-                for j in range(node_count):
-                    if row_k[j]:
-                        row_i[j] = True
-    groups, assigned = [], set()
-    for i in range(node_count):
-        if i in assigned:
-            continue
-        members = [j for j in range(node_count) if i == j or (reach[i][j] and reach[j][i])]
-        if len(members) >= 2:
-            groups.append(sorted(f"n{m}" for m in members))
-            assigned.update(members)
-    return sorted(groups)
-
-
-def _longest_root_path(model, name):
-    best = 0
-    stack = [(name, 0)]
-    while stack:
-        node, depth = stack.pop()
-        parents = resolve(model, node).parents
-        if not parents:
-            best = max(best, depth)
-        for parent in parents:
-            stack.append((parent, depth + 1))
-    return best
-
-
-def _random_packages(rng):
-    from modelgen import random_packages
-    return random_packages(rng)
-
-
-def _invoke(*argv):
-    stdout, stderr = io.StringIO(), io.StringIO()
-    code = run(list(argv), stdout=stdout, stderr=stderr)
-    return code, stdout.getvalue(), stderr.getvalue()

@@ -38,6 +38,7 @@ from designlens.model import (
     validate_packages,
 )
 from modelgen import random_model, random_packages
+from test_principles import is_dag, raw_package_references
 
 
 def qn(package, cls=""):
@@ -549,22 +550,7 @@ def test_inherit_edges_admit_topological_order():
     for _ in range(50):
         model = random_model(rng)
         graph = class_graph(model)
-        indegree = {node: 0 for node in graph.nodes}
-        out = {node: [] for node in graph.nodes}
-        for edge in graph.edges:
-            if edge.kind == INHERIT:
-                indegree[edge.target] += 1
-                out[edge.source].append(edge.target)
-        ready = [n for n, d in indegree.items() if d == 0]
-        seen = 0
-        while ready:
-            node = ready.pop()
-            seen += 1
-            for succ in out[node]:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    ready.append(succ)
-        assert seen == len(graph.nodes)
+        assert is_dag(graph.nodes, [edge for edge in graph.edges if edge.kind == INHERIT])
 
 
 # -- package graph ----------------------------------------------------------------
@@ -597,26 +583,12 @@ def test_mutual_dependencies_give_a_two_cycle():
     assert pairs == {("p", "q"), ("q", "p")}
 
 
-def _declared_references(cls):
-    refs = set(cls.parents)
-    refs |= {attr.target for attr in cls.attributes if attr.target is not None}
-    for method in cls.methods:
-        refs |= set(method.uses)
-    return refs
-
-
 def test_package_edges_are_exactly_the_image_of_cross_class_references():
     rng = random.Random(17)
     for _ in range(60):
         model = random_model(rng, max_packages=5, max_classes=4)
-        # brute force: double loop over declarations straight from the model
-        expected = set()
-        for source_qn, cls in model.iter_classes():
-            for ref in _declared_references(cls):
-                if ref.package != source_qn.package:
-                    expected.add((source_qn.package, ref.package))
         actual = {(e.source.package, e.target.package) for e in package_graph(model).edges}
-        assert actual == expected
+        assert actual == raw_package_references(model)
         assert set(package_graph(model).nodes) == {qn(p.name) for p in model.packages}
         # each package edge carries the smallest kind among the class edges crossing it
         kinds = {}

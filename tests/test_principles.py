@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -22,6 +21,7 @@ from designlens.model import (
     QualifiedName,
     build_model,
     class_graph,
+    package_graph,
 )
 from designlens.principles import (
     RULE_ADP,
@@ -42,6 +42,7 @@ from designlens.principles import (
 )
 from designlens.tarjan import cycles
 from modelgen import random_model
+from test_metrics import package_coupling_oracle
 
 
 def qn(package, cls=""):
@@ -83,32 +84,10 @@ def cycle_groups_oracle(node_count, edges):
 # -- ADP cycle detection ---------------------------------------------------------
 
 
-def test_three_cycle_is_one_group():
-    graph = package_digraph(3, [(0, 1), (1, 2), (2, 0)])
-    assert detect_cycles(graph) == [["n0", "n1", "n2"]]
-
-
-def test_dag_has_no_cycle_groups():
-    graph = package_digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    assert detect_cycles(graph) == []
-
-
-def test_two_disjoint_two_cycles_give_two_groups():
-    graph = package_digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
-    assert detect_cycles(graph) == [["n0", "n1"], ["n2", "n3"]]
-
-
 def test_detect_cycles_rejects_class_granularity():
     graph = DependencyGraph((qn("p", "A"),), (), "class")
     with pytest.raises(ValueError):
         detect_cycles(graph)
-
-
-def test_detect_cycles_matches_oracle_exhaustively_on_three_nodes():
-    pairs = [(a, b) for a in range(3) for b in range(3) if a != b]
-    for mask in range(2 ** len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        assert detect_cycles(package_digraph(3, edges)) == cycle_groups_oracle(3, edges)
 
 
 def test_detect_cycles_matches_oracle_on_random_graphs():
@@ -129,18 +108,11 @@ def test_tarjan_cycles_matches_oracle_on_every_three_node_digraph():
         assert cycles(["n2", "n0", "n1"], successors) == cycle_groups_oracle(3, edges)
 
 
-def test_acyclic_model_yields_zero_adp_findings(reference_source):
-    model = parse_minioo(reference_source)
-    findings = run_all(model, compute_all(model))
-    assert [f for f in findings if f.rule == RULE_ADP] == []
-
-
-def _package_graph_is_dag(model):
-    from designlens.model import package_graph
-    graph = package_graph(model)
-    indegree = {node: 0 for node in graph.nodes}
-    successors = {node: [] for node in graph.nodes}
-    for edge in graph.edges:
+def is_dag(nodes, edges):
+    """Kahn's algorithm: whether every node is reached once its predecessors are taken."""
+    indegree = {node: 0 for node in nodes}
+    successors = {node: [] for node in nodes}
+    for edge in edges:
         indegree[edge.target] += 1
         successors[edge.source].append(edge.target)
     ready = [n for n, d in indegree.items() if d == 0]
@@ -152,7 +124,7 @@ def _package_graph_is_dag(model):
             indegree[succ] -= 1
             if indegree[succ] == 0:
                 ready.append(succ)
-    return seen == len(graph.nodes)
+    return seen == len(indegree)
 
 
 def test_no_adp_findings_iff_package_graph_is_a_dag():
@@ -162,7 +134,8 @@ def test_no_adp_findings_iff_package_graph_is_a_dag():
         model = random_model(rng, max_packages=5, max_classes=3)
         findings = run_all(model, compute_all(model))
         has_cycle_findings = any(f.rule == RULE_ADP for f in findings)
-        if _package_graph_is_dag(model):
+        graph = package_graph(model)
+        if is_dag(graph.nodes, graph.edges):
             acyclic_seen += 1
             assert not has_cycle_findings
         else:
@@ -219,17 +192,7 @@ def sdp_oracle(model):
     """Directly evaluate I(Q) > I(P) over every package dependency with exact rationals."""
     instabilities = {}
     for pkg in model.packages:
-        sources, targets = set(), set()
-        for cls_qn, cls in model.iter_classes():
-            refs = set(cls.parents)
-            refs |= {a.target for a in cls.attributes if a.target is not None}
-            refs |= {t for m in cls.methods for t in m.uses}
-            for ref in refs:
-                if cls_qn.package == pkg.name and ref.package != pkg.name:
-                    targets.add(ref)
-                elif cls_qn.package != pkg.name and ref.package == pkg.name:
-                    sources.add(cls_qn)
-        ca, ce = len(sources), len(targets)
+        ca, ce = package_coupling_oracle(model, pkg.name)
         instabilities[pkg.name] = None if ca + ce == 0 else Fraction(ce, ca + ce)
     violations = set()
     for source, target in raw_package_references(model):
@@ -267,13 +230,6 @@ def test_equal_instability_is_not_a_violation():
     assert report.per_package["p"].instability == report.per_package["q"].instability
     assert {f.locus for f in sdp_violations(model, report)} == sdp_oracle(model)
     assert "p->q" not in {f.locus for f in sdp_violations(model, report)}
-
-
-def test_sdp_sweep_matches_direct_evaluation():
-    for ca_p, ce_p, ca_q, ce_q in itertools.product(range(4), repeat=4):
-        model = coupling_model(ca_p, ce_p, ca_q, ce_q)
-        report = compute_all(model)
-        assert {f.locus for f in sdp_violations(model, report)} == sdp_oracle(model)
 
 
 def _layered_chain_model(widths):
