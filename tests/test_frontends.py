@@ -95,6 +95,10 @@ def test_minimal_program_parses():
     assert cls.name == "A" and not cls.is_abstract and cls.methods == ()
 
 
+def test_reference_fixture_parses_to_hand_derived_model(reference_source):
+    assert parse_minioo(reference_source) == REFERENCE_MODEL
+
+
 def test_reference_fixture_derives_the_expected_edges(reference_source):
     from designlens.model import class_graph
     edges = [(str(e.source), str(e.target), e.kind)

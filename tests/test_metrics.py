@@ -164,9 +164,18 @@ def scan_efferent(model, package):
 # -- WMC ------------------------------------------------------------------------------
 
 
+def test_wmc_with_unit_weights_is_the_method_count():
+    cls = ClassDef("C", methods=(method("a"), method("b"), method("c")))
+    assert wmc(cls) == 3
+
+
 def test_wmc_sums_declared_weights():
     cls = ClassDef("C", methods=(method("a", 2), method("b", 3), method("c", 5)))
     assert wmc(cls) == 10
+
+
+def test_wmc_of_methodless_class_is_zero():
+    assert wmc(ClassDef("C")) == 0
 
 
 # -- DIT ------------------------------------------------------------------------------
@@ -177,6 +186,15 @@ def _hierarchy(*parent_lists):
         ClassDef(f"C{i}", parents=tuple(qn("p", f"C{j}") for j in parents))
         for i, parents in enumerate(parent_lists))
     return build_model([PackageDef("p", classes)])
+
+
+def test_dit_of_root_is_zero():
+    assert dit(_hierarchy(()), qn("p", "C0")) == 0
+
+
+def test_dit_of_chain_is_path_length():
+    model = _hierarchy((), (0,), (1,))
+    assert dit(model, qn("p", "C2")) == 2
 
 
 def _children_first(model):
@@ -325,6 +343,37 @@ def test_cbo_matches_brute_force_oracle():
 
 
 # -- LCOM -----------------------------------------------------------------------------
+
+
+def worked_read_set_class():
+    # classic three-method example: reads {a,b,c,d}, {a,b,c}, {x,y,z}
+    return ClassDef("C",
+                    attributes=tuple(AttributeDef(a) for a in "abcdxyz"),
+                    methods=(method("m1", reads="abcd"),
+                             method("m2", reads="abc"),
+                             method("m3", reads="xyz")))
+
+
+def test_lcom_on_the_worked_read_set_example():
+    cls = worked_read_set_class()
+    assert lcom(cls) == 1
+    assert lcom(cls) == lcom_pair_oracle(cls)
+
+
+def test_lcom_of_single_method_class_is_zero():
+    assert lcom(ClassDef("C", methods=(method("only"),))) == 0
+
+
+def test_lcom_of_two_disjoint_methods_is_one():
+    cls = ClassDef("C",
+                   attributes=(AttributeDef("a"), AttributeDef("b")),
+                   methods=(method("m1", reads="a"), method("m2", reads="b")))
+    assert lcom(cls) == 1
+
+
+def test_methods_with_empty_read_sets_count_as_disjoint():
+    cls = ClassDef("C", methods=(method("m1"), method("m2")))
+    assert lcom(cls) == 1
 
 
 # Each read set is a bitmask over one to four fields, so empty and repeated sets are

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -84,10 +85,32 @@ def cycle_groups_oracle(node_count, edges):
 # -- ADP cycle detection ---------------------------------------------------------
 
 
+def test_three_cycle_is_one_group():
+    graph = package_digraph(3, [(0, 1), (1, 2), (2, 0)])
+    assert detect_cycles(graph) == [["n0", "n1", "n2"]]
+
+
+def test_dag_has_no_cycle_groups():
+    graph = package_digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    assert detect_cycles(graph) == []
+
+
+def test_two_disjoint_two_cycles_give_two_groups():
+    graph = package_digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
+    assert detect_cycles(graph) == [["n0", "n1"], ["n2", "n3"]]
+
+
 def test_detect_cycles_rejects_class_granularity():
     graph = DependencyGraph((qn("p", "A"),), (), "class")
     with pytest.raises(ValueError):
         detect_cycles(graph)
+
+
+def test_detect_cycles_matches_oracle_exhaustively_on_three_nodes():
+    pairs = [(a, b) for a in range(3) for b in range(3) if a != b]
+    for mask in range(2 ** len(pairs)):
+        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+        assert detect_cycles(package_digraph(3, edges)) == cycle_groups_oracle(3, edges)
 
 
 def test_detect_cycles_matches_oracle_on_random_graphs():
@@ -106,6 +129,12 @@ def test_tarjan_cycles_matches_oracle_on_every_three_node_digraph():
         edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
         successors = {f"n{i}": [f"n{b}" for a, b in edges if a == i] for i in range(3)}
         assert cycles(["n2", "n0", "n1"], successors) == cycle_groups_oracle(3, edges)
+
+
+def test_acyclic_model_yields_zero_adp_findings(reference_source):
+    model = parse_minioo(reference_source)
+    findings = run_all(model, compute_all(model))
+    assert [f for f in findings if f.rule == RULE_ADP] == []
 
 
 def is_dag(nodes, edges):
@@ -230,6 +259,13 @@ def test_equal_instability_is_not_a_violation():
     assert report.per_package["p"].instability == report.per_package["q"].instability
     assert {f.locus for f in sdp_violations(model, report)} == sdp_oracle(model)
     assert "p->q" not in {f.locus for f in sdp_violations(model, report)}
+
+
+def test_sdp_sweep_matches_direct_evaluation():
+    for ca_p, ce_p, ca_q, ce_q in itertools.product(range(4), repeat=4):
+        model = coupling_model(ca_p, ce_p, ca_q, ce_q)
+        report = compute_all(model)
+        assert {f.locus for f in sdp_violations(model, report)} == sdp_oracle(model)
 
 
 def _layered_chain_model(widths):

@@ -265,13 +265,16 @@ def test_json_csv_and_text_render_the_same_cells_aggregates_and_findings(seed):
 # -- golden files ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("json", "json"), ("csv", "csv")],
-                         ids=["findings-text-txt", "findings-json-json", "findings-csv-csv"])
-def test_reference_fixture_matches_golden_rendering(fmt, ext):
-    # findings.minioo fires every rule and leaves UNDEFINED cells, pinning evidence bytes;
-    # the acceptance suite pins reference.minioo's goldens
-    report = full_report(parse_minioo((FIXTURES / "findings.minioo").read_text(encoding="utf-8")))
-    assert render(report, fmt) == (GOLDEN / f"findings.{ext}").read_text(encoding="utf-8")
+@pytest.mark.parametrize("fixture,fmt,ext", [
+    pytest.param(fixture, fmt, ext, id=f"{fmt}-{ext}" if fixture == "reference" else
+                 f"{fixture}-{fmt}-{ext}")
+    for fixture in ("reference", "findings")
+    for fmt, ext in (("text", "txt"), ("json", "json"), ("csv", "csv"))])
+def test_reference_fixture_matches_golden_rendering(fixture, fmt, ext):
+    # findings.minioo fires every rule and leaves UNDEFINED cells, pinning evidence bytes
+    report = full_report(parse_minioo((FIXTURES / f"{fixture}.minioo").read_text(encoding="utf-8")))
+    golden = (GOLDEN / f"{fixture}.{ext}").read_text(encoding="utf-8")
+    assert render(report, fmt) == golden
 
 
 # -- memory ----------------------------------------------------------------------
@@ -390,3 +393,9 @@ def _hand_built_reports(draw):
 @given(report=_hand_built_reports())
 def test_json_escapes_any_text_as_the_reference_renderer_does(report):
     assert render(report, "json") == reference_render_json(report)
+
+
+def test_render_build_pipeline_is_deterministic_end_to_end(reference_source):
+    first = render(full_report(parse_minioo(reference_source)), "json")
+    second = render(full_report(parse_minioo(reference_source)), "json")
+    assert first == second
