@@ -7,15 +7,17 @@ Exit codes: 0 clean, 1 gate failure or fail-on finding, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
+import io
 import json
 import os
 import sys
-from contextlib import redirect_stdout
-from dataclasses import dataclass, replace
+from contextlib import redirect_stdout, suppress
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import TextIO
+from typing import Callable, TextIO
 
 from .frontends import (
     ParseError,
@@ -72,6 +74,7 @@ _COUNT_GATES = {
 GATE_NAMES = tuple(sorted(
     [f"{kind}_{metric}" for kind in _AGGREGATE_KINDS for metric in _METRIC_NAMES]
     + list(_COUNT_GATES)))
+_Gates = tuple[tuple[str, str, int | Fraction], ...]  # (name, comparator, limit) each
 
 # The most digits a config number may take written out in full: room for any
 # threshold or limit, and far below the longest integer Python converts to text.
@@ -85,26 +88,20 @@ class ConfigError(Exception):
     """The config document is malformed; the message names the offending key path."""
 
 
-class _UsageError(Exception):
-    pass
+class _Exit(Exception):
+    """`_Exit(code, *lines)` ends a run: `run` writes the lines to standard error."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse would sys.exit(2)
-        raise _UsageError(message)
+        raise _Exit(EXIT_USAGE, f"error: {message}")
 
 
-@dataclass(frozen=True)
-class GateConfig:
-    thresholds: Thresholds
-    gates: tuple[tuple[str, str, int | Fraction], ...] = ()
-    fail_on: frozenset[str] = frozenset()
-
-
-def load_config(path: str | None) -> GateConfig:
-    """Load a config document merged over defaults; unknown keys are errors."""
+def load_config(path: str | None) -> tuple[Thresholds, _Gates, frozenset[str]]:
+    """`(thresholds, gates, fail_on)` of a config document merged over defaults; unknown
+    keys are errors."""
     if path is None:
-        return GateConfig(Thresholds())
+        return Thresholds(), (), frozenset()
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -129,7 +126,7 @@ def load_config(path: str | None) -> GateConfig:
     gates = _load_gates(data.get("gates", []))
     fail_on = frozenset(_parse_fail_on_token(token, context="fail_on")
                         for token in _string_list(data.get("fail_on", []), "fail_on"))
-    return GateConfig(thresholds, gates, fail_on)
+    return thresholds, gates, fail_on
 
 
 def _config_number(text: str) -> Fraction:
@@ -164,7 +161,7 @@ def _load_thresholds(data: object) -> Thresholds:
         raise ConfigError(f"'thresholds': {exc}") from None
 
 
-def _load_gates(data: object) -> tuple[tuple[str, str, int | Fraction], ...]:
+def _load_gates(data: object) -> _Gates:
     if not isinstance(data, list):
         raise ConfigError("'gates' must be an array")
     gates = []
@@ -201,80 +198,86 @@ def run(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = N
     enabled = gc.isenabled()
     gc.disable()
     try:
-        stdout = stdout if stdout is not None else sys.stdout
-        stderr = stderr if stderr is not None else sys.stderr
-
-        parser = _build_parser()
-        try:
-            with redirect_stdout(stdout):  # argparse prints --help to sys.stdout
-                args = parser.parse_args(argv)
-        except _UsageError as exc:
-            print(f"error: {exc}", file=stderr)
-            return EXIT_USAGE
-        except SystemExit as exc:  # --help
-            try:
-                stdout.flush()
-            except OSError as error:
-                print(f"error: cannot write standard output: {error.strerror or error}",
-                      file=stderr)
-                return EXIT_USAGE
-            return int(exc.code or 0)
-
-        try:
-            config = load_config(args.config)
-            fail_on = set(config.fail_on)
-            for raw in args.fail_on or []:
-                for token in raw.split(","):
-                    if token.strip():
-                        fail_on.add(_parse_fail_on_token(token, context="--fail-on"))
-        except ConfigError as exc:
-            print(f"error: {exc}", file=stderr)
-            return EXIT_USAGE
-
-        packages, code = _load_inputs(args.paths, stderr)
-        if code != EXIT_OK:
-            return code
-        try:
-            model = build_model(packages)
-        except ModelError as exc:
-            for error in exc.errors:
-                print(_located(error), file=stderr)
-            return EXIT_INPUT
-
-        metrics = compute_all(model)
-        findings = run_all(model, metrics, config.thresholds)
-        layered = build_report(model, metrics, findings)
-        color = (args.format == "text" and args.out is None
-                 and not os.environ.get(NO_COLOR_ENV)
-                 and getattr(stdout, "isatty", lambda: False)())
-
-        try:  # the report exists, so --out is opened only now
-            if args.out is not None:
-                with open(args.out, "w", encoding="utf-8") as out:
-                    write_report(layered, args.format, out)
-            else:
-                write_report(layered, args.format, stdout, color)
-                stdout.flush()
-        except OSError as exc:
-            target = "standard output" if args.out is None else args.out
-            print(f"error: cannot write {target}: {exc.strerror or exc}", file=stderr)
-            return EXIT_USAGE
-
-        failed = False
-        for message in _evaluate_gates(layered, config.gates):
-            print(f"gate failed: {message}", file=stderr)
-            failed = True
-        for finding in findings:
-            if finding.rule.lower() in fail_on or finding.severity in fail_on:
-                print(f"fail-on: {finding.rule} at {finding.locus}", file=stderr)
-                failed = True
-            elif args.strict and finding.severity == "warning":
-                print(f"strict: {finding.rule} at {finding.locus}", file=stderr)
-                failed = True
-        return EXIT_GATE_FAILURE if failed else EXIT_OK
+        _analyze(argv, stdout if stdout is not None else sys.stdout)
+        return EXIT_OK
+    except _Exit as exc:
+        code, *lines = exc.args
+        _write_errors(stderr if stderr is not None else sys.stderr, lines)
+        return code
     finally:
         if enabled:
             gc.enable()
+
+
+def _analyze(argv: list[str], stdout: TextIO | None) -> None:
+    """A run that returns on exit 0 and raises `_Exit` on every other way out."""
+    parser = _build_parser()
+    help_text = io.StringIO()
+    try:
+        with redirect_stdout(help_text):  # argparse prints --help to sys.stdout
+            args = parser.parse_args(argv)
+    except SystemExit:  # --help: `error` raises, so help is argparse's only exit
+        _write_stdout(stdout, lambda stream: stream.write(help_text.getvalue()))
+        raise _Exit(EXIT_OK)
+
+    try:
+        thresholds, gates, fail_on = load_config(args.config)
+        fail_on = set(fail_on)
+        for raw in args.fail_on or []:
+            for token in raw.split(","):
+                if token.strip():
+                    fail_on.add(_parse_fail_on_token(token, context="--fail-on"))
+    except ConfigError as exc:
+        raise _Exit(EXIT_USAGE, f"error: {exc}")
+
+    try:
+        model = build_model(_load_inputs(args.paths))
+    except ModelError as exc:
+        raise _Exit(EXIT_INPUT, *map(_located, exc.errors))
+
+    metrics = compute_all(model)
+    findings = run_all(model, metrics, thresholds)
+    layered = build_report(model, metrics, findings)
+    if args.out is None:
+        color = (args.format == "text" and not os.environ.get(NO_COLOR_ENV)
+                 and getattr(stdout, "isatty", lambda: False)())
+        _write_stdout(stdout, lambda stream: write_report(layered, args.format, stream, color))
+    else:  # the report exists, so --out is opened only now
+        try:
+            with open(args.out, "w", encoding="utf-8") as out:
+                write_report(layered, args.format, out)
+        except OSError as exc:
+            raise _Exit(EXIT_USAGE, f"error: cannot write {args.out}: {exc.strerror or exc}")
+
+    failures = [f"gate failed: {message}" for message in _evaluate_gates(layered, gates)]
+    for finding in findings:
+        if finding.rule.lower() in fail_on or finding.severity in fail_on:
+            failures.append(f"fail-on: {finding.rule} at {finding.locus}")
+        elif args.strict and finding.severity == "warning":
+            failures.append(f"strict: {finding.rule} at {finding.locus}")
+    if failures:
+        raise _Exit(EXIT_GATE_FAILURE, *failures)
+
+
+def _write_stdout(stdout: TextIO | None, write: Callable[[TextIO], object]) -> None:
+    """`write(stdout)`, then flush; a failed write ends the run with exit 2, as does
+    no stream at all (`sys.stdout` is None when Python starts with fd 1 closed)."""
+    try:
+        if stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        write(stdout)
+        stdout.flush()
+    except OSError as exc:
+        raise _Exit(EXIT_USAGE, f"error: cannot write standard output: {exc.strerror or exc}")
+
+
+def _write_errors(stderr: TextIO | None, lines: list[str]) -> None:
+    """Write the message lines to standard error and flush them. A standard error
+    that is missing or cannot take them loses them; the run keeps its exit code."""
+    if stderr is not None:
+        with suppress(OSError):
+            stderr.write("".join(f"{line}\n" for line in lines))
+            stderr.flush()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -293,34 +296,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_inputs(paths: list[str], stderr: TextIO) -> tuple[list[PackageDef], int]:
+def _load_inputs(paths: list[str]) -> list[PackageDef]:
+    """The packages the files declare. A file that cannot be read ends the run with
+    exit 2, after the error lines of the files before it; error lines alone, with 3."""
     packages: list[PackageDef] = []
-    input_errors = False
+    errors: list[str] = []
     for path in paths:
         suffix = Path(path).suffix
         if suffix not in (".minioo", ".json"):
-            print(f"error: {path}: unsupported input extension '{suffix}'", file=stderr)
-            return [], EXIT_USAGE
+            raise _Exit(EXIT_USAGE, *errors,
+                        f"error: {path}: unsupported input extension '{suffix}'")
         try:
             text = Path(path).read_bytes().decode("utf-8")  # exact text: no newline translation
         except OSError as exc:
-            print(f"error: cannot read {path}: {exc.strerror or exc}", file=stderr)
-            return [], EXIT_USAGE
+            raise _Exit(EXIT_USAGE, *errors, f"error: cannot read {path}: {exc.strerror or exc}")
         except UnicodeDecodeError:
-            print(f"error: {path} is not valid UTF-8", file=stderr)
-            return [], EXIT_USAGE
+            raise _Exit(EXIT_USAGE, *errors, f"error: {path} is not valid UTF-8")
         try:
             if suffix == ".minioo":
                 packages.extend(parse_minioo_declarations(text, path))
             else:
                 packages.extend(decode_interchange(text, path))
         except (ParseFailure, ModelError) as exc:
-            for error in exc.errors:
-                print(_located(error), file=stderr)
-            input_errors = True
-    if input_errors:
-        return [], EXIT_INPUT
-    return packages, EXIT_OK
+            errors.extend(map(_located, exc.errors))
+    if errors:
+        raise _Exit(EXIT_INPUT, *errors)
+    return packages
 
 
 def _located(error: ParseError | ValidationError) -> str:
@@ -330,8 +331,7 @@ def _located(error: ParseError | ValidationError) -> str:
     return f"{position.path}:{error}" if position.line else f"{position.path}: {error}"
 
 
-def _evaluate_gates(report: LayeredReport,
-                    gates: tuple[tuple[str, str, int | Fraction], ...]) -> list[str]:
+def _evaluate_gates(report: LayeredReport, gates: _Gates) -> list[str]:
     """Check each gate against the report; UNDEFINED (absent) aggregates never trip gates."""
     failures = []
     findings = report.layers[3].findings
@@ -363,10 +363,8 @@ def _limit_text(value: int | Fraction) -> str:
 
 
 def main() -> None:
-    """The `designlens` process: `run`, which flushes its output, then `os._exit`."""
-    code = run(sys.argv[1:])
-    sys.stderr.flush()
-    os._exit(code)
+    """The `designlens` process: `run`, which flushes all it writes, then `os._exit`."""
+    os._exit(run(sys.argv[1:]))
 
 
 if __name__ == "__main__":
