@@ -33,7 +33,7 @@ from .model import (
     validate_packages,
 )
 from .principles import Finding, Thresholds, detect_cycles, run_all
-from .report import LayeredReport, build_report, render, write_report
+from .report import build_report, render, write_report
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,6 @@ __all__ = [
     "DependencyEdge",
     "DependencyGraph",
     "Finding",
-    "LayeredReport",
     "MethodDef",
     "MetricsReport",
     "ModelError",

@@ -11,10 +11,11 @@ import errno
 import gc
 import io
 import json
+import operator
 import os
 import sys
+from collections import Counter
 from contextlib import redirect_stdout, suppress
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, TextIO
@@ -46,7 +47,7 @@ from .report import (
     FORMATS,
     PACKAGING_METRICS,
     RELATIONSHIP_METRICS,
-    LayeredReport,
+    Layer,
     build_report,
     write_report,
 )
@@ -58,7 +59,8 @@ EXIT_INPUT = 3
 
 NO_COLOR_ENV = "DESIGNLENS_NO_COLOR"
 
-COMPARATORS = ("<=", ">=", "=")
+_COMPARE = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
+COMPARATORS = tuple(_COMPARE)
 
 _METRIC_NAMES = CLASS_DESIGN_METRICS + RELATIONSHIP_METRICS + PACKAGING_METRICS
 _AGGREGATE_KINDS = ("max", "min", "mean")
@@ -156,7 +158,7 @@ def _load_thresholds(data: object) -> Thresholds:
         else:
             raise ConfigError(f"unknown config key 'thresholds.{key}'")
     try:
-        return replace(Thresholds(), **values)
+        return Thresholds(**values)
     except ValueError as exc:
         raise ConfigError(f"'thresholds': {exc}") from None
 
@@ -237,19 +239,19 @@ def _analyze(argv: list[str], stdout: TextIO | None) -> None:
 
     metrics = compute_all(model)
     findings = run_all(model, metrics, thresholds)
-    layered = build_report(model, metrics, findings)
+    layers = build_report(model, metrics, findings)
     if args.out is None:
         color = (args.format == "text" and not os.environ.get(NO_COLOR_ENV)
                  and getattr(stdout, "isatty", lambda: False)())
-        _write_stdout(stdout, lambda stream: write_report(layered, args.format, stream, color))
+        _write_stdout(stdout, lambda stream: write_report(layers, args.format, stream, color))
     else:  # the report exists, so --out is opened only now
         try:
             with open(args.out, "w", encoding="utf-8") as out:
-                write_report(layered, args.format, out)
+                write_report(layers, args.format, out)
         except OSError as exc:
             raise _Exit(EXIT_USAGE, f"error: cannot write {args.out}: {exc.strerror or exc}")
 
-    failures = [f"gate failed: {message}" for message in _evaluate_gates(layered, gates)]
+    failures = [f"gate failed: {message}" for message in _evaluate_gates(layers, gates)]
     for finding in findings:
         if finding.rule.lower() in fail_on or finding.severity in fail_on:
             failures.append(f"fail-on: {finding.rule} at {finding.locus}")
@@ -331,35 +333,17 @@ def _located(error: ParseError | ValidationError) -> str:
     return f"{position.path}:{error}" if position.line else f"{position.path}: {error}"
 
 
-def _evaluate_gates(report: LayeredReport, gates: _Gates) -> list[str]:
-    """Check each gate against the report; UNDEFINED (absent) aggregates never trip gates."""
-    failures = []
-    findings = report.layers[3].findings
-    for name, comparator, limit in gates:
-        if name in _COUNT_GATES:
-            value: int | Fraction | None = sum(
-                1 for f in findings if f.rule == _COUNT_GATES[name])
-        else:
-            kind, _, metric = name.partition("_")
-            value = None
-            for layer in report.layers:
-                if metric in layer.aggregates:
-                    value = layer.aggregates[metric][kind]
-                    break
-        if value is None:
-            continue
-        ok = (value <= limit if comparator == "<="
-              else value >= limit if comparator == ">="
-              else value == limit)
-        if not ok:
-            failures.append(f"{name} {comparator} {_limit_text(limit)} (actual {_limit_text(value)})")
-    return failures
-
-
-def _limit_text(value: int | Fraction) -> str:
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return str(int(value)) if isinstance(value, Fraction) else str(value)
+def _evaluate_gates(layers: tuple[Layer, ...], gates: _Gates) -> list[str]:
+    """Check each gate, in order, against the report; UNDEFINED (absent) aggregates
+    never trip gates."""
+    values: dict[str, int | Fraction] = {
+        f"{kind}_{metric}": value for layer in layers
+        for metric, stats in layer.aggregates.items() for kind, value in stats.items()}
+    counts = Counter(finding.rule for finding in layers[3].findings)
+    values.update((name, counts[rule]) for name, rule in _COUNT_GATES.items())
+    return [f"{name} {comparator} {limit} (actual {values[name]})"
+            for name, comparator, limit in gates
+            if name in values and not _COMPARE[comparator](values[name], limit)]
 
 
 def main() -> None:

@@ -40,33 +40,22 @@ _MAX_WEIGHT_DIGITS = len(str(MAX_WEIGHT))
 _ATTRIBUTE_KINDS = {"assoc": ASSOCIATION, "aggr": AGGREGATION}
 
 
-class _Lines:
-    """One MiniOO file a parse read: its path, and the offset each of its lines starts
-    at, filled in when the parse ends.  It keeps no reference to the source text."""
-
-    __slots__ = ("path", "starts")
-
-    def __init__(self, path: str | None) -> None:
-        self.path = path
-        self.starts = array("q", [0])
-
-    def resolve(self, offset: int) -> SourcePosition:
-        """The line and column of a source offset; the column counts code points."""
-        starts = self.starts
-        line = bisect_right(starts, offset)
-        return SourcePosition(line, offset - starts[line - 1] + 1, self.path)
-
-
 class _Offset(int):
-    """A MiniOO position: an `int`, its source offset, of a class each parse makes,
-    whose `lines` is the file the parse read.  Its line and column are resolved only
-    when read.  It equals, hashes, prints, pickles and copies as its `SourcePosition`."""
+    """A MiniOO position: an `int`, its source offset, of a class each parse makes.  That
+    class is the file the parse read: its `path`, and `starts`, the offset each line starts
+    at, filled in when the parse ends; it keeps no source text.  The line and column are
+    resolved only when read.  It equals, hashes, prints, pickles and copies as its
+    `SourcePosition`."""
 
     __slots__ = ()
-    lines: _Lines  # a class attribute of each parse's subclass
+    path: str | None  # class attributes of each parse's subclass
+    starts: array
 
     def resolved(self) -> SourcePosition:
-        return self.lines.resolve(self)
+        """The line and column of the offset; the column counts code points."""
+        starts = self.starts
+        line = bisect_right(starts, self)
+        return SourcePosition(line, self - starts[line - 1] + 1, self.path)
 
     @property
     def line(self) -> int:
@@ -75,10 +64,6 @@ class _Offset(int):
     @property
     def column(self) -> int:
         return self.resolved().column
-
-    @property
-    def path(self) -> str | None:
-        return self.lines.path
 
     def __bool__(self) -> bool:
         return True  # a position, at offset 0 too
@@ -191,9 +176,9 @@ class _MiniOOParser:
         self._next = _TOKEN_RE.finditer(source).__next__
         self._advance()
         self.errors: list[ParseError] = []
-        self.lines = _Lines(path)
         # every position of the parse is one `at(offset)`; only they refer to this class
-        self.at = type("_Offset", (_Offset,), {"__slots__": (), "lines": self.lines})
+        self.at = type("_Offset", (_Offset,),
+                       {"__slots__": (), "path": path, "starts": array("q", [0])})
         self.sets: dict[frozenset, frozenset] = {}
         self.names: dict[tuple[str, str], QualifiedName] = {}
         # each distinct `reads` text matched, to its set; no list at all is the empty set
@@ -273,7 +258,7 @@ class _MiniOOParser:
         # every lexer error is known once `eof` is current; they are reported first
         self.errors[:0] = [ParseError(self.at(offset), expected, found)
                            for offset, expected, found in self.bad]
-        self.lines.starts.extend(map(re.Match.end, re.finditer("\n", self.source)))
+        self.at.starts.extend(map(re.Match.end, re.finditer("\n", self.source)))
         return packages
 
     def _package(self) -> PackageDef:

@@ -151,16 +151,8 @@ def _require_package(model: CodeModel, package: str) -> None:
 def format_rational(value: Fraction | int) -> str:
     """Render a rational with exactly 4 fractional digits, rounding half to even.
 
-    Computed in exact integer arithmetic so output bytes never depend on
-    platform float behavior.
+    `Fraction` rounds exactly, so output bytes never depend on platform float behavior.
     """
-    fraction = Fraction(value)
-    negative = fraction < 0
-    scaled = abs(fraction) * 10000
-    units, remainder = divmod(scaled.numerator, scaled.denominator)
-    double = 2 * remainder
-    if double > scaled.denominator or (double == scaled.denominator and units % 2):
-        units += 1
-    whole, frac = divmod(units, 10000)
-    sign = "-" if negative and units else ""
-    return f"{sign}{whole}.{frac:04d}"
+    units = round(Fraction(value) * 10000)
+    whole, frac = divmod(abs(units), 10000)
+    return f"{'-' if units < 0 else ''}{whole}.{frac:04d}"

@@ -49,24 +49,19 @@ class Layer:
     findings: tuple[Finding, ...]
 
 
-@dataclass(frozen=True)
-class LayeredReport:
-    layers: tuple[Layer, ...]
-
-
 def build_report(model: CodeModel, metrics: MetricsReport,
-                 findings: list[Finding]) -> LayeredReport:
-    """Assemble the four-layer report; every value and finding lands in exactly one layer."""
+                 findings: list[Finding]) -> tuple[Layer, ...]:
+    """The report: its four layers, in order; every value and finding lands in exactly one."""
     classes = [(str(name), metrics.per_class[name])
                for name in sorted(name for name, _ in model.iter_classes())]
     packages = [(name, metrics.per_package[name])
                 for name in sorted(pkg.name for pkg in model.packages)]
-    return LayeredReport((
+    return (
         _layer(LAYER_CLASS_DESIGN, CLASS_DESIGN_METRICS, classes),
         _layer(LAYER_RELATIONSHIPS, RELATIONSHIP_METRICS, classes),
         _layer(LAYER_PACKAGING, PACKAGING_METRICS, packages),
         Layer(LAYER_PRINCIPLES, (), (), {}, tuple(findings)),
-    ))
+    )
 
 
 def _layer(name: str, columns: tuple[str, ...], subjects: list[tuple[str, object]]) -> Layer:
@@ -84,14 +79,14 @@ def _layer(name: str, columns: tuple[str, ...], subjects: list[tuple[str, object
     return Layer(name, columns, rows, aggregates, ())
 
 
-def render(report: LayeredReport, format: str, color: bool = False) -> str:
+def render(report: tuple[Layer, ...], format: str, color: bool = False) -> str:
     """The report as one string: `write_report` into memory."""
     out = io.StringIO()
     write_report(report, format, out, color)
     return out.getvalue()
 
 
-def write_report(report: LayeredReport, format: str, out: TextIO, color: bool = False) -> None:
+def write_report(report: tuple[Layer, ...], format: str, out: TextIO, color: bool = False) -> None:
     """Write a layered report to `out` as 'text', 'json', or 'csv', one metric row,
     aggregate block or finding per write; no string holds a whole layer."""
     if format not in _WRITERS:
@@ -102,9 +97,9 @@ def write_report(report: LayeredReport, format: str, out: TextIO, color: bool = 
 # -- JSON ----------------------------------------------------------------------
 
 
-def _write_json(report: LayeredReport, out: TextIO, color: bool) -> None:
+def _write_json(layers: tuple[Layer, ...], out: TextIO, color: bool) -> None:
     out.write('{"layers":[')
-    for index, layer in enumerate(report.layers):
+    for index, layer in enumerate(layers):
         out.write(f'{"," if index else ""}{{"name":{_json(layer.name)},"metrics":[')
         names = [f'{_json(column)},"value":' for column in layer.columns]
         separator = ""
@@ -146,9 +141,9 @@ def _json(value: object) -> str:
 # -- CSV -----------------------------------------------------------------------
 
 
-def _write_csv(report: LayeredReport, out: TextIO, color: bool) -> None:
+def _write_csv(layers: tuple[Layer, ...], out: TextIO, color: bool) -> None:
     writer = csv.writer(out, lineterminator="\n")
-    for index, layer in enumerate(report.layers):
+    for index, layer in enumerate(layers):
         if index:
             out.write("\n")
         out.write(f"# layer: {layer.name}\n")
@@ -183,8 +178,8 @@ def _format_evidence(evidence: dict) -> str:
 # -- text ------------------------------------------------------------------------
 
 
-def _write_text(report: LayeredReport, out: TextIO, color: bool) -> None:
-    for index, layer in enumerate(report.layers, start=1):
+def _write_text(layers: tuple[Layer, ...], out: TextIO, color: bool) -> None:
+    for index, layer in enumerate(layers, start=1):
         if index > 1:
             out.write("\n")
         heading = f"Layer {index}: {layer.name}"

@@ -815,6 +815,22 @@ def test_rational_gate_limits_compare_exactly(tmp_path):
     assert code == EXIT_GATE_FAILURE
 
 
+def test_failed_gates_are_reported_in_config_order_with_exact_values(tmp_path):
+    # a rational limit and value as n/d, a count gate with no findings, a repeated gate
+    config = tmp_path / "gates.json"
+    config.write_text(
+        '{"gates":[["mean_instability","<=",0.4999],["sdp_violations",">=",1],'
+        '["max_dit","<=",0],["max_dit","<=",0],["mean_wmc","<=",1]]}', encoding="utf-8")
+    code, out, err = invoke("analyze", REFERENCE, "--out", str(tmp_path / "report.txt"),
+                            "--config", str(config))
+    assert (code, out) == (EXIT_GATE_FAILURE, "")
+    assert err == ("gate failed: mean_instability <= 4999/10000 (actual 1/2)\n"
+                   "gate failed: sdp_violations >= 1 (actual 0)\n"
+                   "gate failed: max_dit <= 0 (actual 1)\n"
+                   "gate failed: max_dit <= 0 (actual 1)\n"
+                   "gate failed: mean_wmc <= 1 (actual 7/4)\n")
+
+
 @pytest.mark.parametrize("sign", ["", "-"])
 def test_config_numbers_are_bounded_in_digits(tmp_path, sign):
     config = tmp_path / "gates.json"

@@ -7,6 +7,7 @@ import random
 import re
 import tracemalloc
 import weakref
+from array import array
 from bisect import bisect_right
 from typing import Any, Iterator, NoReturn
 from unittest.mock import patch
@@ -301,8 +302,8 @@ def test_a_parsed_position_equals_pickles_and_copies_as_a_source_position(refere
 
 
 def test_no_position_keeps_the_source_text_alive():
-    # a position is its offset, of a class made per parse that holds one record per
-    # file, which keeps the line starts
+    # a position is its offset, of a class made per parse that is the file record: its
+    # path and its line starts
     source = write_minioo(random_model(random.Random(3), max_classes=40))
     packages = parse_minioo_declarations(source, "m.minioo")
     reached, seen, stack = [], set(), [packages]
@@ -313,11 +314,11 @@ def test_no_position_keeps_the_source_text_alive():
         seen.add(id(obj))
         reached.append(obj)
         stack.extend(gc.get_referents(obj))
-        if isinstance(obj, _Offset):  # its class, skipped above, holds the file record
-            stack.append(type(obj).lines)
+        if isinstance(obj, _Offset):  # its class, skipped above, is the file record
+            stack += [type(obj).path, type(obj).starts]
     positions = sum(isinstance(obj, _Offset) for obj in reached)
     assert positions == sum(1 for _ in _declarations(packages)) > 100
-    assert any(type(obj).__name__ == "_Lines" for obj in reached)
+    assert any(isinstance(obj, array) and obj.typecode == "q" for obj in reached)
     assert not any(obj is source or (isinstance(obj, str) and len(obj) > 100)
                    for obj in reached)
 

@@ -697,3 +697,33 @@ def test_format_rational_rounds_half_to_even():
     assert format_rational(Fraction(1, 20000)) == "0.0000"  # 0.00005 -> even 0
     assert format_rational(Fraction(3, 20000)) == "0.0002"  # 0.00015 -> even 2
     assert format_rational(Fraction(5, 20000)) == "0.0002"  # 0.00025 -> even 2
+
+
+def test_format_rational_rounds_negative_ties_to_even_without_a_negative_zero():
+    assert format_rational(Fraction(-1, 20000)) == "0.0000"  # -0.00005 -> even 0, no sign
+    assert format_rational(Fraction(-3, 20000)) == "-0.0002"  # -0.00015 -> even -2
+
+
+def reference_format_rational(value):
+    """Four digits, half to even, by remainder and tie in integer arithmetic."""
+    fraction = Fraction(value)
+    scaled = abs(fraction) * 10000
+    units, remainder = divmod(scaled.numerator, scaled.denominator)
+    double = 2 * remainder
+    if double > scaled.denominator or (double == scaled.denominator and units % 2):
+        units += 1
+    whole, frac = divmod(units, 10000)
+    return f"{'-' if fraction < 0 and units else ''}{whole}.{frac:04d}"
+
+
+# small numerators over large denominators round to zero, of either sign; denominators
+# that are multiples of 20,000 put exact ties at the fifth decimal
+_NUMERATORS = st.one_of(st.integers(-3, 3), st.integers(-10**9, 10**9))
+_DENOMINATORS = st.one_of(st.integers(1, 10**6), st.integers(1, 5).map(lambda k: 20000 * k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=st.one_of(st.builds(Fraction, _NUMERATORS, _DENOMINATORS),
+                       st.integers(-10**12, 10**12)))
+def test_format_rational_matches_integer_remainder_rounding(value):
+    assert format_rational(value) == reference_format_rational(value)

@@ -25,7 +25,6 @@ from designlens.report import (
     PACKAGING_METRICS,
     RELATIONSHIP_METRICS,
     Layer,
-    LayeredReport,
     build_report,
     render,
     write_report,
@@ -44,11 +43,11 @@ def full_report(model):
 
 def test_empty_model_produces_four_layers_with_absent_aggregates():
     report = full_report(CodeModel(()))
-    assert [layer.name for layer in report.layers] == [
+    assert [layer.name for layer in report] == [
         LAYER_CLASS_DESIGN, LAYER_RELATIONSHIPS, LAYER_PACKAGING, LAYER_PRINCIPLES]
-    assert [layer.columns for layer in report.layers] == [
+    assert [layer.columns for layer in report] == [
         CLASS_DESIGN_METRICS, RELATIONSHIP_METRICS, PACKAGING_METRICS, ()]
-    for layer in report.layers:
+    for layer in report:
         assert layer.rows == ()
         assert layer.aggregates == {}
         assert len(layer.findings) == 0
@@ -56,7 +55,7 @@ def test_empty_model_produces_four_layers_with_absent_aggregates():
 
 def test_reference_fixture_packaging_layer_values(reference_source):
     report = full_report(parse_minioo(reference_source))
-    packaging = report.layers[2]
+    packaging = report[2]
     values = {(subject, column): value for subject, row in packaging.rows
               for column, value in zip(packaging.columns, row)}
     assert values[("core", "instability")] == 0
@@ -69,8 +68,8 @@ def test_finding_count_is_conserved(cyclic_source):
     metrics = compute_all(model)
     findings = run_all(model, metrics)
     report = build_report(model, metrics, findings)
-    assert sum(len(layer.findings) for layer in report.layers) == len(findings)
-    assert report.layers[3].findings == tuple(findings)
+    assert sum(len(layer.findings) for layer in report) == len(findings)
+    assert report[3].findings == tuple(findings)
 
 
 def test_every_subject_appears_exactly_once_per_layer():
@@ -79,12 +78,12 @@ def test_every_subject_appears_exactly_once_per_layer():
         model = random_model(rng)
         report = full_report(model)
         class_names = sorted(str(name) for name, _ in model.iter_classes())
-        for layer, per_subject in ((report.layers[0], 2), (report.layers[1], 3)):
+        for layer, per_subject in ((report[0], 2), (report[1], 3)):
             assert [subject for subject, _ in layer.rows] == class_names
             assert len(layer.columns) == per_subject
             for _, values in layer.rows:
                 assert len(values) == per_subject
-        packaging = report.layers[2]
+        packaging = report[2]
         assert [subject for subject, _ in packaging.rows] == sorted(p.name for p in model.packages)
         for _, values in packaging.rows:
             assert len(values) == len(packaging.columns) == 5
@@ -92,7 +91,7 @@ def test_every_subject_appears_exactly_once_per_layer():
 
 def test_aggregates_over_empty_value_sets_are_absent():
     report = full_report(build_model([PackageDef("solo", (ClassDef("A"),))]))
-    packaging = report.layers[2]
+    packaging = report[2]
     # instability/distance undefined for the single isolated package
     assert "instability" not in packaging.aggregates
     assert "distance" not in packaging.aggregates
@@ -103,7 +102,7 @@ def test_mean_aggregates_match_average_of_rendered_values():
     rng = random.Random(89)
     for _ in range(40):
         report = full_report(random_model(rng))
-        for layer in report.layers[:3]:
+        for layer in report[:3]:
             for metric, stats in layer.aggregates.items():
                 column = layer.columns.index(metric)
                 rendered = [float(format_rational(Fraction(values[column])))
@@ -256,8 +255,8 @@ def test_json_csv_and_text_render_the_same_cells_aggregates_and_findings(seed):
     report = full_report(random_model(random.Random(seed), max_packages=5, max_classes=5))
     cells, aggregates, findings = _json_view(render(report, "json"))
     assert [len(layer_cells) for layer_cells in cells] == [
-        len(layer.rows) * len(layer.columns) for layer in report.layers[:3]]
-    assert len(findings) == len(report.layers[3].findings)
+        len(layer.rows) * len(layer.columns) for layer in report[:3]]
+    assert len(findings) == len(report[3].findings)
     assert _csv_view(render(report, "csv")) == (cells, findings)
     assert _text_view(render(report, "text")) == (cells, aggregates, findings)
 
@@ -341,7 +340,7 @@ def reference_render_json(report):
          "findings": [{"rule": f.rule, "severity": f.severity, "locus": f.locus,
                        "evidence": f.evidence}
                       for f in layer.findings]}
-        for layer in report.layers]}
+        for layer in report]}
     return dump_canonical(document) + "\n"
 
 
@@ -351,7 +350,7 @@ def test_json_matches_the_reference_renderer_on_random_models():
     for seed in range(500):
         report = full_report(random_model(random.Random(seed), max_packages=6, max_classes=6))
         assert render(report, "json") == reference_render_json(report), seed
-        for finding in report.layers[3].findings:
+        for finding in report[3].findings:
             rules.add(finding.rule)
             evidence_types.update(type(value) for value in finding.evidence.values())
     assert rules == set(SEVERITY_BY_RULE)
@@ -386,7 +385,7 @@ def _hand_built_reports(draw):
     findings = tuple(Finding(text(), text(), text(), {text(): value() for _ in range(evidence_size)})
                      for _ in range(finding_count))
     layers.append(Layer(text(), (), (), {}, findings))
-    return LayeredReport(tuple(layers))
+    return tuple(layers)
 
 
 @settings(max_examples=200, deadline=None)
