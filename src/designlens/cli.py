@@ -18,7 +18,7 @@ from collections import Counter
 from contextlib import redirect_stdout, suppress
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import Callable, NoReturn, TextIO
 
 from .frontends import (
     ParseError,
@@ -91,7 +91,7 @@ class ConfigError(Exception):
 
 
 class _Exit(Exception):
-    """`_Exit(code, *lines)` ends a run: `run` writes the lines to standard error."""
+    """`_Exit(code, *lines)` ends a run: `_run` writes the lines to standard error."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -200,19 +200,28 @@ def run(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = N
     enabled = gc.isenabled()
     gc.disable()
     try:
-        _analyze(argv, stdout if stdout is not None else sys.stdout)
-        return EXIT_OK
-    except _Exit as exc:
-        code, *lines = exc.args
-        _write_errors(stderr if stderr is not None else sys.stderr, lines)
-        return code
+        return _run(argv, stdout, stderr).args[0]  # and frees what the run built
     finally:
         if enabled:
             gc.enable()
 
 
-def _analyze(argv: list[str], stdout: TextIO | None) -> None:
-    """A run that returns on exit 0 and raises `_Exit` on every other way out."""
+def _run(argv: list[str], stdout: TextIO | None, stderr: TextIO | None) -> _Exit:
+    """The `_Exit` that ended the run, whose traceback holds what the run built. Its lines
+    go to standard error and are lost if that is missing or cannot take them."""
+    try:
+        _analyze(argv, stdout if stdout is not None else sys.stdout)
+    except _Exit as exc:
+        stderr = stderr if stderr is not None else sys.stderr
+        if stderr is not None and exc.args[1:]:
+            with suppress(OSError):
+                stderr.write("".join(f"{line}\n" for line in exc.args[1:]))
+                stderr.flush()
+        return exc
+
+
+def _analyze(argv: list[str], stdout: TextIO | None) -> NoReturn:
+    """A run, which raises `_Exit` on every way out, exit 0 included."""
     parser = _build_parser()
     help_text = io.StringIO()
     try:
@@ -257,8 +266,7 @@ def _analyze(argv: list[str], stdout: TextIO | None) -> None:
             failures.append(f"fail-on: {finding.rule} at {finding.locus}")
         elif args.strict and finding.severity == "warning":
             failures.append(f"strict: {finding.rule} at {finding.locus}")
-    if failures:
-        raise _Exit(EXIT_GATE_FAILURE, *failures)
+    raise _Exit(EXIT_GATE_FAILURE if failures else EXIT_OK, *failures)
 
 
 def _write_stdout(stdout: TextIO | None, write: Callable[[TextIO], object]) -> None:
@@ -271,15 +279,6 @@ def _write_stdout(stdout: TextIO | None, write: Callable[[TextIO], object]) -> N
         stdout.flush()
     except OSError as exc:
         raise _Exit(EXIT_USAGE, f"error: cannot write standard output: {exc.strerror or exc}")
-
-
-def _write_errors(stderr: TextIO | None, lines: list[str]) -> None:
-    """Write the message lines to standard error and flush them. A standard error
-    that is missing or cannot take them loses them; the run keeps its exit code."""
-    if stderr is not None:
-        with suppress(OSError):
-            stderr.write("".join(f"{line}\n" for line in lines))
-            stderr.flush()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -347,8 +346,10 @@ def _evaluate_gates(layers: tuple[Layer, ...], gates: _Gates) -> list[str]:
 
 
 def main() -> None:
-    """The `designlens` process: `run`, which flushes all it writes, then `os._exit`."""
-    os._exit(run(sys.argv[1:]))
+    """The `designlens` process: a run, collector off, then `os._exit` holding what it built."""
+    gc.disable()
+    ended = _run(sys.argv[1:], None, None)
+    os._exit(ended.args[0])
 
 
 if __name__ == "__main__":

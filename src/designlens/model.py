@@ -16,7 +16,7 @@ and repr: a model is the same whichever frontend it was read from.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .tarjan import cycles, strongly_connected_components
@@ -85,7 +85,7 @@ class SourcePosition:
     path: str | None = None  # the file read, if any
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AttributeDef:
     """A class attribute; `target` is None for primitive-typed attributes."""
 
@@ -94,17 +94,21 @@ class AttributeDef:
     kind: str = NO_TARGET
     position: SourcePosition | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if not (str.isascii(self.name) and str.isidentifier(self.name)):
-            raise ValueError(f"attribute {self.name!r}: not an identifier")
-        if self.target is None:
-            if self.kind != NO_TARGET:
-                raise ValueError(f"attribute {self.name!r}: kind {self.kind!r} requires a target")
-        elif self.kind not in (ASSOCIATION, AGGREGATION):
-            raise ValueError(f"attribute {self.name!r}: invalid kind {self.kind!r} for a class target")
+    def __init__(self, name: str, target: QualifiedName | None = None, kind: str = NO_TARGET,
+                 position: SourcePosition | None = None) -> None:
+        if not (str.isascii(name) and str.isidentifier(name)):
+            raise ValueError(f"attribute {name!r}: not an identifier")
+        if target is None:
+            if kind != NO_TARGET:
+                raise ValueError(f"attribute {name!r}: kind {kind!r} requires a target")
+        elif kind not in (ASSOCIATION, AGGREGATION):
+            raise ValueError(f"attribute {name!r}: invalid kind {kind!r} for a class target")
+        set_name, set_target, set_kind, set_position = _SET_ATTRIBUTE
+        set_name(self, name); set_target(self, target); set_kind(self, kind)
+        set_position(self, position)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MethodDef:
     """A method with its complexity weight, instance-variable read-set, and usage targets."""
 
@@ -115,18 +119,25 @@ class MethodDef:
     uses: frozenset[QualifiedName] = frozenset()
     position: SourcePosition | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if not (str.isascii(self.name) and str.isidentifier(self.name)):
-            raise ValueError(f"method {self.name!r}: not an identifier")
-        if type(self.reads) is not frozenset:
-            object.__setattr__(self, "reads", frozenset(self.reads))
-        if type(self.uses) is not frozenset:
-            object.__setattr__(self, "uses", frozenset(self.uses))
-        if not 1 <= self.weight <= MAX_WEIGHT:
-            raise ValueError(f"method {self.name!r}: weight must be from 1 to {MAX_WEIGHT}")
+    def __init__(self, name: str, is_abstract: bool = False, weight: int = 1,
+                 reads: frozenset[str] = frozenset(), uses: frozenset[QualifiedName] = frozenset(),
+                 position: SourcePosition | None = None) -> None:
+        if not (str.isascii(name) and str.isidentifier(name)):
+            raise ValueError(f"method {name!r}: not an identifier")
+        reads = reads if type(reads) is frozenset else frozenset(reads)
+        uses = uses if type(uses) is frozenset else frozenset(uses)
+        if type(weight) is not int:  # nor a bool
+            raise TypeError(f"method {name!r}: weight {weight!r} is not an int")
+        if not 1 <= weight <= MAX_WEIGHT:
+            raise ValueError(f"method {name!r}: weight must be from 1 to {MAX_WEIGHT}")
+        if type(is_abstract) is not bool:
+            raise TypeError(f"method {name!r}: is_abstract {is_abstract!r} is not a bool")
+        set_name, set_abstract, set_weight, set_reads, set_uses, set_position = _SET_METHOD
+        set_name(self, name); set_abstract(self, is_abstract); set_weight(self, weight)
+        set_reads(self, reads); set_uses(self, uses); set_position(self, position)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ClassDef:
     name: str
     is_abstract: bool = False
@@ -135,29 +146,40 @@ class ClassDef:
     methods: tuple[MethodDef, ...] = ()
     position: SourcePosition | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if not (str.isascii(self.name) and str.isidentifier(self.name)):
-            raise ValueError(f"class {self.name!r}: not an identifier")
-        if type(self.parents) is not tuple:
-            object.__setattr__(self, "parents", tuple(self.parents))
-        if type(self.attributes) is not tuple:
-            object.__setattr__(self, "attributes", tuple(self.attributes))
-        if type(self.methods) is not tuple:
-            object.__setattr__(self, "methods", tuple(self.methods))
+    def __init__(self, name: str, is_abstract: bool = False,
+                 parents: tuple[QualifiedName, ...] = (), attributes: tuple[AttributeDef, ...] = (),
+                 methods: tuple[MethodDef, ...] = (), position: SourcePosition | None = None) -> None:
+        if not (str.isascii(name) and str.isidentifier(name)):
+            raise ValueError(f"class {name!r}: not an identifier")
+        parents = parents if type(parents) is tuple else tuple(parents)
+        attributes = attributes if type(attributes) is tuple else tuple(attributes)
+        methods = methods if type(methods) is tuple else tuple(methods)
+        if type(is_abstract) is not bool:
+            raise TypeError(f"class {name!r}: is_abstract {is_abstract!r} is not a bool")
+        set_name, set_abstract, set_parents, set_attributes, set_methods, set_position = _SET_CLASS
+        set_name(self, name); set_abstract(self, is_abstract); set_parents(self, parents)
+        set_attributes(self, attributes); set_methods(self, methods); set_position(self, position)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PackageDef:
     name: str
     classes: tuple[ClassDef, ...] = ()
     position: SourcePosition | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if not (str.isascii(self.name) and str.isidentifier(self.name)):
-            raise ValueError(f"package {self.name!r}: not an identifier")
-        if type(self.classes) is not tuple:
-            object.__setattr__(self, "classes", tuple(self.classes))
+    def __init__(self, name: str, classes: tuple[ClassDef, ...] = (),
+                 position: SourcePosition | None = None) -> None:
+        if not (str.isascii(name) and str.isidentifier(name)):
+            raise ValueError(f"package {name!r}: not an identifier")
+        classes = classes if type(classes) is tuple else tuple(classes)
+        set_name, set_classes, set_position = _SET_PACKAGE
+        set_name(self, name); set_classes(self, classes); set_position(self, position)
 
+
+# each declaration's slot setters, in field order: `slots=True` makes them as it returns
+_SET_ATTRIBUTE, _SET_METHOD, _SET_CLASS, _SET_PACKAGE = (
+    tuple(kind.__dict__[f.name].__set__ for f in fields(kind))
+    for kind in (AttributeDef, MethodDef, ClassDef, PackageDef))
 
 _T = TypeVar("_T")
 

@@ -23,6 +23,7 @@ from designlens.cli import (
     EXIT_USAGE,
     ConfigError,
     load_config,
+    main,
     run,
 )
 from designlens.frontends import (
@@ -31,7 +32,7 @@ from designlens.frontends import (
     parse_minioo_declarations,
     write_interchange,
 )
-from designlens.model import MAX_WEIGHT, ModelError, PackageDef, build_model
+from designlens.model import MAX_WEIGHT, ClassDef, ModelError, PackageDef, build_model
 from designlens.principles import Thresholds
 from designlens.report import render
 from conftest import FIXTURES, GOLDEN
@@ -761,6 +762,53 @@ def test_a_run_leaves_a_disabled_collector_disabled():
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def _live_classes():
+    return sum(type(obj) is ClassDef for obj in gc.get_objects())
+
+
+_HELD_RUNS = [(["analyze", REFERENCE], EXIT_OK),
+              (["analyze", CYCLIC, "--fail-on", "adp"], EXIT_GATE_FAILURE)]
+
+
+@pytest.mark.parametrize("argv,expected", _HELD_RUNS)
+def test_a_run_frees_what_it_built(argv, expected):
+    # with the collector off throughout, only reference counting can free the model
+    gc.collect()
+    gc.disable()
+    try:
+        before = _live_classes()
+        assert invoke(*argv)[0] == expected
+        assert _live_classes() == before
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("argv,expected", _HELD_RUNS)
+def test_main_holds_what_the_run_built_until_the_process_exits(argv, expected, monkeypatch,
+                                                               capsys):
+    classes = sum(len(pkg.classes) for pkg in
+                  parse_minioo_declarations(Path(argv[1]).read_text(encoding="utf-8")))
+    exits = []
+
+    class Exited(Exception):
+        pass
+
+    def exit_now(code):
+        exits.append((code, _live_classes()))
+        raise Exited
+
+    monkeypatch.setattr(os, "_exit", exit_now)
+    monkeypatch.setattr(sys, "argv", ["designlens", *argv])
+    gc.collect()
+    before = _live_classes()
+    try:
+        with pytest.raises(Exited):
+            main()
+    finally:
+        gc.enable()  # main turns the collector off for the rest of the process
+    assert exits == [(expected, before + classes)]
 
 
 # -- config and gates --------------------------------------------------------------

@@ -1,13 +1,16 @@
 import copy
 import dataclasses
+import inspect
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from designlens import model as model_module
+from designlens.frontends import read_interchange, write_interchange
 from designlens.model import (
     ABSTRACT_METHOD_IN_CONCRETE_CLASS,
     AGGREGATION,
@@ -202,6 +205,264 @@ def test_declaration_rejects_a_name_that_is_not_an_identifier(declaration, name)
 def test_a_name_that_is_not_a_string_is_a_type_error(declare, name):
     with pytest.raises(TypeError):
         declare(name)
+
+
+@pytest.mark.parametrize("declare,message", [
+    # a float weight used to fail only in build_report; a bool weight or an int
+    # is_abstract was written to interchange, which then refused to read it back
+    (lambda: MethodDef("m", weight=2.5), "method 'm': weight 2.5 is not an int"),
+    (lambda: MethodDef("m", weight=True), "method 'm': weight True is not an int"),
+    (lambda: MethodDef("m", is_abstract=1), "method 'm': is_abstract 1 is not a bool"),
+    (lambda: ClassDef("A", is_abstract=1), "class 'A': is_abstract 1 is not a bool"),
+])
+def test_a_weight_that_is_not_an_int_or_a_flag_that_is_not_a_bool_is_a_type_error(
+        declare, message):
+    with pytest.raises(TypeError) as caught:
+        declare()
+    assert str(caught.value) == message
+
+
+# -- the constructors against the generated ones they replaced ---------------------
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _ReferenceAttribute:
+    name: str
+    target: QualifiedName | None = None
+    kind: str = model_module.NO_TARGET
+    position: SourcePosition | None = dataclasses.field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not (str.isascii(self.name) and str.isidentifier(self.name)):
+            raise ValueError(f"attribute {self.name!r}: not an identifier")
+        if self.target is None:
+            if self.kind != model_module.NO_TARGET:
+                raise ValueError(f"attribute {self.name!r}: kind {self.kind!r} requires a target")
+        elif self.kind not in (ASSOCIATION, AGGREGATION):
+            raise ValueError(f"attribute {self.name!r}: invalid kind {self.kind!r} for a class target")
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _ReferenceMethod:
+    name: str
+    is_abstract: bool = False
+    weight: int = 1
+    reads: frozenset[str] = frozenset()
+    uses: frozenset[QualifiedName] = frozenset()
+    position: SourcePosition | None = dataclasses.field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not (str.isascii(self.name) and str.isidentifier(self.name)):
+            raise ValueError(f"method {self.name!r}: not an identifier")
+        if type(self.reads) is not frozenset:
+            object.__setattr__(self, "reads", frozenset(self.reads))
+        if type(self.uses) is not frozenset:
+            object.__setattr__(self, "uses", frozenset(self.uses))
+        if not 1 <= self.weight <= MAX_WEIGHT:
+            raise ValueError(f"method {self.name!r}: weight must be from 1 to {MAX_WEIGHT}")
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _ReferenceClass:
+    name: str
+    is_abstract: bool = False
+    parents: tuple[QualifiedName, ...] = ()
+    attributes: tuple[AttributeDef, ...] = ()
+    methods: tuple[MethodDef, ...] = ()
+    position: SourcePosition | None = dataclasses.field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not (str.isascii(self.name) and str.isidentifier(self.name)):
+            raise ValueError(f"class {self.name!r}: not an identifier")
+        if type(self.parents) is not tuple:
+            object.__setattr__(self, "parents", tuple(self.parents))
+        if type(self.attributes) is not tuple:
+            object.__setattr__(self, "attributes", tuple(self.attributes))
+        if type(self.methods) is not tuple:
+            object.__setattr__(self, "methods", tuple(self.methods))
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _ReferencePackage:
+    name: str
+    classes: tuple[ClassDef, ...] = ()
+    position: SourcePosition | None = dataclasses.field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not (str.isascii(self.name) and str.isidentifier(self.name)):
+            raise ValueError(f"package {self.name!r}: not an identifier")
+        if type(self.classes) is not tuple:
+            object.__setattr__(self, "classes", tuple(self.classes))
+
+
+# each declaration as its generated `__init__` and `__post_init__` built it before
+_REFERENCE = {AttributeDef: _ReferenceAttribute, MethodDef: _ReferenceMethod,
+              ClassDef: _ReferenceClass, PackageDef: _ReferencePackage}
+
+
+class _Tagged(frozenset):
+    pass
+
+
+def _collections(items):
+    """Recipes for a fresh collection of some of `items` on each call (a generator is
+    used up by the first constructor it reaches): `(hashable items, with an unhashable
+    one)`. A frozenset cannot be made of unhashable items, so only the others hold one."""
+    shapes = st.sampled_from([frozenset, _Tagged, tuple, list, iter])
+    hashable = st.tuples(shapes, st.lists(items, max_size=3))
+    unhashable = st.tuples(st.sampled_from([tuple, list, iter]),
+                           st.lists(items, max_size=2).map(lambda kept: [*kept, []]))
+    return tuple(recipes.map(lambda recipe: lambda: recipe[0](recipe[1]))
+                 for recipes in (hashable, unhashable))
+
+
+def _fixed(good, bad):
+    return tuple(st.sampled_from(values).map(lambda value: lambda: value)
+                 for values in (good, bad))
+
+
+_POSITION = _fixed([None, SourcePosition(3, 7, "m.minioo"), "anything"], [None])  # any value
+_NAMES = _fixed(["m", "A_1"], ["", "bad name", "1st", "café", "ß", 1, b"A", ("A",), None])
+_FLAGS = _fixed([False, True], [0, 1, None, "yes", 2.5])
+# each field's (good, bad) values; a good target and a good kind may still not match
+_ARGUMENTS = {
+    AttributeDef: {"name": _NAMES, "target": _fixed([None, _USED], ["q.B", 1]),
+                   "kind": _fixed([model_module.NO_TARGET, ASSOCIATION, AGGREGATION],
+                                  ["bogus", "Association", 1, None]),
+                   "position": _POSITION},
+    MethodDef: {"name": _NAMES, "is_abstract": _FLAGS,
+                "weight": _fixed([1, 2, MAX_WEIGHT], [0, MAX_WEIGHT + 1, -1, True, False, 2.5,
+                                                      1.0, "3", None]),
+                "reads": _collections(st.sampled_from(["b", "x y", 1])),
+                "uses": _collections(st.sampled_from([_USED, QualifiedName("p")])),
+                "position": _POSITION},
+    ClassDef: {"name": _NAMES, "is_abstract": _FLAGS,
+               "parents": _collections(st.just(_USED)),
+               "attributes": _collections(st.just(AttributeDef("b"))),
+               "methods": _collections(st.just(MethodDef("m"))), "position": _POSITION},
+    PackageDef: {"name": _NAMES, "classes": _collections(st.just(ClassDef("A"))),
+                 "position": _POSITION},
+}
+
+
+@st.composite
+def _calls(draw):
+    """A declaration kind and a recipe for its arguments: a bad value for about a third
+    of the fields, a positional prefix, then keywords for some of the rest (the name
+    always)."""
+    kind = draw(st.sampled_from(list(_ARGUMENTS)))
+    names = [f.name for f in dataclasses.fields(kind)]
+    recipes = {name: draw(_ARGUMENTS[kind][name][draw(st.integers(0, 2)) == 0])
+               for name in names}
+    positional = draw(st.integers(0, len(names)))
+    keywords = [name for name in names[positional:]
+                if name == "name" or draw(st.booleans())]
+
+    def arguments():
+        return ([recipes[name]() for name in names[:positional]],
+                {name: recipes[name]() for name in keywords})
+    return kind, arguments
+
+
+def _outcome(build, arguments):
+    args, kwargs = arguments
+    try:
+        return build(*args, **kwargs), args, kwargs
+    except Exception as exc:
+        return exc, args, kwargs
+
+
+@settings(max_examples=500, deadline=None)
+@given(call=_calls())
+def test_the_constructors_build_and_reject_as_the_generated_ones_did(call):
+    kind, arguments = call
+    expected, old_args, old_kwargs = _outcome(_REFERENCE[kind], arguments())
+    actual, new_args, new_kwargs = _outcome(kind, arguments())
+    if isinstance(actual, Exception):
+        if isinstance(expected, Exception) and type(actual) is type(expected) \
+                and str(actual) == str(expected):
+            return
+        # the one new rejection: a non-int or bool weight, a non-bool is_abstract, once
+        # every check before it has passed (the same call with those made valid builds)
+        bound = dict(zip([f.name for f in dataclasses.fields(kind)], new_args), **new_kwargs)
+        assert type(actual) is TypeError
+        bad = [name for name, good in (("weight", int), ("is_abstract", bool))
+               if name in bound and type(bound[name]) is not good]
+        assert bad and re.fullmatch(rf".*: {bad[0]} .* is not an? (int|bool)", str(actual))
+        args, kwargs = arguments()
+        positional = [f.name for f in dataclasses.fields(kind)][:len(args)]
+        valid = {name: {"weight": 1, "is_abstract": False}[name] for name in bad}
+        _REFERENCE[kind](*[valid.get(name, value) for name, value in zip(positional, args)],
+                         **{name: valid.get(name, value) for name, value in kwargs.items()})
+        return
+    assert not isinstance(expected, Exception), expected
+    passed, passed_before = [*new_args, *new_kwargs.values()], [*old_args, *old_kwargs.values()]
+    for f in dataclasses.fields(kind):
+        new, old = getattr(actual, f.name), getattr(expected, f.name)
+        assert type(new) is type(old) and new == old
+        # a collection passed in is kept as that very object, or converted, as before
+        assert any(new is value for value in passed) == any(old is value for value in passed_before)
+
+
+@pytest.mark.parametrize("kind", [AttributeDef, MethodDef, ClassDef, PackageDef])
+def test_each_constructor_is_written_once_with_the_signature_of_its_fields(kind):
+    parameters = list(inspect.signature(kind).parameters.values())
+    assert [(p.name, p.default, p.kind) for p in parameters] == [
+        (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default,
+         inspect.Parameter.POSITIONAL_OR_KEYWORD) for f in dataclasses.fields(kind)]
+    assert kind.__init__.__code__.co_filename == model_module.__file__
+    assert not hasattr(kind, "__post_init__")
+
+
+def test_replace_still_runs_the_checks():
+    method, cls = MethodDef("m", reads=frozenset({"b"})), ClassDef("A")
+    with pytest.raises(ValueError, match="weight must be from 1"):
+        dataclasses.replace(method, weight=0)
+    with pytest.raises(TypeError, match="is_abstract 1 is not a bool"):
+        dataclasses.replace(cls, is_abstract=1)
+    with pytest.raises(ValueError, match="requires a target"):
+        dataclasses.replace(AttributeDef("b"), kind=ASSOCIATION)
+    assert type(dataclasses.replace(method, uses=[_USED]).uses) is frozenset
+    assert dataclasses.replace(cls, parents=[_USED]).parents == (_USED,)
+
+
+_ACCEPTED_WEIGHTS = [1, 2, MAX_WEIGHT, 2.5, 1.0, True]
+_ACCEPTED_FLAGS = [False, True, 0, 1]
+
+
+@st.composite
+def _accepted_models(draw):
+    """A model of whatever declarations the constructors accept, drawn with values the
+    interchange format cannot hold; a declaration the constructors reject is left out."""
+    def accepted(kind, *args):
+        try:
+            return [kind(*args)]
+        except (TypeError, ValueError):
+            return []
+
+    packages = []
+    for p in range(draw(st.integers(1, 2))):
+        classes = []
+        for c in range(draw(st.integers(0, 2))):
+            abstract = draw(st.sampled_from(_ACCEPTED_FLAGS))
+            attributes = [AttributeDef(f"f{a}") for a in range(draw(st.integers(0, 2)))]
+            methods = []
+            for m in range(draw(st.integers(0, 2))):
+                reads = draw(st.lists(st.sampled_from([a.name for a in attributes]),
+                                      max_size=2)) if attributes else []
+                uses = [QualifiedName(f"p{p}", f"C{c}")] if draw(st.booleans()) else []
+                methods += accepted(MethodDef, f"m{m}",
+                                    abstract and draw(st.sampled_from(_ACCEPTED_FLAGS)),
+                                    draw(st.sampled_from(_ACCEPTED_WEIGHTS)), reads, uses)
+            classes += accepted(ClassDef, f"C{c}", abstract, (), attributes, methods)
+        packages.append(PackageDef(f"p{p}", classes))
+    return CodeModel(tuple(packages))
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=_accepted_models())
+def test_any_model_the_constructors_accept_round_trips_through_interchange(model):
+    assert read_interchange(write_interchange(model)) == model
 
 
 # -- build_model ----------------------------------------------------------------
