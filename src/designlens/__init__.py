@@ -9,7 +9,6 @@ from .frontends import (
 )
 from .metrics import (
     ClassMetrics,
-    MetricsReport,
     PackageMetrics,
     compute_all,
     format_rational,
@@ -19,7 +18,6 @@ from .model import (
     ClassDef,
     CodeModel,
     DependencyEdge,
-    DependencyGraph,
     MethodDef,
     ModelError,
     PackageDef,
@@ -43,10 +41,8 @@ __all__ = [
     "ClassMetrics",
     "CodeModel",
     "DependencyEdge",
-    "DependencyGraph",
     "Finding",
     "MethodDef",
-    "MetricsReport",
     "ModelError",
     "PackageDef",
     "PackageMetrics",

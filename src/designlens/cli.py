@@ -31,6 +31,7 @@ from .frontends import (
 from .metrics import compute_all
 from .model import ModelError, PackageDef, ValidationError, build_model
 from .principles import (
+    ADVISORY,
     RULE_ADP,
     RULE_DIP,
     RULE_EMPTY_PACKAGE,
@@ -39,6 +40,8 @@ from .principles import (
     RULE_SDP,
     RULE_SRP,
     SEVERITY_BY_RULE,
+    VIOLATION,
+    WARNING,
     Thresholds,
     run_all,
 )
@@ -83,7 +86,7 @@ _Gates = tuple[tuple[str, str, int | Fraction], ...]  # (name, comparator, limit
 _MAX_NUMBER_DIGITS = 1000
 
 _RULE_TOKENS = {rule.lower(): rule for rule in SEVERITY_BY_RULE}
-_SEVERITY_TOKENS = ("violation", "advisory", "warning")
+_SEVERITY_TOKENS = (VIOLATION, ADVISORY, WARNING)
 
 
 class ConfigError(Exception):
@@ -264,7 +267,7 @@ def _analyze(argv: list[str], stdout: TextIO | None) -> NoReturn:
     for finding in findings:
         if finding.rule.lower() in fail_on or finding.severity in fail_on:
             failures.append(f"fail-on: {finding.rule} at {finding.locus}")
-        elif args.strict and finding.severity == "warning":
+        elif args.strict and finding.severity == WARNING:
             failures.append(f"strict: {finding.rule} at {finding.locus}")
     raise _Exit(EXIT_GATE_FAILURE if failures else EXIT_OK, *failures)
 

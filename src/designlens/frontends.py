@@ -469,14 +469,18 @@ def _locus(path: _Path) -> str:
 _KINDS = {kind: kind for kind in (ASSOCIATION, AGGREGATION, NO_TARGET)}
 
 
+class _Rejected(Exception):
+    """A decode's first schema failure; not a ValueError, which `_loads` calls malformed."""
+
+
 class _Schema:
     """The interchange schema.  `package`, `class_`, `attribute` and `method` each
-    check one JSON value, given its parent's path and its key there, and return its
-    declaration, or None once they have reported why the value is not one: each
-    builds only if no failure was counted while it ran.  `root` checks a document and
-    returns its packages array; the document is valid if no failure was counted at
-    all.  Only a schema given an `errors` list keeps the errors.  Names are interned,
-    and each distinct `pkg.Class` string and read or use set is one object.
+    check one JSON value, given its parent's path and its key there.  `root` checks a
+    document and returns its packages array.  A schema given an `errors` list reports
+    every failure to it and builds nothing; one without raises `_Rejected` at the first
+    failure, so each check that returns has passed, and each builder returns its
+    declaration.  Names are interned, and each distinct `pkg.Class` string and read or
+    use set is one object.
 
     As a decode's `object_pairs_hook`, it checks each object that may be a
     declaration as it closes, and puts the declaration in its place; an array
@@ -487,7 +491,6 @@ class _Schema:
                  errors: list[ValidationError] | None = None) -> None:
         self.position = position
         self.errors = errors
-        self.failures = 0
         self.names: dict[str, QualifiedName] = {}
         self.sets: dict[frozenset, frozenset] = {}
 
@@ -495,22 +498,19 @@ class _Schema:
         obj = unique_keys(pairs)
         # checked as the declaration with a field only it has; `fields` checks the rest
         if "weight" in obj:
-            built = self.method(obj, None, None)
-        elif "kind" in obj:
-            built = self.attribute(obj, None, None)
-        elif "methods" in obj:
-            built = self.class_(obj, None, None)
-        elif "classes" in obj:
-            built = self.package(obj, None, None)
-        else:
-            return obj
-        return obj if built is None else built
+            return self.method(obj, None, None)
+        if "kind" in obj:
+            return self.attribute(obj, None, None)
+        if "methods" in obj:
+            return self.class_(obj, None, None)
+        if "classes" in obj:
+            return self.package(obj, None, None)
+        return obj
 
     def error(self, path: _Path, message: str) -> None:
-        self.failures += 1
-        if self.errors is not None:
-            self.errors.append(ValidationError(SCHEMA_ERROR, _locus(path), message,
-                                               self.position))
+        if self.errors is None:
+            raise _Rejected
+        self.errors.append(ValidationError(SCHEMA_ERROR, _locus(path), message, self.position))
 
     def expected(self, path: _Path, what: str, value: Any) -> None:
         self.error(path, f"expected {what}, got {type(value).__name__}")
@@ -567,17 +567,15 @@ class _Schema:
             return self.items(obj["packages"], None, "packages", self.package, PackageDef)
 
     def package(self, value: Any, parent: _Path, key: int | None) -> PackageDef | None:
-        failures = self.failures
         obj = self.fields(value, path := (parent, key), _PACKAGE_KEYS)
         if obj is None:
             return None
         name = self.name(obj["name"], path, "name")
         classes = self.items(obj["classes"], path, "classes", self.class_, ClassDef)
-        if self.failures == failures:
+        if self.errors is None:
             return PackageDef(name, tuple(classes), self.position)
 
     def class_(self, value: Any, parent: _Path, key: int | None) -> ClassDef | None:
-        failures = self.failures
         obj = self.fields(value, path := (parent, key), _CLASS_KEYS)
         if obj is None:
             return None
@@ -589,12 +587,11 @@ class _Schema:
         attributes = self.items(obj["attributes"], path, "attributes", self.attribute,
                                 AttributeDef)
         methods = self.items(obj["methods"], path, "methods", self.method, MethodDef)
-        if self.failures == failures:
+        if self.errors is None:
             return ClassDef(name, is_abstract, tuple(parents), tuple(attributes),
                             tuple(methods), self.position)
 
     def attribute(self, value: Any, parent: _Path, key: int | None) -> AttributeDef | None:
-        failures = self.failures
         obj = self.fields(value, path := (parent, key), _ATTRIBUTE_KEYS)
         if obj is None:
             return None
@@ -608,11 +605,10 @@ class _Schema:
                        f"expected 'association', 'aggregation' or 'none', got {kind!r}")
         elif (shared == NO_TARGET) != (target is None):
             self.error((path, "kind"), "kind 'none' is required exactly when target is null")
-        if self.failures == failures:
+        if self.errors is None:
             return AttributeDef(name, target, shared, self.position)
 
     def method(self, value: Any, parent: _Path, key: int | None) -> MethodDef | None:
-        failures = self.failures
         obj = self.fields(value, path := (parent, key), _METHOD_KEYS)
         if obj is None:
             return None
@@ -626,7 +622,7 @@ class _Schema:
             self.error((path, "weight"), f"expected a weight of at most {MAX_WEIGHT}")
         reads = self.items(obj["reads"], path, "reads", self.name)
         uses = self.items(obj["uses"], path, "uses", self.qualified)
-        if self.failures == failures:
+        if self.errors is None:
             return MethodDef(name, is_abstract, weight, _shared(self.sets, reads),
                          _shared(self.sets, uses), self.position)
 
@@ -669,17 +665,18 @@ def decode_interchange(document: str, path: str | None = None) -> list[PackageDe
     """Decode an interchange document to declarations, without semantic validation.
 
     The schema runs as the decode's object hook, so a valid document never exists as
-    a tree of dicts.  Only a document it rejects is decoded again, to plain dicts, for
-    the schema to walk and collect every error.  Given a `path`, each declaration and
-    each error has a position naming that file (no line or column).  Raises
-    ModelError with MalformedDocument / SchemaError entries (the locus is the JSON
-    path of the offending field).
+    a tree of dicts.  That decode stops at the first schema failure; only then is the
+    document decoded again, to plain dicts, for the schema to collect every error.
+    Given a `path`, each declaration and each error has a position naming that file
+    (no line or column).  Raises ModelError with MalformedDocument / SchemaError
+    entries (the locus is the JSON path of the offending field).
     """
     position = SourcePosition(None, None, path) if path is not None else None
     schema = _Schema(position)
-    packages = schema.root(_loads(document, schema.hook, position))
-    if not schema.failures:
-        return packages
+    try:
+        return schema.root(_loads(document, schema.hook, position))
+    except _Rejected:
+        pass
     schema = _Schema(position, errors=[])
     schema.root(_loads(document, unique_keys, position))
     raise ModelError(schema.errors)

@@ -38,12 +38,8 @@ class PackageMetrics:
     distance: Fraction | None
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    """All metric values, keyed by class and by package, in name order."""
-
-    per_class: dict[QualifiedName, ClassMetrics]
-    per_package: dict[str, PackageMetrics]
+# `(per_class, per_package)`: every metric value, each dict in subject-name order
+Metrics = tuple[dict[QualifiedName, ClassMetrics], dict[str, PackageMetrics]]
 
 
 def wmc(cls: ClassDef) -> int:
@@ -125,8 +121,9 @@ def main_sequence_distance(a: Fraction, i: Fraction) -> Fraction:
     return abs(Fraction(a) + Fraction(i) - 1)
 
 
-def compute_all(model: CodeModel) -> MetricsReport:
-    """Every metric for every class and package; reads the table the single-metric calls read."""
+def compute_all(model: CodeModel) -> Metrics:
+    """`(per_class, per_package)`: every metric for every class and package, in name order;
+    reads the table the single-metric calls read."""
     counts = edge_table(model)
     per_class: dict[QualifiedName, ClassMetrics] = {}
     for name, cls in sorted(model.iter_classes()):
@@ -140,7 +137,7 @@ def compute_all(model: CodeModel) -> MetricsReport:
         a = abstractness(pkg)
         d = main_sequence_distance(a, i) if a is not None and i is not None else None
         per_package[pkg.name] = PackageMetrics(pkg.name, ca, ce, i, a, d)
-    return MetricsReport(per_class, per_package)
+    return per_class, per_package
 
 
 def _require_package(model: CodeModel, package: str) -> None:

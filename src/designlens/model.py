@@ -85,6 +85,12 @@ class SourcePosition:
     path: str | None = None  # the file read, if any
 
 
+def _stray(items: Iterable) -> str:
+    """The smallest repr among the items that are not a `QualifiedName`: a set's order
+    depends on the hash seed, so an error names the same one in every process."""
+    return min(repr(item) for item in items if type(item) is not QualifiedName)
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class AttributeDef:
     """A class attribute; `target` is None for primitive-typed attributes."""
@@ -103,6 +109,8 @@ class AttributeDef:
                 raise ValueError(f"attribute {name!r}: kind {kind!r} requires a target")
         elif kind not in (ASSOCIATION, AGGREGATION):
             raise ValueError(f"attribute {name!r}: invalid kind {kind!r} for a class target")
+        elif type(target) is not QualifiedName:
+            raise TypeError(f"attribute {name!r}: target {target!r} is not a QualifiedName")
         set_name, set_target, set_kind, set_position = _SET_ATTRIBUTE
         set_name(self, name); set_target(self, target); set_kind(self, kind)
         set_position(self, position)
@@ -132,6 +140,8 @@ class MethodDef:
             raise ValueError(f"method {name!r}: weight must be from 1 to {MAX_WEIGHT}")
         if type(is_abstract) is not bool:
             raise TypeError(f"method {name!r}: is_abstract {is_abstract!r} is not a bool")
+        if uses and not all(type(used) is QualifiedName for used in uses):
+            raise TypeError(f"method {name!r}: used class {_stray(uses)} is not a QualifiedName")
         set_name, set_abstract, set_weight, set_reads, set_uses, set_position = _SET_METHOD
         set_name(self, name); set_abstract(self, is_abstract); set_weight(self, weight)
         set_reads(self, reads); set_uses(self, uses); set_position(self, position)
@@ -156,6 +166,8 @@ class ClassDef:
         methods = methods if type(methods) is tuple else tuple(methods)
         if type(is_abstract) is not bool:
             raise TypeError(f"class {name!r}: is_abstract {is_abstract!r} is not a bool")
+        if parents and not all(type(parent) is QualifiedName for parent in parents):
+            raise TypeError(f"class {name!r}: parent {_stray(parents)} is not a QualifiedName")
         set_name, set_abstract, set_parents, set_attributes, set_methods, set_position = _SET_CLASS
         set_name(self, name); set_abstract(self, is_abstract); set_parents(self, parents)
         set_attributes(self, attributes); set_methods(self, methods); set_position(self, position)
@@ -263,17 +275,8 @@ class DependencyEdge(NamedTuple):
     kind: str
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
-    """Typed directed graph at class or package granularity.
-
-    Nodes and edges are sorted tuples, so identical models always produce
-    byte-identical graphs.  Package-level nodes use an empty class segment.
-    """
-
-    nodes: tuple[QualifiedName, ...]
-    edges: tuple[DependencyEdge, ...]
-    granularity: str  # "class" | "package"
+# `(nodes, edges)`, each sorted; a package node has an empty class segment
+Graph = tuple[tuple[QualifiedName, ...], tuple[DependencyEdge, ...]]
 
 
 def validate_packages(packages: Iterable[PackageDef]) -> list[ValidationError]:
@@ -389,23 +392,23 @@ def _targets(cls: ClassDef) -> Iterator[tuple[QualifiedName, str]]:
 
 
 @once_per_model
-def class_graph(model: CodeModel) -> DependencyGraph:
-    """Class-granularity graph of inherit, aggregation, association and use edges,
-    built once per model and only on request: an analysis never builds it."""
+def class_graph(model: CodeModel) -> Graph:
+    """`(nodes, edges)` of the class graph: inherit, aggregation, association and use
+    edges, built once per model and only on request: an analysis never builds it."""
     edges = {DependencyEdge(source, target, kind)
              for source, cls in model.iter_classes() for target, kind in _targets(cls)}
-    return DependencyGraph(tuple(sorted(model._index)), tuple(sorted(edges)), "class")
+    return tuple(sorted(model._index)), tuple(sorted(edges))
 
 
 @once_per_model
-def package_graph(model: CodeModel) -> DependencyGraph:
-    """Package-granularity graph: P->Q iff some class edge crosses from P to Q (P != Q),
-    with the smallest kind among the class edges that cross."""
-    nodes = sorted(QualifiedName(pkg.name) for pkg in model.packages)
+def package_graph(model: CodeModel) -> Graph:
+    """`(nodes, edges)` of the package graph: P->Q iff some class edge crosses from P
+    to Q (P != Q), with the smallest kind among the class edges that cross."""
+    nodes = tuple(sorted(QualifiedName(pkg.name) for pkg in model.packages))
     edges = tuple(sorted(
         DependencyEdge(QualifiedName(src), QualifiedName(dst), kind)
         for (src, dst), kind in edge_table(model).crossing.items()))
-    return DependencyGraph(tuple(nodes), edges, "package")
+    return nodes, edges
 
 
 class EdgeTable(NamedTuple):

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .metrics import MetricsReport
-from .model import CodeModel, DependencyGraph, edge_table, package_graph, resolve
+from .metrics import Metrics
+from .model import CodeModel, Graph, edge_table, package_graph, resolve
 from .tarjan import cycles
 
 RULE_ADP = "ADP"
@@ -71,19 +71,20 @@ def _finding(rule: str, locus: str, evidence: dict) -> Finding:
     return Finding(rule, SEVERITY_BY_RULE[rule], locus, evidence)
 
 
-def detect_cycles(graph: DependencyGraph) -> list[list[str]]:
-    """ADP: the package groups that depend on each other in a cycle.
+def detect_cycles(graph: Graph) -> list[list[str]]:
+    """ADP: the groups of a package graph's `(nodes, edges)` that form a cycle.
 
     Members are sorted within each group; groups are sorted by their smallest
     member.  `package_graph` has no self-edges, so every group it yields has
     two or more packages.
     """
-    if graph.granularity != "package":
-        raise ValueError("cycle detection runs on the package-granularity graph")
-    successors: dict = {node: [] for node in graph.nodes}
-    for edge in graph.edges:
+    nodes, edges = graph
+    if any(node.cls for node in nodes):
+        raise ValueError("cycle detection runs on a package graph, not a class graph")
+    successors: dict = {node: [] for node in nodes}
+    for edge in edges:
         successors[edge.source].append(edge.target)
-    return [[node.package for node in group] for group in cycles(graph.nodes, successors)]
+    return [[node.package for node in group] for group in cycles(nodes, successors)]
 
 
 def adp_violations(model: CodeModel) -> list[Finding]:
@@ -91,32 +92,31 @@ def adp_violations(model: CodeModel) -> list[Finding]:
             for group in detect_cycles(package_graph(model))]
 
 
-def sdp_violations(model: CodeModel, report: MetricsReport) -> list[Finding]:
+def sdp_violations(model: CodeModel, metrics: Metrics) -> list[Finding]:
     """SDP: a package must not depend on a strictly less stable package.
 
     Exact rational comparison; edges touching UNDEFINED instability are skipped.
     """
+    _, per_package = metrics
+    _, edges = package_graph(model)
     findings = []
-    for edge in package_graph(model).edges:
-        source_i = report.per_package[edge.source.package].instability
-        target_i = report.per_package[edge.target.package].instability
-        if source_i is None or target_i is None:
-            continue
-        if target_i > source_i:
+    for edge in edges:
+        source_i = per_package[edge.source.package].instability
+        target_i = per_package[edge.target.package].instability
+        if source_i is not None and target_i is not None and target_i > source_i:
             findings.append(_finding(
                 RULE_SDP, f"{edge.source.package}->{edge.target.package}",
                 {"from_instability": source_i, "to_instability": target_i}))
     return findings
 
 
-def sap_zones(report: MetricsReport, thresholds: Thresholds) -> list[Finding]:
+def sap_zones(metrics: Metrics, thresholds: Thresholds) -> list[Finding]:
     """SAP: flag packages far from the main sequence in either corner."""
+    _, per_package = metrics
     findings = []
-    for name, pm in report.per_package.items():
+    for name, pm in per_package.items():
         a, i, d = pm.abstractness, pm.instability, pm.distance
-        if a is None or i is None or d is None:
-            continue
-        if d < thresholds.sap_distance_min:
+        if a is None or i is None or d is None or d < thresholds.sap_distance_min:
             continue
         evidence = {"abstractness": a, "instability": i, "distance": d}
         if a <= thresholds.sap_extreme and i <= thresholds.sap_extreme:
@@ -126,10 +126,11 @@ def sap_zones(report: MetricsReport, thresholds: Thresholds) -> list[Finding]:
     return findings
 
 
-def srp_advisories(model: CodeModel, report: MetricsReport, thresholds: Thresholds) -> list[Finding]:
+def srp_advisories(model: CodeModel, metrics: Metrics, thresholds: Thresholds) -> list[Finding]:
     """SRP: low cohesion plus enough methods suggests more than one responsibility."""
+    per_class, _ = metrics
     findings = []
-    for name, cm in report.per_class.items():
+    for name, cm in per_class.items():
         method_count = len(resolve(model, name).methods)
         if cm.lcom >= thresholds.srp_lcom_min and method_count >= thresholds.srp_method_min:
             findings.append(_finding(
@@ -149,15 +150,15 @@ def empty_package_warnings(model: CodeModel) -> list[Finding]:
             for pkg in model.packages if not pkg.classes]
 
 
-def run_all(model: CodeModel, report: MetricsReport,
+def run_all(model: CodeModel, metrics: Metrics,
             thresholds: Thresholds | None = None) -> list[Finding]:
     """Every check, merged and sorted by (rule, locus) for deterministic output."""
     thresholds = thresholds if thresholds is not None else Thresholds()
     findings = [
         *adp_violations(model),
-        *sdp_violations(model, report),
-        *sap_zones(report, thresholds),
-        *srp_advisories(model, report, thresholds),
+        *sdp_violations(model, metrics),
+        *sap_zones(metrics, thresholds),
+        *srp_advisories(model, metrics, thresholds),
         *dip_advisories(model),
         *empty_package_warnings(model),
     ]

@@ -16,9 +16,9 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Iterable, TextIO
 
-from .metrics import MetricsReport, format_rational
+from .metrics import Metrics, format_rational
 from .model import CodeModel
-from .principles import Finding
+from .principles import ADVISORY, VIOLATION, WARNING, Finding
 
 LAYER_CLASS_DESIGN = "class design"
 LAYER_RELATIONSHIPS = "relationships"
@@ -33,7 +33,7 @@ FORMATS = ("text", "json", "csv")
 
 _BOLD = "\x1b[1m"
 _RESET = "\x1b[0m"
-_SEVERITY_COLOR = {"violation": "\x1b[31m", "advisory": "\x1b[33m", "warning": "\x1b[35m"}
+_SEVERITY_COLOR = {VIOLATION: "\x1b[31m", ADVISORY: "\x1b[33m", WARNING: "\x1b[35m"}
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,13 @@ class Layer:
     findings: tuple[Finding, ...]
 
 
-def build_report(model: CodeModel, metrics: MetricsReport,
+def build_report(model: CodeModel, metrics: Metrics,
                  findings: list[Finding]) -> tuple[Layer, ...]:
     """The report: its four layers, in order; every value and finding lands in exactly one."""
-    classes = [(str(name), metrics.per_class[name])
+    per_class, per_package = metrics
+    classes = [(str(name), per_class[name])
                for name in sorted(name for name, _ in model.iter_classes())]
-    packages = [(name, metrics.per_package[name])
+    packages = [(name, per_package[name])
                 for name in sorted(pkg.name for pkg in model.packages)]
     return (
         _layer(LAYER_CLASS_DESIGN, CLASS_DESIGN_METRICS, classes),

@@ -69,8 +69,8 @@ def test_criterion_2_instability_and_abstractness_ranges():
         stable_seen = fully_abstract_seen = 0
         for _ in range(1000):
             model = build_model(random_packages(rng))
-            report = compute_all(model)
-            for pm in report.per_package.values():
+            _, per_package = compute_all(model)
+            for pm in per_package.values():
                 if pm.instability is not None:
                     assert 0 <= pm.instability <= 1
                     if pm.ce == 0 and pm.ca > 0:
@@ -117,8 +117,8 @@ def test_criterion_4_dit_exhaustive_and_noc_sums():
         for _ in range(200):
             model = build_model(random_packages(rng))
             pair_count = sum(len(set(cls.parents)) for _, cls in model.iter_classes())
-            report = compute_all(model)
-            assert sum(cm.noc for cm in report.per_class.values()) == pair_count
+            per_class, _ = compute_all(model)
+            assert sum(cm.noc for cm in per_class.values()) == pair_count
 
 
 def test_criterion_5_wmc_degenerate_and_weighted():
@@ -178,11 +178,12 @@ def test_criterion_8_sdp_sweep_matches_eq3():
     with criterion(8, "SDP violations match direct I comparison over the Ca/Ce sweep", 5.0):
         for ca_p, ce_p, ca_q, ce_q in itertools.product(range(4), repeat=4):
             model = coupling_model(ca_p, ce_p, ca_q, ce_q)
-            report = compute_all(model)
+            metrics = compute_all(model)
             expected = sdp_oracle(model)
-            actual = {f.locus for f in sdp_violations(model, report)}
+            actual = {f.locus for f in sdp_violations(model, metrics)}
             assert actual == expected, (ca_p, ce_p, ca_q, ce_q)
             # spot-check the construction actually realizes the requested counts
-            assert (report.per_package["p"].ca, report.per_package["p"].ce) == (ca_p, ce_p)
-            assert (report.per_package["q"].ca, report.per_package["q"].ce) == (ca_q, ce_q)
+            _, per_package = metrics
+            assert (per_package["p"].ca, per_package["p"].ce) == (ca_p, ce_p)
+            assert (per_package["q"].ca, per_package["q"].ce) == (ca_q, ce_q)
 

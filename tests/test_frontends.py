@@ -102,8 +102,8 @@ def test_reference_fixture_parses_to_hand_derived_model(reference_source):
 
 def test_reference_fixture_derives_the_expected_edges(reference_source):
     from designlens.model import class_graph
-    edges = [(str(e.source), str(e.target), e.kind)
-             for e in class_graph(parse_minioo(reference_source)).edges]
+    _, edges = class_graph(parse_minioo(reference_source))
+    edges = [(str(e.source), str(e.target), e.kind) for e in edges]
     assert edges == [
         ("app.Canvas", "core.Shape", "aggregation"),
         ("app.Canvas", "core.Shape", "use"),
@@ -1207,6 +1207,30 @@ def test_only_a_rejected_document_is_walked(monkeypatch):
     assert error_lists == [None, excinfo.value.errors]
     assert hooks[0].__self__.errors is None and hooks[1:] == [unique_keys]
     assert [e.locus for e in excinfo.value.errors] == ["packages[0].classes[0].abstract"]
+
+
+@pytest.mark.parametrize("second,message", [
+    ('{"name":"q","name":"q","classes":[]}', "MalformedDocument at document: duplicate key 'name'"),
+    ('{"name":"q","classes":[NaN]}', "MalformedDocument at document: NaN is not valid JSON"),
+    ('\n{"name":"q","classes":[}',
+     "MalformedDocument at line 2: not well-formed JSON: Expecting value"),
+])
+def test_a_schema_error_before_a_malformed_part_reports_the_malformed_part(
+        monkeypatch, second, message):
+    hooks, loads = [], frontends._loads
+
+    def spied_loads(document, hook, position):
+        hooks.append(hook)
+        return loads(document, hook, position)
+
+    monkeypatch.setattr(frontends, "_loads", spied_loads)
+    document = f'{{"packages":[{{"name":1,"classes":[]}},{second}]}}'
+    with pytest.raises(ModelError) as excinfo:
+        decode_interchange(document, "d.json")
+    assert [str(error) for error in excinfo.value.errors] == [message]
+    # the first decode stopped at the schema error in the first package, before the
+    # malformed second one, which the collecting decode then found
+    assert len(hooks) == 2 and hooks[1] is unique_keys
 
 
 def test_an_invalid_name_is_reported_at_each_occurrence():

@@ -141,7 +141,8 @@ def scan_noc(model, name):
 
 def scan_cbo(model, name):
     coupled = set()
-    for edge in class_graph(model).edges:
+    _, edges = class_graph(model)
+    for edge in edges:
         if edge.kind == INHERIT or edge.source == edge.target:
             continue
         if edge.source == name:
@@ -152,12 +153,14 @@ def scan_cbo(model, name):
 
 
 def scan_afferent(model, package):
-    return len({edge.source for edge in class_graph(model).edges
+    _, edges = class_graph(model)
+    return len({edge.source for edge in edges
                 if edge.target.package == package and edge.source.package != package})
 
 
 def scan_efferent(model, package):
-    return len({edge.target for edge in class_graph(model).edges
+    _, edges = class_graph(model)
+    return len({edge.target for edge in edges
                 if edge.source.package == package and edge.target.package != package})
 
 
@@ -406,10 +409,10 @@ def test_a_class_with_20000_methods_is_measured_in_linear_time():
                    methods=tuple(method(f"m{i}", reads=fields[i % 3]) for i in range(n)))
     model = build_model([PackageDef("p", (cls,))])
     start = time.perf_counter()
-    report = compute_all(model)
+    per_class, _ = compute_all(model)
     elapsed = time.perf_counter() - start
     intersecting = sum(k * (k - 1) // 2 for k in (len(range(i, n, 3)) for i in range(3)))
-    assert report.per_class[qn("p", "Fat")].lcom == n * (n - 1) // 2 - 2 * intersecting
+    assert per_class[qn("p", "Fat")].lcom == n * (n - 1) // 2 - 2 * intersecting
     assert elapsed < 2.0
 
 
@@ -540,22 +543,21 @@ def test_main_sequence_distance_corners():
 
 
 def test_compute_all_on_empty_model():
-    report = compute_all(CodeModel(()))
-    assert report.per_class == {} and report.per_package == {}
+    assert compute_all(CodeModel(())) == ({}, {})
 
 
 def test_compute_all_on_reference_fixture(reference_source):
-    report = compute_all(parse_minioo(reference_source))
+    per_class, per_package = compute_all(parse_minioo(reference_source))
     circle, shape = qn("core", "Circle"), qn("core", "Shape")
-    assert report.per_class[circle].dit == 1
-    assert report.per_class[shape].noc == 1
-    assert report.per_class[circle].wmc == 3
-    core = report.per_package["core"]
+    assert per_class[circle].dit == 1
+    assert per_class[shape].noc == 1
+    assert per_class[circle].wmc == 3
+    core = per_package["core"]
     assert (core.ca, core.ce) == (1, 0)
     assert core.instability == 0
     assert core.abstractness == Fraction(1, 2)
     assert core.distance == Fraction(1, 2)
-    app = report.per_package["app"]
+    app = per_package["app"]
     assert (app.ca, app.ce, app.instability, app.abstractness) == (0, 1, 1, 0)
 
 
@@ -563,15 +565,15 @@ def test_compute_all_equals_individual_metric_calls():
     rng = random.Random(53)
     for _ in range(100):
         model = random_model(rng)
-        report = compute_all(model)
-        assert set(report.per_class) == {name for name, _ in model.iter_classes()}
-        assert set(report.per_package) == {pkg.name for pkg in model.packages}
+        per_class, per_package = compute_all(model)
+        assert set(per_class) == {name for name, _ in model.iter_classes()}
+        assert set(per_package) == {pkg.name for pkg in model.packages}
         for name, cls in model.iter_classes():
-            cm = report.per_class[name]
+            cm = per_class[name]
             assert (cm.wmc, cm.dit, cm.noc, cm.cbo, cm.lcom) == (
                 wmc(cls), dit(model, name), noc(model, name), cbo(model, name), lcom(cls))
         for pkg in model.packages:
-            pm = report.per_package[pkg.name]
+            pm = per_package[pkg.name]
             assert (pm.ca, pm.ce) == (afferent(model, pkg.name), efferent(model, pkg.name))
             assert pm.instability == instability(pm.ca, pm.ce)
             assert pm.abstractness == abstractness(pkg)
@@ -585,16 +587,16 @@ def test_metric_table_matches_reference_scans_for_calls_and_compute_all():
     rng = random.Random(59)
     for _ in range(100):
         model = random_model(rng, max_packages=5, max_classes=6)
-        report = compute_all(model)
+        per_class, per_package = compute_all(model)
         for name, _ in model.iter_classes():
             expected = (scan_dit(model, name), scan_noc(model, name), scan_cbo(model, name))
             assert (dit(model, name), noc(model, name), cbo(model, name)) == expected
-            cm = report.per_class[name]
+            cm = per_class[name]
             assert (cm.dit, cm.noc, cm.cbo) == expected
         for pkg in model.packages:
             expected = (scan_afferent(model, pkg.name), scan_efferent(model, pkg.name))
             assert (afferent(model, pkg.name), efferent(model, pkg.name)) == expected
-            assert (report.per_package[pkg.name].ca, report.per_package[pkg.name].ce) == expected
+            assert (per_package[pkg.name].ca, per_package[pkg.name].ce) == expected
 
 
 def test_unknown_subjects_raise_after_the_table_is_built():
@@ -635,20 +637,21 @@ def test_point_queries_derive_class_edges_once_per_model(monkeypatch):
 
 
 def test_one_cli_run_builds_no_class_graph(monkeypatch):
-    real_graph, graphs = model_module.DependencyGraph, []
+    real_edge, sources = model_module.DependencyEdge, []
 
-    def counting_graph(nodes, edges, granularity):
-        graphs.append(granularity)
-        return real_graph(nodes, edges, granularity)
+    def counting_edge(source, target, kind):
+        sources.append(source)
+        return real_edge(source, target, kind)
 
     walked = _count_walks(monkeypatch)
-    monkeypatch.setattr(model_module, "DependencyGraph", counting_graph)
+    monkeypatch.setattr(model_module, "DependencyEdge", counting_edge)
     source = FIXTURES / "reference.minioo"
     assert cli.run(["analyze", str(source)], stdout=io.StringIO()) == 0
     # one walk of each class's edges feeds the metric table, the package graph and DIP
     model = parse_minioo(source.read_text(encoding="utf-8"))
     assert walked == [cls for _, cls in model.iter_classes()]
-    assert graphs == ["package"]
+    # every edge built is a package graph's: a class graph's edge has a class segment
+    assert sources and not any(source.cls for source in sources)
 
 
 def test_compute_all_iterates_in_name_order():
@@ -656,9 +659,9 @@ def test_compute_all_iterates_in_name_order():
         PackageDef("zeta", (ClassDef("B"), ClassDef("A"))),
         PackageDef("alpha", (ClassDef("C"),)),
     ])
-    report = compute_all(model)
-    assert list(report.per_class) == sorted(report.per_class)
-    assert list(report.per_package) == ["alpha", "zeta"]
+    per_class, per_package = compute_all(model)
+    assert list(per_class) == sorted(per_class)
+    assert list(per_package) == ["alpha", "zeta"]
 
 
 @pytest.mark.parametrize("values,expected_repr,count", [

@@ -222,6 +222,23 @@ def test_a_weight_that_is_not_an_int_or_a_flag_that_is_not_a_bool_is_a_type_erro
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("declare,message", [
+    (lambda: ClassDef("A", parents=[("q", "B")]),
+     "class 'A': parent ('q', 'B') is not a QualifiedName"),
+    (lambda: AttributeDef("a", ("q", "B"), ASSOCIATION),
+     "attribute 'a': target ('q', 'B') is not a QualifiedName"),
+    (lambda: MethodDef("m", uses=[_USED, "q.C", ("q", "B")]),
+     "method 'm': used class 'q.C' is not a QualifiedName"),
+])
+def test_a_parent_target_or_used_class_that_is_not_a_qualified_name_is_a_type_error(
+        declare, message):
+    # a plain tuple equals its QualifiedName, so validation passed it; then the metrics
+    # read its `.package`, and interchange wrote "('q', 'B')", which it cannot read back
+    with pytest.raises(TypeError) as caught:
+        declare()
+    assert str(caught.value) == message
+
+
 # -- the constructors against the generated ones they replaced ---------------------
 
 
@@ -326,7 +343,7 @@ _NAMES = _fixed(["m", "A_1"], ["", "bad name", "1st", "café", "ß", 1, b"A", ("
 _FLAGS = _fixed([False, True], [0, 1, None, "yes", 2.5])
 # each field's (good, bad) values; a good target and a good kind may still not match
 _ARGUMENTS = {
-    AttributeDef: {"name": _NAMES, "target": _fixed([None, _USED], ["q.B", 1]),
+    AttributeDef: {"name": _NAMES, "target": _fixed([None, _USED], ["q.B", ("q", "B"), 1]),
                    "kind": _fixed([model_module.NO_TARGET, ASSOCIATION, AGGREGATION],
                                   ["bogus", "Association", 1, None]),
                    "position": _POSITION},
@@ -334,10 +351,11 @@ _ARGUMENTS = {
                 "weight": _fixed([1, 2, MAX_WEIGHT], [0, MAX_WEIGHT + 1, -1, True, False, 2.5,
                                                       1.0, "3", None]),
                 "reads": _collections(st.sampled_from(["b", "x y", 1])),
-                "uses": _collections(st.sampled_from([_USED, QualifiedName("p")])),
+                "uses": _collections(st.sampled_from(
+                    [_USED, QualifiedName("p"), ("q", "B"), "q.B"])),
                 "position": _POSITION},
     ClassDef: {"name": _NAMES, "is_abstract": _FLAGS,
-               "parents": _collections(st.just(_USED)),
+               "parents": _collections(st.sampled_from([_USED, ("q", "B")])),
                "attributes": _collections(st.just(AttributeDef("b"))),
                "methods": _collections(st.just(MethodDef("m"))), "position": _POSITION},
     PackageDef: {"name": _NAMES, "classes": _collections(st.just(ClassDef("A"))),
@@ -372,6 +390,23 @@ def _outcome(build, arguments):
         return exc, args, kwargs
 
 
+def _names(values):
+    return all(type(value) is QualifiedName for value in values)
+
+
+# the rejections the generated constructors did not make, each checked after every
+# older one, in the order each constructor checks them: (field, whether a value
+# passes, the message's words after the declaration, a valid value)
+_NEW_REJECTIONS = (
+    ("weight", lambda value: type(value) is int, "weight .* is not an int", 1),
+    ("is_abstract", lambda value: type(value) is bool, "is_abstract .* is not a bool", False),
+    ("target", lambda value: value is None or type(value) is QualifiedName,
+     "target .* is not a QualifiedName", _USED),
+    ("uses", _names, "used class .* is not a QualifiedName", ()),
+    ("parents", _names, "parent .* is not a QualifiedName", ()),
+)
+
+
 @settings(max_examples=500, deadline=None)
 @given(call=_calls())
 def test_the_constructors_build_and_reject_as_the_generated_ones_did(call):
@@ -382,17 +417,18 @@ def test_the_constructors_build_and_reject_as_the_generated_ones_did(call):
         if isinstance(expected, Exception) and type(actual) is type(expected) \
                 and str(actual) == str(expected):
             return
-        # the one new rejection: a non-int or bool weight, a non-bool is_abstract, once
-        # every check before it has passed (the same call with those made valid builds)
-        bound = dict(zip([f.name for f in dataclasses.fields(kind)], new_args), **new_kwargs)
+        # a new rejection, once every check before it has passed (the same call with
+        # the rejected values made valid builds)
         assert type(actual) is TypeError
-        bad = [name for name, good in (("weight", int), ("is_abstract", bool))
-               if name in bound and type(bound[name]) is not good]
-        assert bad and re.fullmatch(rf".*: {bad[0]} .* is not an? (int|bool)", str(actual))
+        names = [f.name for f in dataclasses.fields(kind)]
+        args, kwargs = arguments()  # afresh: reading a generator uses it up
+        bound = dict(zip(names, args), **kwargs)
+        bad = [(words, name, valid) for name, passes, words, valid in _NEW_REJECTIONS
+               if name in bound and not passes(bound[name])]
+        assert bad and re.fullmatch(rf".*: {bad[0][0]}", str(actual))
         args, kwargs = arguments()
-        positional = [f.name for f in dataclasses.fields(kind)][:len(args)]
-        valid = {name: {"weight": 1, "is_abstract": False}[name] for name in bad}
-        _REFERENCE[kind](*[valid.get(name, value) for name, value in zip(positional, args)],
+        valid = {name: value for _, name, value in bad}
+        _REFERENCE[kind](*[valid.get(name, value) for name, value in zip(names, args)],
                          **{name: valid.get(name, value) for name, value in kwargs.items()})
         return
     assert not isinstance(expected, Exception), expected
@@ -450,7 +486,8 @@ def _accepted_models(draw):
             for m in range(draw(st.integers(0, 2))):
                 reads = draw(st.lists(st.sampled_from([a.name for a in attributes]),
                                       max_size=2)) if attributes else []
-                uses = [QualifiedName(f"p{p}", f"C{c}")] if draw(st.booleans()) else []
+                uses = draw(st.sampled_from([[], [QualifiedName(f"p{p}", f"C{c}")],
+                                             [(f"p{p}", f"C{c}")]]))
                 methods += accepted(MethodDef, f"m{m}",
                                     abstract and draw(st.sampled_from(_ACCEPTED_FLAGS)),
                                     draw(st.sampled_from(_ACCEPTED_WEIGHTS)), reads, uses)
@@ -749,7 +786,7 @@ def test_attribute_creates_edge_of_declared_kind():
         simple_class("D"),
         ClassDef("C", attributes=(AttributeDef("x", qn("p", "D"), AGGREGATION),)),
     ))])
-    edges = class_graph(model).edges
+    _, edges = class_graph(model)
     assert len(edges) == 1
     assert (edges[0].source, edges[0].target, edges[0].kind) == (qn("p", "C"), qn("p", "D"), AGGREGATION)
 
@@ -762,22 +799,22 @@ def test_two_methods_using_same_target_deduplicate_to_one_edge():
             MethodDef("m2", uses=frozenset({qn("p", "D")})),
         )),
     ))])
-    edges = class_graph(model).edges
+    _, edges = class_graph(model)
     assert len(edges) == 1
     assert edges[0].kind == USE
 
 
 def test_model_without_references_has_nodes_only():
     model = build_model([PackageDef("p", (simple_class("A"), simple_class("B")))])
-    graph = class_graph(model)
-    assert len(graph.nodes) == 2
-    assert graph.edges == ()
+    nodes, edges = class_graph(model)
+    assert len(nodes) == 2
+    assert edges == ()
 
 
 def test_self_typed_attribute_edge_is_recorded():
     model = build_model([PackageDef("p", (
         ClassDef("C", attributes=(AttributeDef("me", qn("p", "C"), ASSOCIATION),)),))])
-    edges = class_graph(model).edges
+    _, edges = class_graph(model)
     assert len(edges) == 1 and edges[0].source == edges[0].target
 
 
@@ -786,11 +823,12 @@ def test_class_graph_node_count_and_determinism():
     for _ in range(50):
         model = random_model(rng)
         graph = class_graph(model)
-        assert len(graph.nodes) == sum(len(pkg.classes) for pkg in model.packages)
+        nodes, edges = graph
+        assert len(nodes) == sum(len(pkg.classes) for pkg in model.packages)
         assert graph == class_graph(model)
         assert repr(graph) == repr(class_graph(model))
         # self-edges may exist for other kinds, never for inherit
-        assert not any(e.source == e.target for e in graph.edges if e.kind == INHERIT)
+        assert not any(e.source == e.target for e in edges if e.kind == INHERIT)
 
 
 def test_graphs_are_built_once_per_model_and_leave_equality_alone():
@@ -810,8 +848,8 @@ def test_inherit_edges_admit_topological_order():
     rng = random.Random(13)
     for _ in range(50):
         model = random_model(rng)
-        graph = class_graph(model)
-        assert is_dag(graph.nodes, [edge for edge in graph.edges if edge.kind == INHERIT])
+        nodes, edges = class_graph(model)
+        assert is_dag(nodes, [edge for edge in edges if edge.kind == INHERIT])
 
 
 # -- package graph ----------------------------------------------------------------
@@ -822,7 +860,7 @@ def test_cross_package_use_creates_package_edge():
         PackageDef("p", (ClassDef("A", methods=(MethodDef("m", uses=frozenset({qn("q", "B")})),)),)),
         PackageDef("q", (simple_class("B"),)),
     ])
-    edges = package_graph(model).edges
+    _, edges = package_graph(model)
     assert [(e.source.package, e.target.package) for e in edges] == [("p", "q")]
 
 
@@ -831,7 +869,7 @@ def test_intra_package_edges_are_excluded():
         simple_class("B"),
         ClassDef("A", methods=(MethodDef("m", uses=frozenset({qn("p", "B")})),)),
     ))])
-    assert package_graph(model).edges == ()
+    assert package_graph(model) == ((qn("p"),), ())
 
 
 def test_mutual_dependencies_give_a_two_cycle():
@@ -840,7 +878,8 @@ def test_mutual_dependencies_give_a_two_cycle():
         PackageDef("q", (ClassDef("B", is_abstract=False),
                          ClassDef("C", methods=(MethodDef("m", uses=frozenset({qn("p", "A")})),)))),
     ])
-    pairs = {(e.source.package, e.target.package) for e in package_graph(model).edges}
+    _, edges = package_graph(model)
+    pairs = {(e.source.package, e.target.package) for e in edges}
     assert pairs == {("p", "q"), ("q", "p")}
 
 
@@ -848,14 +887,15 @@ def test_package_edges_are_exactly_the_image_of_cross_class_references():
     rng = random.Random(17)
     for _ in range(60):
         model = random_model(rng, max_packages=5, max_classes=4)
-        actual = {(e.source.package, e.target.package) for e in package_graph(model).edges}
+        nodes, edges = package_graph(model)
+        actual = {(e.source.package, e.target.package) for e in edges}
         assert actual == raw_package_references(model)
-        assert set(package_graph(model).nodes) == {qn(p.name) for p in model.packages}
+        assert set(nodes) == {qn(p.name) for p in model.packages}
         # each package edge carries the smallest kind among the class edges crossing it
         kinds = {}
-        for edge in class_graph(model).edges:
+        _, class_edges = class_graph(model)
+        for edge in class_edges:
             key = (edge.source.package, edge.target.package)
             if key[0] != key[1]:
                 kinds[key] = min(kinds.get(key, edge.kind), edge.kind)
-        assert {(e.source.package, e.target.package): e.kind
-                for e in package_graph(model).edges} == kinds
+        assert {(e.source.package, e.target.package): e.kind for e in edges} == kinds

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from designlens.frontends import parse_minioo
-from designlens.metrics import MetricsReport, compute_all
+from designlens.metrics import compute_all
 from designlens.model import (
     AGGREGATION,
     ASSOCIATION,
@@ -16,7 +16,6 @@ from designlens.model import (
     AttributeDef,
     ClassDef,
     DependencyEdge,
-    DependencyGraph,
     MethodDef,
     PackageDef,
     QualifiedName,
@@ -52,10 +51,7 @@ def qn(package, cls=""):
 
 def package_digraph(node_count, edges):
     nodes = tuple(qn(f"n{i}") for i in range(node_count))
-    return DependencyGraph(
-        nodes,
-        tuple(sorted(DependencyEdge(qn(f"n{a}"), qn(f"n{b}"), "use") for a, b in edges)),
-        "package")
+    return nodes, tuple(sorted(DependencyEdge(qn(f"n{a}"), qn(f"n{b}"), "use") for a, b in edges))
 
 
 def cycle_groups_oracle(node_count, edges):
@@ -100,10 +96,11 @@ def test_two_disjoint_two_cycles_give_two_groups():
     assert detect_cycles(graph) == [["n0", "n1"], ["n2", "n3"]]
 
 
-def test_detect_cycles_rejects_class_granularity():
-    graph = DependencyGraph((qn("p", "A"),), (), "class")
-    with pytest.raises(ValueError):
-        detect_cycles(graph)
+def test_detect_cycles_rejects_a_class_graph():
+    # a node with a class segment marks a class graph, whose edges may be self-loops
+    for graph in [((qn("p", "A"),), ()), ((qn("p"), qn("p", "A")), ())]:
+        with pytest.raises(ValueError, match="runs on a package graph"):
+            detect_cycles(graph)
 
 
 def test_detect_cycles_matches_oracle_exhaustively_on_three_nodes():
@@ -163,8 +160,7 @@ def test_no_adp_findings_iff_package_graph_is_a_dag():
         model = random_model(rng, max_packages=5, max_classes=3)
         findings = run_all(model, compute_all(model))
         has_cycle_findings = any(f.rule == RULE_ADP for f in findings)
-        graph = package_graph(model)
-        if is_dag(graph.nodes, graph.edges):
+        if is_dag(*package_graph(model)):
             acyclic_seen += 1
             assert not has_cycle_findings
         else:
@@ -234,20 +230,22 @@ def sdp_oracle(model):
 def test_dependency_toward_stability_is_clean():
     # p (I=4/5) depends on q (I=1/5)
     model = coupling_model(1, 4, 4, 1)
-    report = compute_all(model)
-    assert report.per_package["p"].instability == Fraction(4, 5)
-    assert report.per_package["q"].instability == Fraction(1, 5)
-    loci = {f.locus for f in sdp_violations(model, report)}
+    metrics = compute_all(model)
+    _, per_package = metrics
+    assert per_package["p"].instability == Fraction(4, 5)
+    assert per_package["q"].instability == Fraction(1, 5)
+    loci = {f.locus for f in sdp_violations(model, metrics)}
     assert "p->q" not in loci
 
 
 def test_dependency_toward_instability_is_flagged_with_evidence():
     # p (I=1/5) depends on q (I=4/5)
     model = coupling_model(4, 1, 1, 3)
-    report = compute_all(model)
-    assert report.per_package["p"].instability == Fraction(1, 5)
-    assert report.per_package["q"].instability == Fraction(3, 4)
-    findings = [f for f in sdp_violations(model, report) if f.locus == "p->q"]
+    metrics = compute_all(model)
+    _, per_package = metrics
+    assert per_package["p"].instability == Fraction(1, 5)
+    assert per_package["q"].instability == Fraction(3, 4)
+    findings = [f for f in sdp_violations(model, metrics) if f.locus == "p->q"]
     assert len(findings) == 1
     assert findings[0].evidence == {
         "from_instability": Fraction(1, 5), "to_instability": Fraction(3, 4)}
@@ -255,17 +253,18 @@ def test_dependency_toward_instability_is_flagged_with_evidence():
 
 def test_equal_instability_is_not_a_violation():
     model = coupling_model(1, 1, 1, 1)
-    report = compute_all(model)
-    assert report.per_package["p"].instability == report.per_package["q"].instability
-    assert {f.locus for f in sdp_violations(model, report)} == sdp_oracle(model)
-    assert "p->q" not in {f.locus for f in sdp_violations(model, report)}
+    metrics = compute_all(model)
+    _, per_package = metrics
+    assert per_package["p"].instability == per_package["q"].instability
+    assert {f.locus for f in sdp_violations(model, metrics)} == sdp_oracle(model)
+    assert "p->q" not in {f.locus for f in sdp_violations(model, metrics)}
 
 
 def test_sdp_sweep_matches_direct_evaluation():
     for ca_p, ce_p, ca_q, ce_q in itertools.product(range(4), repeat=4):
         model = coupling_model(ca_p, ce_p, ca_q, ce_q)
-        report = compute_all(model)
-        assert {f.locus for f in sdp_violations(model, report)} == sdp_oracle(model)
+        metrics = compute_all(model)
+        assert {f.locus for f in sdp_violations(model, metrics)} == sdp_oracle(model)
 
 
 def _layered_chain_model(widths):
@@ -289,12 +288,12 @@ def test_monotone_layered_models_have_no_sdp_violations():
         depth = rng.randint(2, 6)
         widths = sorted((rng.randint(1, 4) for _ in range(depth)), reverse=True)
         model = _layered_chain_model(widths)
-        report = compute_all(model)
+        metrics = compute_all(model)
+        _, per_package = metrics
         # precondition: every dependency points toward weakly smaller instability
         for source, target in raw_package_references(model):
-            assert report.per_package[target].instability <= \
-                report.per_package[source].instability
-        assert sdp_violations(model, report) == []
+            assert per_package[target].instability <= per_package[source].instability
+        assert sdp_violations(model, metrics) == []
 
 
 def test_sdp_skips_undefined_instability():
@@ -305,18 +304,19 @@ def test_sdp_skips_undefined_instability():
             MethodDef("m", uses=frozenset({qn("q", "Q")})),)),)),
         PackageDef("q", (ClassDef("Q"),)),
     ])
-    report = compute_all(model)
-    assert report.per_package["alone"].instability is None
+    metrics = compute_all(model)
+    _, per_package = metrics
+    assert per_package["alone"].instability is None
     # no crash, and only defined edges are judged
-    assert {f.locus for f in sdp_violations(model, report)} == sdp_oracle(model)
+    assert {f.locus for f in sdp_violations(model, metrics)} == sdp_oracle(model)
     # a model's own report has UNDEFINED only on a package without edges, so one built
     # by hand puts it on either end of the flagged edge p->q, which is then skipped
     model = coupling_model(4, 1, 1, 3)
-    report = compute_all(model)
-    assert "p->q" in {f.locus for f in sdp_violations(model, report)}
+    per_class, per_package = compute_all(model)
+    assert "p->q" in {f.locus for f in sdp_violations(model, (per_class, per_package))}
     for end in ("p", "q"):
-        undefined = dataclasses.replace(report.per_package[end], instability=None)
-        hand_built = MetricsReport(report.per_class, {**report.per_package, end: undefined})
+        undefined = dataclasses.replace(per_package[end], instability=None)
+        hand_built = per_class, {**per_package, end: undefined}
         assert "p->q" not in {f.locus for f in sdp_violations(model, hand_built)}
 
 
@@ -344,8 +344,8 @@ def test_concrete_stable_package_lands_in_the_zone_of_pain():
     packages = []
     _fixed_package("rigid", 0, 3, 2, 0, packages)  # A=0, I=0, D=1
     model = build_model(packages)
-    report = compute_all(model)
-    findings = sap_zones(report, Thresholds())
+    metrics = compute_all(model)
+    findings = sap_zones(metrics, Thresholds())
     pain = [f for f in findings if f.rule == RULE_SAP_PAIN]
     assert [f.locus for f in pain] == ["rigid"]
     assert pain[0].evidence["distance"] == 1
@@ -363,17 +363,18 @@ def test_package_on_the_main_sequence_is_clean():
     packages = []
     _fixed_package("balanced", 1, 1, 1, 1, packages)  # A=1/2, I=1/2, D=0
     model = build_model(packages)
-    report = compute_all(model)
-    assert report.per_package["balanced"].distance == 0
-    assert [f for f in sap_zones(report, Thresholds()) if f.locus == "balanced"] == []
+    metrics = compute_all(model)
+    _, per_package = metrics
+    assert per_package["balanced"].distance == 0
+    assert [f for f in sap_zones(metrics, Thresholds()) if f.locus == "balanced"] == []
 
 
 def test_sap_thresholds_are_respected():
     packages = []
     _fixed_package("rigid", 0, 3, 2, 0, packages)
-    report = compute_all(build_model(packages))
+    metrics = compute_all(build_model(packages))
     strict = Thresholds(sap_distance_min=Fraction(11, 10))  # unreachable distance
-    assert [f for f in sap_zones(report, strict) if f.locus == "rigid"] == []
+    assert [f for f in sap_zones(metrics, strict) if f.locus == "rigid"] == []
 
 
 def test_thresholds_validate_their_invariants():
@@ -397,9 +398,10 @@ def low_cohesion_example_model():
 
 def test_low_cohesion_class_with_enough_methods_gets_srp_advisory():
     model = low_cohesion_example_model()
-    report = compute_all(model)
-    assert report.per_class[qn("p", "Mixed")].lcom == 1
-    findings = srp_advisories(model, report, Thresholds())
+    metrics = compute_all(model)
+    per_class, _ = metrics
+    assert per_class[qn("p", "Mixed")].lcom == 1
+    findings = srp_advisories(model, metrics, Thresholds())
     assert [f.locus for f in findings] == ["p.Mixed"]
     assert findings[0].evidence == {"lcom": 1, "method_count": 3}
 
@@ -418,9 +420,10 @@ def test_small_class_is_below_the_method_gate():
                    methods=(MethodDef("m1", reads=frozenset("a")),
                             MethodDef("m2", reads=frozenset("b"))))
     model = build_model([PackageDef("p", (cls,))])
-    report = compute_all(model)
-    assert report.per_class[qn("p", "Small")].lcom == 1
-    assert srp_advisories(model, report, Thresholds()) == []
+    metrics = compute_all(model)
+    per_class, _ = metrics
+    assert per_class[qn("p", "Small")].lcom == 1
+    assert srp_advisories(model, metrics, Thresholds()) == []
 
 
 # -- DIP -------------------------------------------------------------------------
@@ -465,8 +468,9 @@ def test_inherit_edges_are_outside_dip_scope():
 def reference_dip_advisories(model):
     """DIP read off the sorted, deduplicated class graph: the order `dip_advisories` keeps."""
     abstract = {name: cls.is_abstract for name, cls in model.iter_classes()}
+    _, edges = class_graph(model)
     return [Finding(RULE_DIP, "advisory", f"{edge.source}->{edge.target}", {"kind": edge.kind})
-            for edge in class_graph(model).edges
+            for edge in edges
             if edge.kind != INHERIT and abstract[edge.source] and not abstract[edge.target]]
 
 
@@ -492,8 +496,8 @@ def test_one_dip_finding_per_distinct_edge_in_kind_order():
     ))])
     expected = [("p.A->p.B", {"kind": kind}) for kind in ("aggregation", "association", "use")]
     assert [(f.locus, f.evidence) for f in dip_advisories(model)] == expected
-    report = compute_all(model)
-    assert [(f.locus, f.evidence) for f in run_all(model, report) if f.rule == RULE_DIP] == expected
+    metrics = compute_all(model)
+    assert [(f.locus, f.evidence) for f in run_all(model, metrics) if f.rule == RULE_DIP] == expected
 
 
 # -- run_all -----------------------------------------------------------------------
@@ -535,9 +539,9 @@ def test_run_all_is_sorted_and_repeatable():
     rng = random.Random(71)
     for _ in range(40):
         model = random_model(rng)
-        report = compute_all(model)
-        first = run_all(model, report)
-        second = run_all(model, report)
+        metrics = compute_all(model)
+        first = run_all(model, metrics)
+        second = run_all(model, metrics)
         assert first == second
         assert [(f.rule, f.locus) for f in first] == sorted((f.rule, f.locus) for f in first)
 
@@ -547,8 +551,8 @@ def test_checks_never_trip_on_undefined_values():
     rng = random.Random(73)
     for _ in range(60):
         model = random_model(rng, max_packages=5, max_classes=2)
-        report = compute_all(model)
-        findings = run_all(model, report)
+        metrics = compute_all(model)
+        findings = run_all(model, metrics)
         for finding in findings:
             if finding.rule in (RULE_SDP, RULE_SAP_PAIN, RULE_SAP_USELESS):
                 assert None not in finding.evidence.values()
