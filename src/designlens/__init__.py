@@ -2,7 +2,6 @@
 
 from .frontends import (
     ParseError,
-    ParseFailure,
     parse_minioo,
     read_interchange,
     write_interchange,
@@ -47,7 +46,6 @@ __all__ = [
     "PackageDef",
     "PackageMetrics",
     "ParseError",
-    "ParseFailure",
     "QualifiedName",
     "SourcePosition",
     "Thresholds",

@@ -22,7 +22,6 @@ from typing import Callable, NoReturn, TextIO
 
 from .frontends import (
     ParseError,
-    ParseFailure,
     decode_interchange,
     parse_minioo_declarations,
     reject_constant,
@@ -321,7 +320,7 @@ def _load_inputs(paths: list[str]) -> list[PackageDef]:
                 packages.extend(parse_minioo_declarations(text, path))
             else:
                 packages.extend(decode_interchange(text, path))
-        except (ParseFailure, ModelError) as exc:
+        except ModelError as exc:
             errors.extend(map(_located, exc.errors))
     if errors:
         raise _Exit(EXIT_INPUT, *errors)

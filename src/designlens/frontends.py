@@ -80,9 +80,6 @@ class _Offset(int):
     def __repr__(self) -> str:
         return repr(self.resolved())
 
-    def __str__(self) -> str:
-        return str(self.resolved())
-
     def __format__(self, spec: str) -> str:
         return format(self.resolved(), spec)
 
@@ -100,15 +97,6 @@ class ParseError:
     def __str__(self) -> str:
         return (f"{self.position.line}:{self.position.column}: "
                 f"expected {self.expected}, found {self.found}")
-
-
-class ParseFailure(Exception):
-    """Raised for MiniOO syntax errors; carries every error found before giving up."""
-
-    def __init__(self, errors: list[ParseError]):
-        self.errors = list(errors)
-        head = str(self.errors[0]) if self.errors else "unknown"
-        super().__init__(f"{len(self.errors)} syntax error(s): {head}")
 
 
 # Whitespace and `//` comments before a token.  No token starts with either, and a comment
@@ -422,21 +410,21 @@ def _shared(sets: dict[frozenset, frozenset], items: Iterable) -> frozenset:
 def parse_minioo_declarations(source: str, path: str | None = None) -> list[PackageDef]:
     """Syntax-only MiniOO parse: declarations, each with its source position in `path`.
 
-    Raises ParseFailure on any syntax error; semantic validation is the
-    caller's job (see parse_minioo).
+    Raises ModelError with every ParseError found on any syntax error; semantic
+    validation is the caller's job (see parse_minioo).
     """
     parser = _MiniOOParser(source, path)
     packages = parser.parse_model()
     if parser.errors:
-        raise ParseFailure(parser.errors)
+        raise ModelError(parser.errors)
     return packages
 
 
 def parse_minioo(source: str) -> CodeModel:
     """Parse MiniOO source and validate it into a CodeModel.
 
-    Raises ParseFailure for syntax errors, ModelError (each error at the
-    source position of the declaration it concerns) for semantic ones.
+    Raises ModelError: with the ParseErrors for syntax errors, else with the
+    ValidationErrors (each at the source position of the declaration it concerns).
     """
     return build_model(parse_minioo_declarations(source))
 

@@ -11,11 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import ClassDef, CodeModel, PackageDef, QualifiedName, edge_table, resolve
-
-
-class UnknownPackageError(KeyError):
-    """The named package is not declared in the model."""
+from .model import ClassDef, CodeModel, PackageDef, QualifiedName, declared, edge_table
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,21 +45,18 @@ def wmc(cls: ClassDef) -> int:
 
 def dit(model: CodeModel, name: QualifiedName) -> int:
     """Depth of inheritance tree: longest inherit path from the class to a root."""
-    resolve(model, name)
-    return edge_table(model).dit[name]
+    return declared(edge_table(model).dit, name, "class")
 
 
 def noc(model: CodeModel, name: QualifiedName) -> int:
     """Number of children: classes anywhere in the model listing this class as a direct parent."""
-    resolve(model, name)
-    return edge_table(model).noc[name]
+    return declared(edge_table(model).noc, name, "class")
 
 
 def cbo(model: CodeModel, name: QualifiedName) -> int:
     """Coupling between object classes: distinct other classes linked by a
     non-inherit edge in either direction."""
-    resolve(model, name)
-    return edge_table(model).cbo[name]
+    return declared(edge_table(model).cbo, name, "class")
 
 
 def lcom(cls: ClassDef) -> int:
@@ -91,14 +84,12 @@ def lcom(cls: ClassDef) -> int:
 
 def afferent(model: CodeModel, package: str) -> int:
     """Ca: distinct classes outside the package with any edge into it (inherit included)."""
-    _require_package(model, package)
-    return edge_table(model).ca[package]
+    return declared(edge_table(model).ca, package, "package")
 
 
 def efferent(model: CodeModel, package: str) -> int:
     """Ce: distinct classes outside the package that its classes have any edge toward."""
-    _require_package(model, package)
-    return edge_table(model).ce[package]
+    return declared(edge_table(model).ce, package, "package")
 
 
 def instability(ca: int, ce: int) -> Fraction | None:
@@ -138,11 +129,6 @@ def compute_all(model: CodeModel) -> Metrics:
         d = main_sequence_distance(a, i) if a is not None and i is not None else None
         per_package[pkg.name] = PackageMetrics(pkg.name, ca, ce, i, a, d)
     return per_class, per_package
-
-
-def _require_package(model: CodeModel, package: str) -> None:
-    if model.package(package) is None:
-        raise UnknownPackageError(f"package '{package}' is not declared")
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .tarjan import cycles, strongly_connected_components
+
+if TYPE_CHECKING:
+    from .frontends import ParseError
 
 # Relationship kinds carried by dependency edges.
 INHERIT = "inherit"
@@ -194,6 +197,7 @@ _SET_ATTRIBUTE, _SET_METHOD, _SET_CLASS, _SET_PACKAGE = (
     for kind in (AttributeDef, MethodDef, ClassDef, PackageDef))
 
 _T = TypeVar("_T")
+_K = TypeVar("_K")
 
 
 @dataclass(frozen=True)
@@ -206,7 +210,6 @@ class CodeModel:
 
     packages: tuple[PackageDef, ...]
     _index: dict = field(init=False, repr=False, compare=False)
-    _packages: dict = field(init=False, repr=False, compare=False)
     _derived: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -217,14 +220,10 @@ class CodeModel:
         object.__setattr__(self, "packages", packages)
         object.__setattr__(self, "_index", {QualifiedName(pkg.name, cls.name): cls
                                             for pkg in packages for cls in pkg.classes})
-        object.__setattr__(self, "_packages", {pkg.name: pkg for pkg in packages})
 
     def iter_classes(self) -> Iterator[tuple[QualifiedName, ClassDef]]:
         """Yield (name, class) pairs in declaration order."""
         return iter(self._index.items())
-
-    def package(self, name: str) -> PackageDef | None:
-        return self._packages.get(name)
 
 
 def once_per_model(build: Callable[[CodeModel], _T]) -> Callable[[CodeModel], _T]:
@@ -257,16 +256,17 @@ class ValidationError:
 
 
 class ModelError(Exception):
-    """Raised when declarations violate model invariants; carries every error found."""
+    """Raised for input that is not a valid model; `errors` holds every error found: the
+    `ParseError`s of a MiniOO parse, or the `ValidationError`s of any other check."""
 
-    def __init__(self, errors: Iterable[ValidationError]):
+    def __init__(self, errors: Iterable[ParseError | ValidationError]):
         self.errors = list(errors)
         head = str(self.errors[0]) if self.errors else "unknown error"
-        super().__init__(f"{len(self.errors)} validation error(s): {head}")
+        super().__init__(f"{len(self.errors)} error(s): {head}")
 
 
 class NotFoundError(KeyError):
-    """A qualified name does not resolve to a declared class."""
+    """A name does not resolve to a class or package the model declares."""
 
 
 class DependencyEdge(NamedTuple):
@@ -369,12 +369,18 @@ def build_model(packages: Iterable[PackageDef]) -> CodeModel:
     return CodeModel(tuple(packages))
 
 
+def declared(table: Mapping[_K, _T], key: _K, kind: str) -> _T:
+    """`table[key]`, from a table keyed by every declared class or package; raises
+    NotFoundError, naming the `kind` of `key`, for a key the table does not hold."""
+    try:
+        return table[key]
+    except KeyError:
+        raise NotFoundError(f"{kind} '{key}' is not declared") from None
+
+
 def resolve(model: CodeModel, name: QualifiedName) -> ClassDef:
     """Look up a declared class; raises NotFoundError for a name the model does not declare."""
-    try:
-        return model._index[name]
-    except KeyError:
-        raise NotFoundError(f"class '{name}' is not declared") from None
+    return declared(model._index, name, "class")
 
 
 def _targets(cls: ClassDef) -> Iterator[tuple[QualifiedName, str]]:

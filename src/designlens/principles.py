@@ -60,6 +60,14 @@ class Thresholds:
     sap_extreme: Fraction = Fraction(1, 5)
 
     def __post_init__(self) -> None:
+        for name in ("srp_lcom_min", "srp_method_min"):
+            value = getattr(self, name)
+            if type(value) is not int:  # nor a bool
+                raise TypeError(f"thresholds: {name} {value!r} is not an int")
+        for name in ("sap_distance_min", "sap_extreme"):
+            value = getattr(self, name)
+            if type(value) not in (int, Fraction):  # a float would make the bounds inexact
+                raise TypeError(f"thresholds: {name} {value!r} is not an int or a Fraction")
         values = (self.srp_lcom_min, self.srp_method_min, self.sap_distance_min, self.sap_extreme)
         if any(v < 0 for v in values):
             raise ValueError("thresholds must be non-negative")

@@ -78,7 +78,7 @@ def test_criterion_2_instability_and_abstractness_ranges():
                         assert pm.instability == 0
                 if pm.abstractness is not None:
                     assert 0 <= pm.abstractness <= 1
-                    pkg = model.package(pm.name)
+                    pkg = next(p for p in model.packages if p.name == pm.name)
                     if pkg.classes and all(c.is_abstract for c in pkg.classes):
                         fully_abstract_seen += 1
                         assert pm.abstractness == 1

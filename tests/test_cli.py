@@ -27,7 +27,6 @@ from designlens.cli import (
     run,
 )
 from designlens.frontends import (
-    ParseFailure,
     parse_minioo,
     parse_minioo_declarations,
     write_interchange,
@@ -152,7 +151,7 @@ def test_cli_reports_the_library_positions_for_cr_newlines(tmp_path, newline, so
     text = source % (newline, newline, newline)
     path = tmp_path / "m.minioo"
     path.write_bytes(text.encode("utf-8"))
-    with pytest.raises((ParseFailure, ModelError)) as caught:
+    with pytest.raises(ModelError) as caught:
         build_model(parse_minioo_declarations(text, str(path)))
     expected = "".join(f"{path}:{error}\n" for error in caught.value.errors)
     code, out, err = invoke("analyze", str(path))

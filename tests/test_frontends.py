@@ -22,7 +22,6 @@ from designlens.frontends import (
     MALFORMED_DOCUMENT,
     SCHEMA_ERROR,
     ParseError,
-    ParseFailure,
     SourcePosition,
     _MiniOOParser,
     _Offset,
@@ -114,9 +113,11 @@ def test_reference_fixture_derives_the_expected_edges(reference_source):
 
 def test_missing_type_reports_error_at_semicolon_position():
     source = "package p { class A { field x: ; } }"
-    with pytest.raises(ParseFailure) as excinfo:
+    with pytest.raises(ModelError) as excinfo:
         parse_minioo(source)
-    error = excinfo.value.errors[0]
+    [error] = excinfo.value.errors
+    assert type(error) is ParseError
+    assert str(excinfo.value) == "1 error(s): 1:32: expected a type name, found ';'"
     assert error.expected == "a type name"
     assert error.found == "';'"
     assert (error.position.line, error.position.column) == (1, 32)
@@ -133,7 +134,7 @@ package p {
   }
 }
 """
-    with pytest.raises(ParseFailure) as excinfo:
+    with pytest.raises(ModelError) as excinfo:
         parse_minioo(source)
     errors = excinfo.value.errors
     assert len(errors) >= 2
@@ -167,7 +168,7 @@ def test_interface_style_class_parses():
 
 
 def test_weight_zero_is_a_syntax_error():
-    with pytest.raises(ParseFailure) as excinfo:
+    with pytest.raises(ModelError) as excinfo:
         parse_minioo("package p { class A { method m weight 0; } }")
     assert excinfo.value.errors[0].expected == "a positive integer"
 
@@ -175,7 +176,7 @@ def test_weight_zero_is_a_syntax_error():
 @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # superscript two, Arabic-Indic three
 def test_non_ascii_digit_weight_is_a_positioned_syntax_error(tmp_path, digit):
     source = f"package p {{ class A {{ method m weight {digit}; }} }}"
-    with pytest.raises(ParseFailure) as excinfo:
+    with pytest.raises(ModelError) as excinfo:
         parse_minioo(source)
     assert [str(error) for error in excinfo.value.errors] == [
         f"1:39: expected a token, found '{digit}'",
@@ -189,7 +190,7 @@ def test_non_ascii_digit_weight_is_a_positioned_syntax_error(tmp_path, digit):
 
 
 def test_class_body_cut_at_end_of_input_reports_both_open_blocks():
-    with pytest.raises(ParseFailure) as excinfo:
+    with pytest.raises(ModelError) as excinfo:
         parse_minioo("package p { class A { field x: int;")
     assert [str(error) for error in excinfo.value.errors] == [
         "1:36: expected 'field', 'method' or '}', found end of input",
@@ -204,7 +205,7 @@ def test_class_body_cut_at_end_of_input_reports_both_open_blocks():
 ])
 def test_a_source_without_packages_fails_once_at_its_first_error(source, expected):
     # lexer errors alone are reason enough: no "at least one package" error follows them
-    with pytest.raises(ParseFailure) as excinfo:
+    with pytest.raises(ModelError) as excinfo:
         parse_minioo_declarations(source, "s.minioo")
     assert [str(error) for error in excinfo.value.errors] == expected
     assert all(error.position.path == "s.minioo" for error in excinfo.value.errors)
@@ -255,7 +256,7 @@ def test_declarations_are_located_by_line_and_code_point_column(source, expected
                                 "2:11: expected 'class' or '}', found end of input"]),
 ])
 def test_errors_are_located_by_line_and_code_point_column(source, expected):
-    with pytest.raises(ParseFailure) as excinfo:
+    with pytest.raises(ModelError) as excinfo:
         parse_minioo_declarations(source, "m.minioo")
     assert [str(error) for error in excinfo.value.errors] == expected
     assert _parsed(parse_minioo_declarations, source) == _parsed(reference_parse_declarations,
@@ -325,7 +326,7 @@ def test_no_position_keeps_the_source_text_alive():
 
 def test_a_position_at_offset_zero_is_true_and_prints_and_collects_as_a_position():
     # a position is an int of a class made per parse: it must not act as its offset
-    with pytest.raises(ParseFailure) as excinfo:
+    with pytest.raises(ModelError) as excinfo:
         parse_minioo_declarations("x", "m.minioo")
     position = excinfo.value.errors[0].position
     expected = SourcePosition(1, 1, "m.minioo")
@@ -368,9 +369,9 @@ def test_semantic_errors_carry_source_positions():
 
 def test_parse_is_deterministic():
     source = "package p { class A { field x: ; } class B { } }"
-    with pytest.raises(ParseFailure) as first:
+    with pytest.raises(ModelError) as first:
         parse_minioo(source)
-    with pytest.raises(ParseFailure) as second:
+    with pytest.raises(ModelError) as second:
         parse_minioo(source)
     assert first.value.errors == second.value.errors
     assert parse_minioo("package p { class A { } }") == parse_minioo("package p { class A { } }")
@@ -393,13 +394,13 @@ def test_first_error_position_stays_near_every_deleted_token(reference_source):
         next_line = _line(reference_source, tokens[index + 1][2]) if index + 1 < len(tokens) else None
         try:
             parse_minioo(mutated)
-        except ParseFailure as failure:
-            reported = failure.errors[0].position.line
-            assert reported >= line, (text, offset, failure.errors[0])
-            if next_line is not None and text != "}":
-                assert reported <= next_line, (text, offset, failure.errors[0])
         except ModelError as failure:
-            assert failure.errors  # semantic-only outcome: complete error list
+            assert failure.errors  # a semantic-only outcome is a complete error list
+            if isinstance(failure.errors[0], ParseError):
+                reported = failure.errors[0].position.line
+                assert reported >= line, (text, offset, failure.errors[0])
+                if next_line is not None and text != "}":
+                    assert reported <= next_line, (text, offset, failure.errors[0])
 
 
 # -- the lexer against the character loop it replaced ---------------------------------
@@ -496,7 +497,7 @@ def test_tokenize_matches_the_reference_character_loop(source):
     assert _lex(source) == expected
     # the parser reports the lexer's errors first, at the same positions
     if expected[1]:
-        with pytest.raises(ParseFailure) as excinfo:
+        with pytest.raises(ModelError) as excinfo:
             parse_minioo_declarations(source)
         assert excinfo.value.errors[:len(expected[1])] == expected[1]
 
@@ -881,7 +882,7 @@ def reference_parse_declarations(source: str, path: str | None = None) -> list[P
     parser = ReferenceParser(source, path)
     packages = parser.parse_model()
     if parser.errors:
-        raise ParseFailure(parser.errors)
+        raise ModelError(parser.errors)
     return packages
 
 
@@ -890,7 +891,7 @@ def _parsed(parse, source):
     declarations leave out of equality."""
     try:
         packages = parse(source, "m.minioo")
-    except ParseFailure as failure:
+    except ModelError as failure:
         return failure.errors
     return [(declaration, declaration.position) for declaration in _declarations(packages)]
 
@@ -930,7 +931,7 @@ def test_parser_matches_the_reference_on_the_reference_fixture(reference_source)
                                           "1:31: expected 'class' or '}', found end of input"]),
 ])
 def test_scan_restarts_and_abstract_members_are_located(source, expected):
-    with pytest.raises(ParseFailure) as excinfo:
+    with pytest.raises(ModelError) as excinfo:
         parse_minioo_declarations(source)
     assert [str(error) for error in excinfo.value.errors] == expected
     assert _parsed(parse_minioo_declarations, source) == _parsed(reference_parse_declarations,

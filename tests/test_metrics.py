@@ -17,7 +17,6 @@ from designlens.frontends import parse_minioo
 from designlens.metrics import (
     ClassMetrics,
     PackageMetrics,
-    UnknownPackageError,
     abstractness,
     afferent,
     cbo,
@@ -478,10 +477,10 @@ def test_inherit_edges_count_toward_package_coupling():
 
 def test_unknown_package_raises():
     model = build_model([PackageDef("p", (ClassDef("A"),))])
-    with pytest.raises(UnknownPackageError):
-        afferent(model, "nope")
-    with pytest.raises(UnknownPackageError):
-        efferent(model, "nope")
+    for metric in (afferent, efferent):
+        with pytest.raises(NotFoundError) as excinfo:
+            metric(model, "nope")
+        assert excinfo.value.args == ("package 'nope' is not declared",)
 
 
 def test_package_coupling_matches_raw_scan_oracle():
@@ -603,10 +602,11 @@ def test_unknown_subjects_raise_after_the_table_is_built():
     model = _hierarchy((), (0,))
     assert dit(model, qn("p", "C1")) == 1
     for metric in (dit, noc, cbo):
-        with pytest.raises(NotFoundError):
+        with pytest.raises(NotFoundError) as excinfo:
             metric(model, qn("p", "Missing"))
+        assert excinfo.value.args == ("class 'p.Missing' is not declared",)
     for metric in (afferent, efferent):
-        with pytest.raises(UnknownPackageError):
+        with pytest.raises(NotFoundError):
             metric(model, "missing")
 
 

@@ -522,8 +522,9 @@ def test_two_class_inheritance_cycle_names_both_members():
     errors = validate_packages(packages)
     assert [e.code for e in errors] == [INHERITANCE_CYCLE]
     assert "p.A" in errors[0].message and "p.B" in errors[0].message
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError) as excinfo:
         build_model(packages)
+    assert str(excinfo.value) == f"1 error(s): {errors[0]}"
 
 
 def test_self_parent_is_an_inheritance_cycle():
@@ -774,8 +775,9 @@ def test_model_is_immutable():
 
 def test_resolve_missing_raises_not_found():
     model = build_model([PackageDef("p", (simple_class("A"),))])
-    with pytest.raises(NotFoundError):
+    with pytest.raises(NotFoundError) as excinfo:
         resolve(model, qn("p", "Z"))
+    assert excinfo.value.args == ("class 'p.Z' is not declared",)
 
 
 # -- class graph -----------------------------------------------------------------

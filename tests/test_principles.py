@@ -378,10 +378,46 @@ def test_sap_thresholds_are_respected():
 
 
 def test_thresholds_validate_their_invariants():
+    assert Thresholds(sap_distance_min=1, sap_extreme=0).sap_extreme == 0  # an int is exact
     with pytest.raises(ValueError):
         Thresholds(sap_extreme=Fraction(1, 2))
     with pytest.raises(ValueError):
         Thresholds(srp_lcom_min=-1)
+
+
+# (abstract, concrete, ca, ce) of a package `p` that sits on a SAP bound, and its
+# (A, I, D) and finding under the default thresholds: each bound is inclusive
+SAP_BOUNDARIES = [
+    ((1, 4, 1, 0), (Fraction(1, 5), 0, Fraction(4, 5)), RULE_SAP_PAIN),  # A = sap_extreme
+    ((1, 9, 4, 1), (Fraction(1, 10), Fraction(1, 5), Fraction(7, 10)),    # I = sap_extreme,
+     RULE_SAP_PAIN),                                                      # D = distance_min
+    ((4, 1, 0, 1), (Fraction(4, 5), 1, Fraction(4, 5)), RULE_SAP_USELESS),  # A = 1 - extreme
+    ((1, 0, 1, 4), (1, Fraction(4, 5), Fraction(4, 5)), RULE_SAP_USELESS),  # I = 1 - extreme
+]
+
+
+@pytest.mark.parametrize("counts, values, rule", SAP_BOUNDARIES,
+                         ids=["pain-at-a", "pain-at-i-and-d", "useless-at-a", "useless-at-i"])
+def test_a_package_on_a_sap_bound_is_flagged(counts, values, rule):
+    packages = []
+    _fixed_package("p", *counts, packages)
+    metrics = compute_all(build_model(packages))
+    _, per_package = metrics
+    pm = per_package["p"]
+    assert (pm.abstractness, pm.instability, pm.distance) == values
+    assert [f.rule for f in sap_zones(metrics, Thresholds()) if f.locus == "p"] == [rule]
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("srp_lcom_min", 1.5, "thresholds: srp_lcom_min 1.5 is not an int"),
+    ("srp_method_min", True, "thresholds: srp_method_min True is not an int"),
+    ("sap_distance_min", True, "thresholds: sap_distance_min True is not an int or a Fraction"),
+    ("sap_extreme", 0.2, "thresholds: sap_extreme 0.2 is not an int or a Fraction"),
+])
+def test_thresholds_refuse_a_bool_or_a_float(name, value, message):
+    with pytest.raises(TypeError) as excinfo:
+        Thresholds(**{name: value})
+    assert str(excinfo.value) == message
 
 
 # -- SRP -------------------------------------------------------------------------

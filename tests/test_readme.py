@@ -2,7 +2,9 @@
 
 import builtins
 import fractions
+import importlib
 import io
+import pkgutil
 import re
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -80,3 +82,16 @@ def test_readme_library_section_names_what_exists():
     places = (designlens, *modules.values(), builtins, fractions)
     for name in re.findall(r"`([A-Z]\w*)`", section):
         assert any(hasattr(place, name) for place in places), name
+
+
+def test_readme_names_every_public_exception():
+    # one exception type per failure: a second type for the same failure, added to any
+    # public module, fails here until README says what raises it
+    for info in pkgutil.iter_modules(designlens.__path__):
+        if info.name.startswith("_"):
+            continue
+        module = importlib.import_module(f"designlens.{info.name}")
+        for name, value in vars(module).items():
+            if (isinstance(value, type) and issubclass(value, BaseException)
+                    and value.__module__ == module.__name__ and not name.startswith("_")):
+                assert f"`{name}`" in README, f"{module.__name__}.{name}"
