@@ -147,22 +147,13 @@ def _config_number(text: str) -> Fraction:
 def _load_thresholds(data: object) -> Thresholds:
     if not isinstance(data, dict):
         raise ConfigError("'thresholds' must be an object")
-    values: dict[str, int | Fraction] = {}
-    for key, value in data.items():
-        if key in ("srp_lcom_min", "srp_method_min"):
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ConfigError(f"'thresholds.{key}' must be a non-negative integer")
-            values[key] = value
-        elif key in ("sap_distance_min", "sap_extreme"):
-            if isinstance(value, bool) or not isinstance(value, (int, Fraction)) or value < 0:
-                raise ConfigError(f"'thresholds.{key}' must be a non-negative number")
-            values[key] = Fraction(value)
-        else:
+    for key in data:
+        if key not in Thresholds._fields:
             raise ConfigError(f"unknown config key 'thresholds.{key}'")
     try:
-        return Thresholds(**values)
-    except ValueError as exc:
-        raise ConfigError(f"'thresholds': {exc}") from None
+        return Thresholds(**data)
+    except (TypeError, ValueError) as exc:  # the record checks each value's type and sign
+        raise ConfigError(str(exc)) from None
 
 
 def _load_gates(data: object) -> _Gates:

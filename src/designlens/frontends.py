@@ -12,8 +12,7 @@ import re
 import sys
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, KeysView, NoReturn
+from typing import Any, Callable, Iterable, KeysView, NamedTuple, NoReturn
 
 from .model import (
     AGGREGATION,
@@ -57,13 +56,8 @@ class _Offset(int):
         line = bisect_right(starts, self)
         return SourcePosition(line, self - starts[line - 1] + 1, self.path)
 
-    @property
-    def line(self) -> int:
-        return self.resolved().line
-
-    @property
-    def column(self) -> int:
-        return self.resolved().column
+    def __getattr__(self, name: str) -> Any:  # `line` and `column`
+        return getattr(self.resolved(), name)
 
     def __bool__(self) -> bool:
         return True  # a position, at offset 0 too
@@ -84,12 +78,10 @@ class _Offset(int):
         return format(self.resolved(), spec)
 
     def __reduce__(self) -> tuple:
-        position = self.resolved()
-        return SourcePosition, (position.line, position.column, position.path)
+        return SourcePosition, tuple(self.resolved())
 
 
-@dataclass(frozen=True)
-class ParseError:
+class ParseError(NamedTuple):
     position: SourcePosition
     expected: str
     found: str

@@ -8,14 +8,13 @@ silently coerced to 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import ClassDef, CodeModel, PackageDef, QualifiedName, declared, edge_table
 
 
-@dataclass(frozen=True, slots=True)
-class ClassMetrics:
+class ClassMetrics(NamedTuple):
     name: QualifiedName
     wmc: int
     dit: int
@@ -24,8 +23,7 @@ class ClassMetrics:
     lcom: int
 
 
-@dataclass(frozen=True, slots=True)
-class PackageMetrics:
+class PackageMetrics(NamedTuple):
     name: str
     ca: int
     ce: int

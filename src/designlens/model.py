@@ -16,8 +16,8 @@ and repr: a model is the same whichever frontend it was read from.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .tarjan import cycles, strongly_connected_components
 
@@ -48,6 +48,14 @@ ABSTRACT_METHOD_IN_CONCRETE_CLASS = "AbstractMethodInConcreteClass"
 UNKNOWN_READ_ATTRIBUTE = "UnknownReadAttribute"
 
 
+class Checked:
+    """A base for a NamedTuple subclass whose `__new__` checks its values, so that `_make`
+    and `_replace` check them too: a NamedTuple's own `_make` is `tuple.__new__`."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+
+
 # The fields of QualifiedName.  A NamedTuple cannot override __new__ in its own
 # body, so the validating constructor lives in the subclass.
 class _Name(NamedTuple):
@@ -55,7 +63,7 @@ class _Name(NamedTuple):
     cls: str = ""
 
 
-class QualifiedName(_Name):
+class QualifiedName(Checked, _Name):
     """A `package.Class` name; the empty class segment denotes a package-level node.
 
     A tuple, so it compares equal to `(package, cls)`.  Ordering is
@@ -77,8 +85,7 @@ class QualifiedName(_Name):
         return f"{self.package}.{self.cls}" if self.cls else self.package
 
 
-@dataclass(frozen=True, slots=True)
-class SourcePosition:
+class SourcePosition(NamedTuple):
     """Where a declaration or an error was read.  A MiniOO parse gives each one a
     stand-in that keeps the source offset, works out the line and column when they
     are read, and equals, hashes, prints and pickles as this class."""
@@ -94,14 +101,50 @@ def _stray(items: Iterable) -> str:
     return min(repr(item) for item in items if type(item) is not QualifiedName)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class AttributeDef:
+class _Slotted:
+    """The base of the declarations and `CodeModel`: slotted and immutable.  `==`, `hash`
+    and `repr` read `_fields`: every slot but a declaration's `position` and the model's
+    private ones.  Pickling and copying restore every slot without calling `__init__`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_" and name != "position")
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        same = type(other) is type(self)
+        return self._values(self) == self._values(other) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({values})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __getstate__(self) -> list:
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __setstate__(self, state: list) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+    def _replace(self, **changes: object) -> Any:
+        """A copy with `changes`, made by the constructor, so it checks them as it checks any."""
+        kept = {name: getattr(self, name) for name in self.__slots__ if name[0] != "_"}
+        return type(self)(**{**kept, **changes})
+
+
+class AttributeDef(_Slotted):
     """A class attribute; `target` is None for primitive-typed attributes."""
 
-    name: str
-    target: QualifiedName | None = None
-    kind: str = NO_TARGET
-    position: SourcePosition | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "target", "kind", "position")
 
     def __init__(self, name: str, target: QualifiedName | None = None, kind: str = NO_TARGET,
                  position: SourcePosition | None = None) -> None:
@@ -119,16 +162,10 @@ class AttributeDef:
         set_position(self, position)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class MethodDef:
+class MethodDef(_Slotted):
     """A method with its complexity weight, instance-variable read-set, and usage targets."""
 
-    name: str
-    is_abstract: bool = False
-    weight: int = 1
-    reads: frozenset[str] = frozenset()
-    uses: frozenset[QualifiedName] = frozenset()
-    position: SourcePosition | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "is_abstract", "weight", "reads", "uses", "position")
 
     def __init__(self, name: str, is_abstract: bool = False, weight: int = 1,
                  reads: frozenset[str] = frozenset(), uses: frozenset[QualifiedName] = frozenset(),
@@ -150,14 +187,8 @@ class MethodDef:
         set_reads(self, reads); set_uses(self, uses); set_position(self, position)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ClassDef:
-    name: str
-    is_abstract: bool = False
-    parents: tuple[QualifiedName, ...] = ()
-    attributes: tuple[AttributeDef, ...] = ()
-    methods: tuple[MethodDef, ...] = ()
-    position: SourcePosition | None = field(default=None, compare=False, repr=False)
+class ClassDef(_Slotted):
+    __slots__ = ("name", "is_abstract", "parents", "attributes", "methods", "position")
 
     def __init__(self, name: str, is_abstract: bool = False,
                  parents: tuple[QualifiedName, ...] = (), attributes: tuple[AttributeDef, ...] = (),
@@ -176,11 +207,8 @@ class ClassDef:
         set_attributes(self, attributes); set_methods(self, methods); set_position(self, position)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class PackageDef:
-    name: str
-    classes: tuple[ClassDef, ...] = ()
-    position: SourcePosition | None = field(default=None, compare=False, repr=False)
+class PackageDef(_Slotted):
+    __slots__ = ("name", "classes", "position")
 
     def __init__(self, name: str, classes: tuple[ClassDef, ...] = (),
                  position: SourcePosition | None = None) -> None:
@@ -191,35 +219,31 @@ class PackageDef:
         set_name(self, name); set_classes(self, classes); set_position(self, position)
 
 
-# each declaration's slot setters, in field order: `slots=True` makes them as it returns
+# each declaration's slot setters, in field order
 _SET_ATTRIBUTE, _SET_METHOD, _SET_CLASS, _SET_PACKAGE = (
-    tuple(kind.__dict__[f.name].__set__ for f in fields(kind))
+    tuple(kind.__dict__[name].__set__ for name in kind.__slots__)
     for kind in (AttributeDef, MethodDef, ClassDef, PackageDef))
 
 _T = TypeVar("_T")
 _K = TypeVar("_K")
 
 
-@dataclass(frozen=True)
-class CodeModel:
+class CodeModel(_Slotted):
     """Validated universe of packages and classes: construction raises `ModelError`
     with the complete error list, so no invalid instance exists.  Unpickling and
     copying do not validate again.  Immutable, so whatever is derived from it is
     computed once, on first use, and kept on the model (see `once_per_model`).
     """
 
-    packages: tuple[PackageDef, ...]
-    _index: dict = field(init=False, repr=False, compare=False)
-    _derived: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    __slots__ = ("packages", "_index", "_derived")
 
-    def __post_init__(self) -> None:
-        packages = tuple(self.packages)
+    def __init__(self, packages: Iterable[PackageDef]) -> None:
+        packages = tuple(packages)
         errors = validate_packages(packages)
         if errors:
             raise ModelError(errors)
-        object.__setattr__(self, "packages", packages)
-        object.__setattr__(self, "_index", {QualifiedName(pkg.name, cls.name): cls
-                                            for pkg in packages for cls in pkg.classes})
+        self.__setstate__([packages, {QualifiedName(pkg.name, cls.name): cls
+                                      for pkg in packages for cls in pkg.classes}, {}])
 
     def iter_classes(self) -> Iterator[tuple[QualifiedName, ClassDef]]:
         """Yield (name, class) pairs in declaration order."""
@@ -240,8 +264,7 @@ def once_per_model(build: Callable[[CodeModel], _T]) -> Callable[[CodeModel], _T
     return once
 
 
-@dataclass(frozen=True)
-class ValidationError:
+class ValidationError(NamedTuple):
     """One semantic defect found while validating declarations."""
 
     code: str
@@ -463,9 +486,6 @@ def edge_table(model: CodeModel) -> EdgeTable:
         depths[name] = 1 + max(depths[p] for p in direct) if direct else 0
         for parent in dict.fromkeys(direct):
             children[parent] += 1
-
-    def sizes(sets: dict) -> dict:
-        return {key: len(members) for key, members in sets.items()}
-
-    return EdgeTable(depths, children, sizes(coupled), sizes(incoming), sizes(outgoing),
-                     crossing, dip)
+    cbo, ca, ce = ({key: len(members) for key, members in sets.items()}
+                   for sets in (coupled, incoming, outgoing))
+    return EdgeTable(depths, children, cbo, ca, ce, crossing, dip)

@@ -10,11 +10,11 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .metrics import Metrics
-from .model import CodeModel, Graph, edge_table, package_graph, resolve
+from .model import Checked, CodeModel, Graph, edge_table, package_graph, resolve
 from .tarjan import cycles
 
 RULE_ADP = "ADP"
@@ -40,8 +40,7 @@ SEVERITY_BY_RULE = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Finding:
+class Finding(NamedTuple):
     """One principle violation, advisory, or warning with its measured evidence."""
 
     rule: str
@@ -50,29 +49,30 @@ class Finding:
     evidence: dict
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """Tunable detection thresholds; the defaults are conventions, not claims."""
-
+class _Thresholds(NamedTuple):
     srp_lcom_min: int = 1
     srp_method_min: int = 3
     sap_distance_min: Fraction = Fraction(7, 10)
     sap_extreme: Fraction = Fraction(1, 5)
 
-    def __post_init__(self) -> None:
-        for name in ("srp_lcom_min", "srp_method_min"):
-            value = getattr(self, name)
-            if type(value) is not int:  # nor a bool
-                raise TypeError(f"thresholds: {name} {value!r} is not an int")
-        for name in ("sap_distance_min", "sap_extreme"):
-            value = getattr(self, name)
+
+class Thresholds(Checked, _Thresholds):
+    """Tunable detection thresholds; the defaults are conventions, not claims."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: int | Fraction, **kwargs: int | Fraction) -> Thresholds:
+        self = _Thresholds.__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if name.startswith("srp") and type(value) is not int:  # nor a bool
+                raise TypeError(f"thresholds: {name} {value!r:.40} is not an int")
             if type(value) not in (int, Fraction):  # a float would make the bounds inexact
-                raise TypeError(f"thresholds: {name} {value!r} is not an int or a Fraction")
-        values = (self.srp_lcom_min, self.srp_method_min, self.sap_distance_min, self.sap_extreme)
-        if any(v < 0 for v in values):
-            raise ValueError("thresholds must be non-negative")
+                raise TypeError(f"thresholds: {name} {value!r:.40} is not an int or a Fraction")
+            if value < 0:
+                raise ValueError(f"thresholds: {name} must be non-negative")
         if not self.sap_extreme < Fraction(1, 2):
-            raise ValueError("sap_extreme must be below 0.5")
+            raise ValueError("thresholds: sap_extreme must be below 0.5")
+        return self
 
 
 def _finding(rule: str, locus: str, evidence: dict) -> Finding:

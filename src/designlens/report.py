@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Iterable, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 from .metrics import Metrics, format_rational
 from .model import CodeModel
@@ -36,8 +35,7 @@ _RESET = "\x1b[0m"
 _SEVERITY_COLOR = {VIOLATION: "\x1b[31m", ADVISORY: "\x1b[33m", WARNING: "\x1b[35m"}
 
 
-@dataclass(frozen=True)
-class Layer:
+class Layer(NamedTuple):
     """A subject-by-metric table: `rows` are `(subject, values)` in subject-name order,
     one value per name in `columns` (None for UNDEFINED), aggregated per column.
     The principles layer has no columns or rows, only findings."""

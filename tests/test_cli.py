@@ -1,4 +1,3 @@
-import dataclasses
 import errno
 import gc
 import io
@@ -190,8 +189,8 @@ def _shuffled(packages, rng):
         return tuple(rng.sample(items, len(items)))
 
     return mixed([PackageDef(pkg.name, mixed([
-        dataclasses.replace(cls, parents=mixed(cls.parents), attributes=mixed(cls.attributes),
-                            methods=mixed(cls.methods))
+        cls._replace(parents=mixed(cls.parents), attributes=mixed(cls.attributes),
+                     methods=mixed(cls.methods))
         for cls in pkg.classes])) for pkg in packages])
 
 
@@ -660,6 +659,17 @@ def test_importing_the_library_leaves_the_command_line_out():
     assert (result.returncode, result.stdout, result.stderr) == (0, b"[]\n", b"")
 
 
+@pytest.mark.parametrize("module", ["designlens", "designlens.cli"])
+def test_importing_designlens_leaves_dataclasses_and_its_imports_out(module):
+    # `dataclasses` imports the other four, and nothing else in designlens needs them
+    unused = "{'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}"
+    probe = f"import sys, {module}; print(sorted({unused} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", probe], cwd=Path(__file__).parent.parent,
+                            env={**os.environ, "PYTHONPATH": "src"}, capture_output=True,
+                            timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, b"[]\n", b"")
+
+
 # Semantic errors of every kind, several of each, in one input.
 _ERRORS_SOURCE = """
 package p {
@@ -932,7 +942,7 @@ def test_unknown_config_key_is_rejected(tmp_path):
     pytest.param('{"fail_on":["adp"],"fail_on":[]}', "duplicate key 'fail_on'", id="duplicate-key"),
     ('{"thresholds":[]}', "'thresholds' must be an object"),
     ('{"thresholds":{"sap_extreme":"high"}}',
-     "'thresholds.sap_extreme' must be a non-negative number"),
+     "thresholds: sap_extreme 'high' is not an int or a Fraction"),
     ('{"gates":[["max_dit","<="]]}', "'gates[0]' must be [name, comparator, limit]"),
     ('{"fail_on":"adp"}', "'fail_on' must be an array of strings"),
     ('{"gates":{}}', "'gates' must be an array"),
@@ -947,6 +957,25 @@ def test_malformed_configs_are_usage_errors(tmp_path, document, needle):
     code, _, err = invoke("analyze", REFERENCE, "--config", str(config))
     assert code == EXIT_USAGE
     assert needle in err
+
+
+@pytest.mark.parametrize("thresholds,message", [
+    ('{"srp_lcom_min":-2}', "thresholds: srp_lcom_min must be non-negative"),
+    ('{"sap_distance_min":-0.5}', "thresholds: sap_distance_min must be non-negative"),
+    ('{"srp_method_min":2.0}', "thresholds: srp_method_min Fraction(2, 1) is not an int"),
+    ('{"sap_distance_min":true}', "thresholds: sap_distance_min True is not an int or a Fraction"),
+    ('{"sap_extreme":0.5}', "thresholds: sap_extreme must be below 0.5"),
+    ('{"sap_extreme":"' + "x" * 100 + '"}',
+     "thresholds: sap_extreme '" + "x" * 39 + " is not an int or a Fraction"),
+    ('{"mystery":1}', "unknown config key 'thresholds.mystery'"),
+])
+def test_a_refused_threshold_is_one_error_line_with_the_record_message(tmp_path, thresholds,
+                                                                       message):
+    # `Thresholds` holds the only type and sign checks; the CLI passes its message on
+    config = tmp_path / "bad.json"
+    config.write_text(f'{{"thresholds":{thresholds}}}', encoding="utf-8")
+    code, out, err = invoke("analyze", REFERENCE, "--config", str(config))
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
 def test_missing_config_file_is_a_usage_error():

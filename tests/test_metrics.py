@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import io
 import itertools
 import pickle
@@ -676,13 +675,17 @@ def test_metric_values_are_slotted_and_compare_print_copy_and_pickle_as_before(
         values, expected_repr, count):
     assert not hasattr(values, "__dict__")
     assert repr(values) == expected_repr
-    for twin in (copy.copy(values), copy.deepcopy(values), pickle.loads(pickle.dumps(values))):
+    for twin in (copy.copy(values), copy.deepcopy(values),
+                 *(pickle.loads(pickle.dumps(values, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
         assert type(twin) is type(values) and twin == values and hash(twin) == hash(values)
-    moved = dataclasses.replace(values, **{count: 7})
+    moved = values._replace(**{count: 7})
     assert moved != values and getattr(moved, count) == 7 and moved.name == values.name
-    assert dataclasses.replace(moved, **{count: getattr(values, count)}) == values
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert moved._replace(**{count: getattr(values, count)}) == values
+    with pytest.raises(AttributeError):
         values.name = "x"
+    with pytest.raises(AttributeError):
+        del values.name
 
 
 # -- rendering of rationals -----------------------------------------------------------------

@@ -69,6 +69,20 @@ def test_qualified_name_rejects_bad_segments():
         QualifiedName("p", "has space")
 
 
+def test_a_changed_qualified_name_is_checked_too():
+    # a NamedTuple's own `_make`, and so its `_replace`, is `tuple.__new__`: a bad segment
+    # passed, a class named it as a parent, and the interchange written was unreadable
+    with pytest.raises(ValueError, match="invalid class segment 'bad name'"):
+        QualifiedName("a", "B")._replace(cls="bad name")
+    with pytest.raises(ValueError, match="invalid package segment '1p'"):
+        QualifiedName._make(["1p", "B"])
+    with pytest.raises(TypeError):
+        QualifiedName._make(["a", "B", "C"])
+    moved = QualifiedName("a", "B")._replace(package="c")
+    assert type(moved) is QualifiedName and moved == ("c", "B")
+    assert type(QualifiedName._make(("a",))) is QualifiedName
+
+
 def test_qualified_name_and_edge_are_plain_tuples():
     name = qn("a", "B")
     assert name == ("a", "B") and hash(name) == hash(("a", "B"))
@@ -104,6 +118,15 @@ def _one_of_each(at):
     }
 
 
+# the fields that equality, hashing and repr read: not a declaration's position
+_COMPARED = {
+    SourcePosition: ("line", "column", "path"),
+    AttributeDef: ("name", "target", "kind"),
+    MethodDef: ("name", "is_abstract", "weight", "reads", "uses"),
+    ClassDef: ("name", "is_abstract", "parents", "attributes", "methods"),
+    PackageDef: ("name", "classes"),
+}
+
 # the reprs the declarations had before they were slotted
 _REPRS = {
     SourcePosition: "SourcePosition(line=3, column=7, path='m.minioo')",
@@ -126,8 +149,8 @@ def test_declarations_are_slotted_with_equality_hash_and_repr_unchanged(kind):
     declaration, elsewhere = _one_of_each(_AT)[kind], _one_of_each(_ELSEWHERE)[kind]
     assert not hasattr(declaration, "__dict__")
     assert repr(declaration) == _REPRS[kind]
-    compared = tuple(getattr(declaration, f.name) for f in dataclasses.fields(kind) if f.compare)
-    assert hash(declaration) == hash(compared)
+    assert kind._fields == _COMPARED[kind]
+    assert hash(declaration) == hash(tuple(getattr(declaration, name) for name in kind._fields))
     if kind is SourcePosition:
         assert declaration != elsewhere
     else:  # the position is left out of equality, hashing and repr
@@ -141,16 +164,17 @@ def test_slotted_declarations_pickle_copy_and_stay_frozen(kind):
     copies = [pickle.loads(pickle.dumps(declaration, protocol))
               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     copies += [copy.copy(declaration), copy.deepcopy(declaration)]
+    every = _COMPARED[kind] + (() if kind is SourcePosition else ("position",))
     for duplicate in copies:
         assert type(duplicate) is kind and duplicate == declaration
-        assert [getattr(duplicate, f.name) for f in dataclasses.fields(kind)] == \
-               [getattr(declaration, f.name) for f in dataclasses.fields(kind)]
-    field = dataclasses.fields(kind)[0].name
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(declaration, field, getattr(declaration, field))
-    if kind is not SourcePosition:
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            declaration.position = None
+        assert [getattr(duplicate, name) for name in every] == \
+               [getattr(declaration, name) for name in every]
+    for name in every:  # the position too
+        with pytest.raises(AttributeError):
+            setattr(declaration, name, getattr(declaration, name))
+        with pytest.raises(AttributeError):
+            delattr(declaration, name)
+        assert getattr(declaration, name) == getattr(copies[0], name)
 
 
 def test_declarations_keep_their_collections_and_convert_any_other_iterable():
@@ -369,7 +393,7 @@ def _calls(draw):
     of the fields, a positional prefix, then keywords for some of the rest (the name
     always)."""
     kind = draw(st.sampled_from(list(_ARGUMENTS)))
-    names = [f.name for f in dataclasses.fields(kind)]
+    names = list(_ARGUMENTS[kind])
     recipes = {name: draw(_ARGUMENTS[kind][name][draw(st.integers(0, 2)) == 0])
                for name in names}
     positional = draw(st.integers(0, len(names)))
@@ -420,7 +444,7 @@ def test_the_constructors_build_and_reject_as_the_generated_ones_did(call):
         # a new rejection, once every check before it has passed (the same call with
         # the rejected values made valid builds)
         assert type(actual) is TypeError
-        names = [f.name for f in dataclasses.fields(kind)]
+        names = list(_ARGUMENTS[kind])
         args, kwargs = arguments()  # afresh: reading a generator uses it up
         bound = dict(zip(names, args), **kwargs)
         bad = [(words, name, valid) for name, passes, words, valid in _NEW_REJECTIONS
@@ -433,8 +457,8 @@ def test_the_constructors_build_and_reject_as_the_generated_ones_did(call):
         return
     assert not isinstance(expected, Exception), expected
     passed, passed_before = [*new_args, *new_kwargs.values()], [*old_args, *old_kwargs.values()]
-    for f in dataclasses.fields(kind):
-        new, old = getattr(actual, f.name), getattr(expected, f.name)
+    for name in _ARGUMENTS[kind]:
+        new, old = getattr(actual, name), getattr(expected, name)
         assert type(new) is type(old) and new == old
         # a collection passed in is kept as that very object, or converted, as before
         assert any(new is value for value in passed) == any(old is value for value in passed_before)
@@ -442,24 +466,29 @@ def test_the_constructors_build_and_reject_as_the_generated_ones_did(call):
 
 @pytest.mark.parametrize("kind", [AttributeDef, MethodDef, ClassDef, PackageDef])
 def test_each_constructor_is_written_once_with_the_signature_of_its_fields(kind):
+    # the parameters of the generated constructor: its fields, in order, with their defaults
     parameters = list(inspect.signature(kind).parameters.values())
     assert [(p.name, p.default, p.kind) for p in parameters] == [
         (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default,
-         inspect.Parameter.POSITIONAL_OR_KEYWORD) for f in dataclasses.fields(kind)]
+         inspect.Parameter.POSITIONAL_OR_KEYWORD) for f in dataclasses.fields(_REFERENCE[kind])]
+    assert [p.name for p in parameters] == [*kind._fields, "position"] == list(kind.__slots__)
     assert kind.__init__.__code__.co_filename == model_module.__file__
     assert not hasattr(kind, "__post_init__")
 
 
 def test_replace_still_runs_the_checks():
-    method, cls = MethodDef("m", reads=frozenset({"b"})), ClassDef("A")
+    method, cls = MethodDef("m", reads=frozenset({"b"})), ClassDef("A", position=_AT)
     with pytest.raises(ValueError, match="weight must be from 1"):
-        dataclasses.replace(method, weight=0)
+        method._replace(weight=0)
     with pytest.raises(TypeError, match="is_abstract 1 is not a bool"):
-        dataclasses.replace(cls, is_abstract=1)
+        cls._replace(is_abstract=1)
     with pytest.raises(ValueError, match="requires a target"):
-        dataclasses.replace(AttributeDef("b"), kind=ASSOCIATION)
-    assert type(dataclasses.replace(method, uses=[_USED]).uses) is frozenset
-    assert dataclasses.replace(cls, parents=[_USED]).parents == (_USED,)
+        AttributeDef("b")._replace(kind=ASSOCIATION)
+    with pytest.raises(ValueError, match="not an identifier"):
+        PackageDef("p")._replace(name="bad name")
+    assert type(method._replace(uses=[_USED]).uses) is frozenset
+    moved = cls._replace(parents=[_USED])
+    assert moved.parents == (_USED,) and moved.position == _AT and type(moved) is ClassDef
 
 
 _ACCEPTED_WEIGHTS = [1, 2, MAX_WEIGHT, 2.5, 1.0, True]
@@ -697,9 +726,9 @@ def _break(packages, edit, rng):
         p, c = rng.choice(members)
         cls = packages[p].classes[c]
         if cls.attributes and (not cls.methods or rng.random() < 0.5):
-            cls = dataclasses.replace(cls, attributes=cls.attributes + (cls.attributes[0],))
+            cls = cls._replace(attributes=cls.attributes + (cls.attributes[0],))
         else:
-            cls = dataclasses.replace(cls, methods=cls.methods + (cls.methods[-1],))
+            cls = cls._replace(methods=cls.methods + (cls.methods[-1],))
         replace_class(p, c, cls)
         return DUPLICATE_MEMBER
     elif edit == "cycle" and declared:  # an early class extends a later one below it
@@ -710,16 +739,15 @@ def _break(packages, edit, rng):
             if set(packages[q].classes[d].parents) & below:
                 below.add(name(q, d))
         cls = packages[p].classes[c]
-        replace_class(p, c, dataclasses.replace(
-            cls, parents=cls.parents + (rng.choice(sorted(below)),)))
+        replace_class(p, c, cls._replace(parents=cls.parents + (rng.choice(sorted(below)),)))
         return INHERITANCE_CYCLE
     elif edit == "abstract":
         concrete = [(p, c) for p, c in declared if not packages[p].classes[c].is_abstract]
         if concrete:
             p, c = rng.choice(concrete)
             cls = packages[p].classes[c]
-            replace_class(p, c, dataclasses.replace(
-                cls, methods=cls.methods + (MethodDef("abstract_m", is_abstract=True),)))
+            replace_class(p, c, cls._replace(
+                methods=cls.methods + (MethodDef("abstract_m", is_abstract=True),)))
             return ABSTRACT_METHOD_IN_CONCRETE_CLASS
     return None
 
@@ -767,10 +795,13 @@ def test_pickling_and_copying_a_model_do_not_validate_it_again(monkeypatch):
 
 def test_model_is_immutable():
     model = build_model([PackageDef("p", (simple_class("A"),))])
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         model.packages = ()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
+        del model._derived
+    with pytest.raises(AttributeError):
         model.packages[0].classes[0].name = "B"
+    assert not hasattr(model, "__dict__") and model.packages[0].classes[0].name == "A"
 
 
 def test_resolve_missing_raises_not_found():

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 import pickle
 import random
@@ -315,7 +314,7 @@ def test_sdp_skips_undefined_instability():
     per_class, per_package = compute_all(model)
     assert "p->q" in {f.locus for f in sdp_violations(model, (per_class, per_package))}
     for end in ("p", "q"):
-        undefined = dataclasses.replace(per_package[end], instability=None)
+        undefined = per_package[end]._replace(instability=None)
         hand_built = per_class, {**per_package, end: undefined}
         assert "p->q" not in {f.locus for f in sdp_violations(model, hand_built)}
 
@@ -418,6 +417,23 @@ def test_thresholds_refuse_a_bool_or_a_float(name, value, message):
     with pytest.raises(TypeError) as excinfo:
         Thresholds(**{name: value})
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("name", ["srp_lcom_min", "srp_method_min", "sap_distance_min",
+                                  "sap_extreme"])
+def test_a_negative_threshold_is_refused_by_name(name):
+    with pytest.raises(ValueError) as excinfo:
+        Thresholds(**{name: -1})
+    assert str(excinfo.value) == f"thresholds: {name} must be non-negative"
+
+
+def test_a_changed_threshold_is_checked_too():
+    with pytest.raises(ValueError, match="sap_extreme must be below 0.5"):
+        Thresholds()._replace(sap_extreme=Fraction(1, 2))
+    with pytest.raises(TypeError, match="srp_lcom_min 1.5 is not an int"):
+        Thresholds._make([1.5, 3, 0, 0])
+    moved = Thresholds()._replace(srp_method_min=2)
+    assert type(moved) is Thresholds and moved == Thresholds(srp_method_min=2)
 
 
 # -- SRP -------------------------------------------------------------------------
@@ -602,11 +618,12 @@ def test_a_finding_is_slotted_and_compares_prints_copies_and_pickles_as_before()
     assert repr(finding) == ("Finding(rule='DIP', severity='advisory', locus='a.B->a.C', "
                              "evidence={'kind': 'use'})")
     for twin in (copy.copy(finding), copy.deepcopy(finding),
-                 pickle.loads(pickle.dumps(finding))):
+                 *(pickle.loads(pickle.dumps(finding, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
         assert type(twin) is Finding and twin == finding
-    moved = dataclasses.replace(finding, locus="a.B->a.D")
+    moved = finding._replace(locus="a.B->a.D")
     assert (moved.locus, moved.evidence) == ("a.B->a.D", finding.evidence)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         finding.locus = "x"
     with pytest.raises(TypeError):  # the evidence is a dict
         hash(finding)
