@@ -20,14 +20,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NoReturn, TextIO
 
-from .frontends import (
-    ParseError,
-    decode_interchange,
-    parse_minioo_declarations,
-    reject_constant,
-    unique_keys,
-)
+from .frontends import decode_interchange, reject_constant, unique_keys
 from .metrics import compute_all
+from .minioo import ParseError, parse_minioo_declarations
 from .model import ModelError, PackageDef, ValidationError, build_model
 from .principles import (
     ADVISORY,

@@ -8,10 +8,12 @@ silently coerced to 0.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .model import ClassDef, CodeModel, PackageDef, QualifiedName, declared, edge_table
+
+if TYPE_CHECKING:  # each function that builds a Fraction imports it: a query builds none
+    from fractions import Fraction
 
 
 class ClassMetrics(NamedTuple):
@@ -92,6 +94,8 @@ def efferent(model: CodeModel, package: str) -> int:
 
 def instability(ca: int, ce: int) -> Fraction | None:
     """I = Ce / (Ca + Ce); None (UNDEFINED) for an isolated package."""
+    from fractions import Fraction
+
     if ca + ce == 0:
         return None
     return Fraction(ce, ca + ce)
@@ -99,6 +103,8 @@ def instability(ca: int, ce: int) -> Fraction | None:
 
 def abstractness(package: PackageDef) -> Fraction | None:
     """A = Na / Nc; None (UNDEFINED) for an empty package."""
+    from fractions import Fraction
+
     if not package.classes:
         return None
     abstract = sum(1 for cls in package.classes if cls.is_abstract)
@@ -107,6 +113,8 @@ def abstractness(package: PackageDef) -> Fraction | None:
 
 def main_sequence_distance(a: Fraction, i: Fraction) -> Fraction:
     """Normalized distance from the main sequence A + I = 1."""
+    from fractions import Fraction
+
     return abs(Fraction(a) + Fraction(i) - 1)
 
 
@@ -134,6 +142,8 @@ def format_rational(value: Fraction | int) -> str:
 
     `Fraction` rounds exactly, so output bytes never depend on platform float behavior.
     """
+    from fractions import Fraction
+
     units = round(Fraction(value) * 10000)
     whole, frac = divmod(abs(units), 10000)
     return f"{'-' if units < 0 else ''}{whole}.{frac:04d}"

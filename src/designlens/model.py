@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Na
 from .tarjan import cycles, strongly_connected_components
 
 if TYPE_CHECKING:
-    from .frontends import ParseError
+    from .minioo import ParseError
 
 # Relationship kinds carried by dependency edges.
 INHERIT = "inherit"

@@ -8,7 +8,6 @@ as null / empty cell / "-".
 
 from __future__ import annotations
 
-import csv
 import io
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -141,6 +140,8 @@ def _json(value: object) -> str:
 
 
 def _write_csv(layers: tuple[Layer, ...], out: TextIO, color: bool) -> None:
+    import csv  # only a CSV report loads it
+
     writer = csv.writer(out, lineterminator="\n")
     for index, layer in enumerate(layers):
         if index:

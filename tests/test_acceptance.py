@@ -13,7 +13,8 @@ import time
 from contextlib import contextmanager
 
 from designlens.cli import EXIT_GATE_FAILURE, EXIT_INPUT, EXIT_OK, EXIT_USAGE
-from designlens.frontends import parse_minioo, read_interchange, write_interchange
+from designlens.frontends import read_interchange, write_interchange
+from designlens.minioo import parse_minioo
 from designlens.metrics import compute_all, dit, lcom, wmc
 from designlens.model import (
     AttributeDef,

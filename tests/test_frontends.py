@@ -21,16 +21,18 @@ from designlens import cli, frontends
 from designlens.frontends import (
     MALFORMED_DOCUMENT,
     SCHEMA_ERROR,
-    ParseError,
     SourcePosition,
-    _MiniOOParser,
-    _Offset,
     decode_interchange,
-    parse_minioo,
-    parse_minioo_declarations,
     read_interchange,
     unique_keys,
     write_interchange,
+)
+from designlens.minioo import (
+    ParseError,
+    _MiniOOParser,
+    _Offset,
+    parse_minioo,
+    parse_minioo_declarations,
 )
 from designlens.model import (
     AGGREGATION,
@@ -349,7 +351,7 @@ def test_a_clean_parse_and_analysis_resolve_no_position(monkeypatch, reference_s
         resolved.append(offset)
         return bisect_right(starts, offset)
 
-    monkeypatch.setattr(designlens.frontends, "bisect_right", counted)
+    monkeypatch.setattr(designlens.minioo, "bisect_right", counted)
     packages = parse_minioo_declarations(reference_source, "reference.minioo")
     build_model(packages)
     assert cli.run(["analyze", str(FIXTURES / "reference.minioo")], stdout=io.StringIO(),

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import designlens
 from designlens import cli
 from designlens import model as model_module
-from designlens.frontends import parse_minioo
+from designlens.minioo import parse_minioo
 from designlens.metrics import (
     ClassMetrics,
     PackageMetrics,
@@ -607,6 +608,11 @@ def test_unknown_subjects_raise_after_the_table_is_built():
     for metric in (afferent, efferent):
         with pytest.raises(NotFoundError):
             metric(model, "missing")
+
+
+def test_the_package_exports_the_error_an_unknown_subject_raises():
+    # a query client catches it without reaching into `designlens.model`
+    assert designlens.NotFoundError is NotFoundError and "NotFoundError" in designlens.__all__
 
 
 def _count_walks(monkeypatch):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from designlens.frontends import parse_minioo
+from designlens.minioo import parse_minioo
 from designlens.metrics import compute_all
 from designlens.model import (
     AGGREGATION,

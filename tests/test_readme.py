@@ -10,9 +10,10 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import designlens
-from designlens import cli, frontends, metrics, model, principles, report
+from designlens import cli, frontends, metrics, minioo, model, principles, report
 from designlens.cli import load_config
-from designlens.frontends import parse_minioo, read_interchange
+from designlens.frontends import read_interchange
+from designlens.minioo import parse_minioo
 
 README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
 _FENCE = re.compile(r"^```(\w*)\n(.*?)^```$", re.DOTALL | re.MULTILINE)
@@ -72,7 +73,7 @@ def test_readme_library_section_names_what_exists():
     # variables; a bare capitalised name is a designlens, builtin or `fractions` name
     namespace, _ = _run_library_example()
     modules = {module.__name__.rpartition(".")[2]: module
-               for module in (cli, frontends, metrics, model, principles, report)}
+               for module in (cli, frontends, metrics, minioo, model, principles, report)}
     section = _section("Library use")
     for head, attribute in re.findall(r"`(\w+)\.(\w+)`", section):
         owners = [owner for owner in (modules.get(head), namespace.get(head))

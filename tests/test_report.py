@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from designlens.frontends import parse_minioo
+from designlens.minioo import parse_minioo
 from designlens.metrics import compute_all, format_rational
 from designlens.model import ClassDef, CodeModel, PackageDef, build_model
 from designlens.principles import SEVERITY_BY_RULE, Finding, run_all
