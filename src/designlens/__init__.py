@@ -12,7 +12,7 @@ from .frontends import read_interchange, write_interchange
 from .metrics import ClassMetrics, PackageMetrics, compute_all, format_rational
 from .model import (AttributeDef, ClassDef, CodeModel, DependencyEdge, MethodDef, ModelError,
                     NotFoundError, PackageDef, QualifiedName, SourcePosition, ValidationError,
-                    build_model, class_graph, package_graph, resolve, validate_packages)
+                    class_graph, package_graph, resolve)
 
 __version__ = "0.1.0"
 
@@ -27,10 +27,10 @@ _ON_FIRST_USE = {
 __all__ = [
     "AttributeDef", "ClassDef", "ClassMetrics", "CodeModel", "DependencyEdge", "Finding",
     "MethodDef", "ModelError", "NotFoundError", "PackageDef", "PackageMetrics", "ParseError",
-    "QualifiedName", "SourcePosition", "Thresholds", "ValidationError", "build_model",
-    "build_report", "class_graph", "compute_all", "detect_cycles", "format_rational",
-    "package_graph", "parse_minioo", "read_interchange", "render", "resolve", "run_all",
-    "validate_packages", "write_interchange", "write_report",
+    "QualifiedName", "SourcePosition", "Thresholds", "ValidationError", "build_report",
+    "class_graph", "compute_all", "detect_cycles", "format_rational", "package_graph",
+    "parse_minioo", "read_interchange", "render", "resolve", "run_all", "write_interchange",
+    "write_report",
 ]
 
 

@@ -23,7 +23,7 @@ from typing import Callable, NoReturn, TextIO
 from .frontends import decode_interchange, reject_constant, unique_keys
 from .metrics import compute_all
 from .minioo import ParseError, parse_minioo_declarations
-from .model import ModelError, PackageDef, ValidationError, build_model
+from .model import CodeModel, ModelError, PackageDef, ValidationError
 from .principles import (
     ADVISORY,
     RULE_ADP,
@@ -230,7 +230,7 @@ def _analyze(argv: list[str], stdout: TextIO | None) -> NoReturn:
         raise _Exit(EXIT_USAGE, f"error: {exc}")
 
     try:
-        model = build_model(_load_inputs(args.paths))
+        model = CodeModel(_load_inputs(args.paths))
     except ModelError as exc:
         raise _Exit(EXIT_INPUT, *map(_located, exc.errors))
 

@@ -23,7 +23,6 @@ from .model import (
     QualifiedName,
     SourcePosition,
     ValidationError,
-    build_model,
 )
 
 MALFORMED_DOCUMENT = "MalformedDocument"
@@ -283,7 +282,7 @@ def read_interchange(document: str) -> CodeModel:
     Raises ModelError for malformed documents, schema violations, and
     semantic validation failures.
     """
-    return build_model(decode_interchange(document))
+    return CodeModel(decode_interchange(document))
 
 
 def write_interchange(model: CodeModel) -> str:

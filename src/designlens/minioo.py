@@ -14,8 +14,7 @@ from typing import Any, NamedTuple, NoReturn
 
 from .frontends import _shared
 from .model import (AGGREGATION, ASSOCIATION, MAX_WEIGHT, NO_TARGET, AttributeDef, ClassDef,
-                    CodeModel, MethodDef, ModelError, PackageDef, QualifiedName, SourcePosition,
-                    build_model)
+                    CodeModel, MethodDef, ModelError, PackageDef, QualifiedName, SourcePosition)
 
 _PRIMITIVES = ("int", "real", "text", "bool")
 _MAX_WEIGHT_DIGITS = len(str(MAX_WEIGHT))
@@ -395,4 +394,4 @@ def parse_minioo(source: str) -> CodeModel:
     Raises ModelError: with the ParseErrors for syntax errors, else with the
     ValidationErrors (each at the source position of the declaration it concerns).
     """
-    return build_model(parse_minioo_declarations(source))
+    return CodeModel(parse_minioo_declarations(source))

@@ -239,11 +239,10 @@ class CodeModel(_Slotted):
 
     def __init__(self, packages: Iterable[PackageDef]) -> None:
         packages = tuple(packages)
-        errors = validate_packages(packages)
+        errors, index = validate_packages(packages)
         if errors:
             raise ModelError(errors)
-        self.__setstate__([packages, {QualifiedName(pkg.name, cls.name): cls
-                                      for pkg in packages for cls in pkg.classes}, {}])
+        self.__setstate__([packages, index, {}])
 
     def iter_classes(self) -> Iterator[tuple[QualifiedName, ClassDef]]:
         """Yield (name, class) pairs in declaration order."""
@@ -302,8 +301,11 @@ class DependencyEdge(NamedTuple):
 Graph = tuple[tuple[QualifiedName, ...], tuple[DependencyEdge, ...]]
 
 
-def validate_packages(packages: Iterable[PackageDef]) -> list[ValidationError]:
-    """Check every model invariant, returning the complete error list (empty if valid)."""
+def validate_packages(
+    packages: Iterable[PackageDef],
+) -> tuple[list[ValidationError], dict[QualifiedName, ClassDef]]:
+    """Check every model invariant.  Returns the complete error list (empty if valid)
+    and the index of each class's first declaration by name, in declaration order."""
     packages = list(packages)
     errors: list[ValidationError] = []
 
@@ -357,7 +359,8 @@ def validate_packages(packages: Iterable[PackageDef]) -> list[ValidationError]:
                     f"abstract method '{method.name}' in concrete class '{cls.name}'",
                     method.position))
             if not method.reads <= attr_names:
-                for read in sorted(method.reads - attr_names):
+                # by each error's text: any read sorts, and reads that tie give equal errors
+                for read in sorted(method.reads - attr_names, key=str):
                     errors.append(ValidationError(
                         UNKNOWN_READ_ATTRIBUTE, f"{qn}.{method.name}",
                         f"method '{method.name}' reads unknown attribute '{read}'",
@@ -383,13 +386,7 @@ def validate_packages(packages: Iterable[PackageDef]) -> list[ValidationError]:
         errors.append(ValidationError(
             INHERITANCE_CYCLE, str(members[0]),
             f"inheritance cycle involving {{{names}}}", declared[members[0]].position))
-    return errors
-
-
-def build_model(packages: Iterable[PackageDef]) -> CodeModel:
-    """Validate declarations and return the immutable model, as `CodeModel` does:
-    raises ModelError carrying the complete list of validation errors."""
-    return CodeModel(tuple(packages))
+    return errors, declared
 
 
 def declared(table: Mapping[_K, _T], key: _K, kind: str) -> _T:

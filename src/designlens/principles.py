@@ -90,8 +90,11 @@ def detect_cycles(graph: Graph) -> list[list[str]]:
     if any(node.cls for node in nodes):
         raise ValueError("cycle detection runs on a package graph, not a class graph")
     successors: dict = {node: [] for node in nodes}
-    for edge in edges:
-        successors[edge.source].append(edge.target)
+    for source, target, _ in edges:
+        if source not in successors or target not in successors:
+            stray = target if source in successors else source
+            raise ValueError(f"edge endpoint '{stray}' is not a node of the graph")
+        successors[source].append(target)
     return [[node.package for node in group] for group in cycles(nodes, successors)]
 
 

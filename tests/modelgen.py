@@ -28,7 +28,6 @@ from designlens.model import (
     MethodDef,
     PackageDef,
     QualifiedName,
-    build_model,
 )
 
 
@@ -84,7 +83,7 @@ def random_packages(rng: random.Random, max_packages: int = 4, max_classes: int 
 
 
 def random_model(rng: random.Random, **kwargs) -> CodeModel:
-    return build_model(random_packages(rng, **kwargs))
+    return CodeModel(random_packages(rng, **kwargs))
 
 
 _ATTRIBUTE_KIND_WORDS = {ASSOCIATION: "assoc", AGGREGATION: "aggr"}

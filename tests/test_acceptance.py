@@ -23,7 +23,6 @@ from designlens.model import (
     MethodDef,
     PackageDef,
     QualifiedName,
-    build_model,
 )
 from designlens.principles import detect_cycles, run_all, sdp_violations
 from designlens.report import build_report, render
@@ -69,7 +68,7 @@ def test_criterion_2_instability_and_abstractness_ranges():
         rng = random.Random(101)
         stable_seen = fully_abstract_seen = 0
         for _ in range(1000):
-            model = build_model(random_packages(rng))
+            model = CodeModel(random_packages(rng))
             _, per_package = compute_all(model)
             for pm in per_package.values():
                 if pm.instability is not None:
@@ -116,7 +115,7 @@ def test_criterion_4_dit_exhaustive_and_noc_sums():
                 assert dit(model, names[i]) == longest_root_path(model, names[i]), mask
         rng = random.Random(107)
         for _ in range(200):
-            model = build_model(random_packages(rng))
+            model = CodeModel(random_packages(rng))
             pair_count = sum(len(set(cls.parents)) for _, cls in model.iter_classes())
             per_class, _ = compute_all(model)
             assert sum(cm.noc for cm in per_class.values()) == pair_count
@@ -143,7 +142,7 @@ def test_criterion_6_round_trip_and_golden_stability():
     with criterion(6, "500 interchange round-trips; fixture model and goldens byte-stable", 30.0):
         rng = random.Random(113)
         for _ in range(500):
-            model = build_model(random_packages(rng))
+            model = CodeModel(random_packages(rng))
             assert read_interchange(write_interchange(model)) == model
         source = (FIXTURES / "reference.minioo").read_text(encoding="utf-8")
         assert parse_minioo(source) == REFERENCE_MODEL

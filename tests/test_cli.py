@@ -27,7 +27,7 @@ from designlens.cli import (
 )
 from designlens.frontends import write_interchange
 from designlens.minioo import parse_minioo, parse_minioo_declarations
-from designlens.model import MAX_WEIGHT, ClassDef, ModelError, PackageDef, build_model
+from designlens.model import MAX_WEIGHT, ClassDef, CodeModel, ModelError, PackageDef
 from designlens.principles import Thresholds
 from designlens.report import render
 from conftest import FIXTURES, GOLDEN
@@ -148,7 +148,7 @@ def test_cli_reports_the_library_positions_for_cr_newlines(tmp_path, newline, so
     path = tmp_path / "m.minioo"
     path.write_bytes(text.encode("utf-8"))
     with pytest.raises(ModelError) as caught:
-        build_model(parse_minioo_declarations(text, str(path)))
+        CodeModel(parse_minioo_declarations(text, str(path)))
     expected = "".join(f"{path}:{error}\n" for error in caught.value.errors)
     code, out, err = invoke("analyze", str(path))
     assert (code, out, err) == (EXIT_INPUT, "", expected)

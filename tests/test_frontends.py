@@ -48,7 +48,6 @@ from designlens.model import (
     PackageDef,
     QualifiedName,
     ValidationError,
-    build_model,
 )
 from conftest import FIXTURES
 from modelgen import (
@@ -353,7 +352,7 @@ def test_a_clean_parse_and_analysis_resolve_no_position(monkeypatch, reference_s
 
     monkeypatch.setattr(designlens.minioo, "bisect_right", counted)
     packages = parse_minioo_declarations(reference_source, "reference.minioo")
-    build_model(packages)
+    CodeModel(packages)
     assert cli.run(["analyze", str(FIXTURES / "reference.minioo")], stdout=io.StringIO(),
                    stderr=io.StringIO()) == cli.EXIT_OK
     assert resolved == []

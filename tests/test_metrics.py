@@ -43,7 +43,6 @@ from designlens.model import (
     NotFoundError,
     PackageDef,
     QualifiedName,
-    build_model,
     class_graph,
     resolve,
     validate_packages,
@@ -187,7 +186,7 @@ def _hierarchy(*parent_lists):
     classes = tuple(
         ClassDef(f"C{i}", parents=tuple(qn("p", f"C{j}") for j in parents))
         for i, parents in enumerate(parent_lists))
-    return build_model([PackageDef("p", classes)])
+    return CodeModel([PackageDef("p", classes)])
 
 
 def test_dit_of_root_is_zero():
@@ -202,8 +201,8 @@ def test_dit_of_chain_is_path_length():
 def _children_first(model):
     """The same model with packages and classes declared in reverse order, so
     every class comes before the classes it extends."""
-    return build_model([PackageDef(pkg.name, pkg.classes[::-1])
-                        for pkg in reversed(model.packages)])
+    return CodeModel([PackageDef(pkg.name, pkg.classes[::-1])
+                      for pkg in reversed(model.packages)])
 
 
 def test_dit_of_diamond_is_longest_path():
@@ -232,10 +231,10 @@ def _chain(length, ring=False):
 
 
 def test_deep_hierarchy_is_walked_without_recursion():
-    model = build_model(_chain(20_000))
+    model = CodeModel(_chain(20_000))
     assert dit(model, qn("p", "C19999")) == 19_999
     assert [noc(model, qn("p", f"C{i}")) for i in range(19_999)] == [1] * 19_999
-    assert [e.code for e in model_module.validate_packages(_chain(20_000, ring=True))] == \
+    assert [e.code for e in model_module.validate_packages(_chain(20_000, ring=True))[0]] == \
         [model_module.INHERITANCE_CYCLE]
 
 
@@ -244,11 +243,10 @@ def test_metrics_of_an_unvalidated_inheritance_cycle_raise(parent_lists):
     classes = tuple(ClassDef(f"C{i}", parents=tuple(qn("p", f"C{j}") for j in parents))
                     for i, parents in enumerate(parent_lists))
     packages = (PackageDef("p", classes),)
-    for construct in (CodeModel, build_model):  # no model with a cycle exists to measure
-        with pytest.raises(ModelError) as excinfo:
-            construct(packages)
-        assert excinfo.value.errors == validate_packages(packages)
-        assert [error.code for error in excinfo.value.errors] == [INHERITANCE_CYCLE]
+    with pytest.raises(ModelError) as excinfo:  # no model with a cycle exists to measure
+        CodeModel(packages)
+    assert excinfo.value.errors == validate_packages(packages)[0]
+    assert [error.code for error in excinfo.value.errors] == [INHERITANCE_CYCLE]
 
 
 _QUERIES = {
@@ -268,11 +266,10 @@ def test_metrics_of_an_edge_to_an_undeclared_class_raise(query, edge, package):
                    attributes=(AttributeDef("f", gone, ASSOCIATION),) if edge == "field" else (),
                    methods=(method("m", uses=[gone]),) if edge == "use" else ())
     packages = (PackageDef("p", (cls,)),)
-    for construct in (CodeModel, build_model):  # the query never runs: construction raises
-        with pytest.raises(ModelError) as excinfo:
-            _QUERIES[query](construct(packages))
-        assert excinfo.value.errors == validate_packages(packages)
-        assert [error.code for error in excinfo.value.errors] == [UNRESOLVED_REFERENCE]
+    with pytest.raises(ModelError) as excinfo:  # the query never runs: construction raises
+        _QUERIES[query](CodeModel(packages))
+    assert excinfo.value.errors == validate_packages(packages)[0]
+    assert [error.code for error in excinfo.value.errors] == [UNRESOLVED_REFERENCE]
 
 
 # -- NOC ------------------------------------------------------------------------------
@@ -306,7 +303,7 @@ def test_noc_sum_equals_class_parent_pair_count():
 
 
 def test_cbo_counts_distinct_outgoing_targets():
-    model = build_model([PackageDef("p", (
+    model = CodeModel([PackageDef("p", (
         ClassDef("X"), ClassDef("Y"),
         ClassDef("C",
                  attributes=(AttributeDef("x", qn("p", "X"), ASSOCIATION),),
@@ -316,7 +313,7 @@ def test_cbo_counts_distinct_outgoing_targets():
 
 
 def test_cbo_counts_incoming_couplings_too():
-    model = build_model([PackageDef("p", (
+    model = CodeModel([PackageDef("p", (
         ClassDef("C"),
         ClassDef("X", methods=(method("m", uses=[("p", "C")]),)),
     ))])
@@ -325,7 +322,7 @@ def test_cbo_counts_incoming_couplings_too():
 
 
 def test_cbo_excludes_self_coupling():
-    model = build_model([PackageDef("p", (
+    model = CodeModel([PackageDef("p", (
         ClassDef("C", attributes=(AttributeDef("me", qn("p", "C"), ASSOCIATION),)),))])
     assert cbo(model, qn("p", "C")) == 0
 
@@ -406,7 +403,7 @@ def test_a_class_with_20000_methods_is_measured_in_linear_time():
     n, fields = 20_000, ("a", "b", "c")
     cls = ClassDef("Fat", attributes=tuple(AttributeDef(f) for f in fields),
                    methods=tuple(method(f"m{i}", reads=fields[i % 3]) for i in range(n)))
-    model = build_model([PackageDef("p", (cls,))])
+    model = CodeModel([PackageDef("p", (cls,))])
     start = time.perf_counter()
     per_class, _ = compute_all(model)
     elapsed = time.perf_counter() - start
@@ -433,7 +430,7 @@ def _user(name, target):
 
 
 def test_afferent_counts_distinct_external_sources():
-    model = build_model([
+    model = CodeModel([
         PackageDef("core", (ClassDef("A"),)),
         PackageDef("x", (_user("U1", ("core", "A")),)),
         PackageDef("y", (_user("U2", ("core", "A")),)),
@@ -442,7 +439,7 @@ def test_afferent_counts_distinct_external_sources():
 
 
 def test_afferent_counts_classes_not_edges():
-    model = build_model([
+    model = CodeModel([
         PackageDef("core", (ClassDef("A"), ClassDef("B"), ClassDef("C"))),
         PackageDef("x", (ClassDef("U", methods=(
             method("m", uses=[("core", "A"), ("core", "B"), ("core", "C")]),)),)),
@@ -452,13 +449,13 @@ def test_afferent_counts_classes_not_edges():
 
 
 def test_isolated_package_has_zero_coupling():
-    model = build_model([PackageDef("solo", (ClassDef("A"),))])
+    model = CodeModel([PackageDef("solo", (ClassDef("A"),))])
     assert afferent(model, "solo") == 0
     assert efferent(model, "solo") == 0
 
 
 def test_efferent_counts_distinct_external_targets():
-    model = build_model([
+    model = CodeModel([
         PackageDef("base", (ClassDef("B"),)),
         PackageDef("app", (
             _user("U1", ("base", "B")), _user("U2", ("base", "B")), _user("U3", ("base", "B")))),
@@ -467,7 +464,7 @@ def test_efferent_counts_distinct_external_targets():
 
 
 def test_inherit_edges_count_toward_package_coupling():
-    model = build_model([
+    model = CodeModel([
         PackageDef("base", (ClassDef("B"),)),
         PackageDef("app", (ClassDef("D", parents=(qn("base", "B"),)),)),
     ])
@@ -476,7 +473,7 @@ def test_inherit_edges_count_toward_package_coupling():
 
 
 def test_unknown_package_raises():
-    model = build_model([PackageDef("p", (ClassDef("A"),))])
+    model = CodeModel([PackageDef("p", (ClassDef("A"),))])
     for metric in (afferent, efferent):
         with pytest.raises(NotFoundError) as excinfo:
             metric(model, "nope")
@@ -660,7 +657,7 @@ def test_one_cli_run_builds_no_class_graph(monkeypatch):
 
 
 def test_compute_all_iterates_in_name_order():
-    model = build_model([
+    model = CodeModel([
         PackageDef("zeta", (ClassDef("B"), ClassDef("A"))),
         PackageDef("alpha", (ClassDef("C"),)),
     ])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import designlens
 from designlens import model as model_module
 from designlens.frontends import read_interchange, write_interchange
 from designlens.model import (
@@ -34,7 +35,6 @@ from designlens.model import (
     PackageDef,
     QualifiedName,
     SourcePosition,
-    build_model,
     class_graph,
     package_graph,
     resolve,
@@ -531,11 +531,11 @@ def test_any_model_the_constructors_accept_round_trips_through_interchange(model
     assert read_interchange(write_interchange(model)) == model
 
 
-# -- build_model ----------------------------------------------------------------
+# -- validation ------------------------------------------------------------------
 
 
 def test_two_isolated_packages_build_cleanly():
-    model = build_model([
+    model = CodeModel([
         PackageDef("p", (simple_class("A"),)),
         PackageDef("q", (simple_class("B"),)),
     ])
@@ -548,16 +548,16 @@ def test_two_class_inheritance_cycle_names_both_members():
         simple_class("A", parents=(qn("p", "B"),)),
         simple_class("B", parents=(qn("p", "A"),)),
     ))]
-    errors = validate_packages(packages)
+    errors, _ = validate_packages(packages)
     assert [e.code for e in errors] == [INHERITANCE_CYCLE]
     assert "p.A" in errors[0].message and "p.B" in errors[0].message
     with pytest.raises(ModelError) as excinfo:
-        build_model(packages)
+        CodeModel(packages)
     assert str(excinfo.value) == f"1 error(s): {errors[0]}"
 
 
 def test_self_parent_is_an_inheritance_cycle():
-    errors = validate_packages([
+    errors, _ = validate_packages([
         PackageDef("p", (simple_class("A", parents=(qn("p", "A"),)),))])
     assert [e.code for e in errors] == [INHERITANCE_CYCLE]
 
@@ -569,7 +569,7 @@ def test_inheritance_cycle_errors_are_exact_ordered_and_at_first_declarations():
 
     # p.A closes its cycle only in its second declaration; the error still
     # points at the first
-    errors = validate_packages([PackageDef("p", (
+    errors, _ = validate_packages([PackageDef("p", (
         at(1, "D", "C"), at(2, "C", "D"), at(3, "B", "A"), at(4, "A"),
         at(5, "S", "S"), at(6, "A", "B"),
     ))])
@@ -582,7 +582,7 @@ def test_inheritance_cycle_errors_are_exact_ordered_and_at_first_declarations():
 
 
 def test_abstract_method_in_concrete_class_rejected():
-    errors = validate_packages([PackageDef("p", (
+    errors, _ = validate_packages([PackageDef("p", (
         ClassDef("A", is_abstract=False, methods=(MethodDef("m", is_abstract=True),)),))])
     assert [e.code for e in errors] == [ABSTRACT_METHOD_IN_CONCRETE_CLASS]
     assert errors[0].locus == "p.A.m"
@@ -590,7 +590,7 @@ def test_abstract_method_in_concrete_class_rejected():
 
 def test_abstract_method_in_abstract_class_is_fine():
     assert validate_packages([PackageDef("p", (
-        ClassDef("A", is_abstract=True, methods=(MethodDef("m", is_abstract=True),)),))]) == []
+        ClassDef("A", is_abstract=True, methods=(MethodDef("m", is_abstract=True),)),))])[0] == []
 
 
 def test_duplicate_package_class_and_members_reported():
@@ -603,7 +603,7 @@ def test_duplicate_package_class_and_members_reported():
         )),
         PackageDef("p", ()),
     ]
-    codes = sorted(e.code for e in validate_packages(packages))
+    codes = sorted(e.code for e in validate_packages(packages)[0])
     assert codes == sorted([DUPLICATE_PACKAGE, DUPLICATE_CLASS, DUPLICATE_MEMBER, DUPLICATE_MEMBER])
 
 
@@ -613,16 +613,25 @@ def test_unresolved_references_reported_for_parent_attribute_and_use():
                  parents=(qn("q", "Gone"),),
                  attributes=(AttributeDef("x", qn("q", "Gone2"), ASSOCIATION),),
                  methods=(MethodDef("m", uses=frozenset({qn("q", "Gone3")})),)),))]
-    errors = validate_packages(packages)
+    errors, _ = validate_packages(packages)
     assert [e.code for e in errors] == [UNRESOLVED_REFERENCE] * 3
     assert {e.locus for e in errors} == {"p.A", "p.A.x", "p.A.m"}
 
 
 def test_unknown_read_attribute_reported():
-    errors = validate_packages([PackageDef("p", (
+    errors, _ = validate_packages([PackageDef("p", (
         ClassDef("A", methods=(MethodDef("m", reads=frozenset({"ghost"})),)),))])
     assert [e.code for e in errors] == [UNKNOWN_READ_ATTRIBUTE]
     assert "ghost" in errors[0].message
+
+
+def test_unknown_reads_of_mixed_types_are_reported_in_text_order():
+    # `1 < "b"` raises, and a set's order depends on the hash seed
+    with pytest.raises(ModelError) as excinfo:
+        CodeModel([PackageDef("p", (
+            ClassDef("A", methods=(MethodDef("m", reads=[1, "b", 2.5, "a"]),)),))])
+    assert [e.message for e in excinfo.value.errors] == [
+        f"method 'm' reads unknown attribute '{read}'" for read in ("1", "2.5", "a", "b")]
 
 
 def test_validation_reports_all_errors_not_just_the_first():
@@ -634,7 +643,7 @@ def test_validation_reports_all_errors_not_just_the_first():
         )),
         PackageDef("p", ()),
     ]
-    codes = {e.code for e in validate_packages(packages)}
+    codes = {e.code for e in validate_packages(packages)[0]}
     assert codes == {DUPLICATE_PACKAGE, INHERITANCE_CYCLE,
                      ABSTRACT_METHOD_IN_CONCRETE_CLASS, UNKNOWN_READ_ATTRIBUTE}
 
@@ -643,7 +652,7 @@ def test_validation_is_total_and_revalidation_is_clean():
     rng = random.Random(7)
     for _ in range(100):
         model = random_model(rng)
-        assert validate_packages(model.packages) == []
+        assert validate_packages(model.packages) == ([], model._index)
 
 
 def _corrupt(rng, packages):
@@ -675,10 +684,10 @@ def test_every_injected_defect_is_caught():
     rng = random.Random(19)
     for _ in range(100):
         packages = _corrupt(rng, random_model(rng).packages)
-        errors = validate_packages(packages)
+        errors, _ = validate_packages(packages)
         assert errors, packages
         with pytest.raises(ModelError) as excinfo:
-            build_model(packages)
+            CodeModel(packages)
         assert excinfo.value.errors == errors
 
 
@@ -759,15 +768,14 @@ def test_constructing_a_model_raises_exactly_the_validation_errors(seed, edit):
     rng = random.Random(seed)
     packages = random_packages(rng)
     code = _break(packages, edit, rng)
-    expected = validate_packages(packages)
+    expected, _ = validate_packages(packages)
     assert (code is None) == (expected == []) and code in {None, *(e.code for e in expected)}
-    for construct in (CodeModel, build_model):
-        if expected:
-            with pytest.raises(ModelError) as excinfo:
-                construct(packages)
-            assert [str(e) for e in excinfo.value.errors] == [str(e) for e in expected]
-        else:
-            assert construct(packages).packages == tuple(packages)
+    if expected:
+        with pytest.raises(ModelError) as excinfo:
+            CodeModel(packages)
+        assert [str(e) for e in excinfo.value.errors] == [str(e) for e in expected]
+    else:
+        assert CodeModel(packages).packages == tuple(packages)
 
 
 def test_pickling_and_copying_a_model_do_not_validate_it_again(monkeypatch):
@@ -793,8 +801,28 @@ def test_pickling_and_copying_a_model_do_not_validate_it_again(monkeypatch):
         assert calls == []
 
 
+def test_a_model_names_each_class_once(monkeypatch):
+    packages = [PackageDef("p", (simple_class("A"), simple_class("B", parents=(qn("p", "A"),)))),
+                PackageDef("q", (simple_class("C"),))]
+    made = []
+
+    def counted(*segments):
+        made.append(segments)
+        return QualifiedName(*segments)
+
+    monkeypatch.setattr(model_module, "QualifiedName", counted)
+    model = CodeModel(packages)
+    assert made == [("p", "A"), ("p", "B"), ("q", "C")]
+    assert [*model._index] == [qn("p", "A"), qn("p", "B"), qn("q", "C")]
+
+
+def test_a_model_is_built_one_way():
+    assert not hasattr(designlens, "build_model") and not hasattr(model_module, "build_model")
+    assert {"build_model", "validate_packages"}.isdisjoint(designlens.__all__)
+
+
 def test_model_is_immutable():
-    model = build_model([PackageDef("p", (simple_class("A"),))])
+    model = CodeModel([PackageDef("p", (simple_class("A"),))])
     with pytest.raises(AttributeError):
         model.packages = ()
     with pytest.raises(AttributeError):
@@ -805,7 +833,7 @@ def test_model_is_immutable():
 
 
 def test_resolve_missing_raises_not_found():
-    model = build_model([PackageDef("p", (simple_class("A"),))])
+    model = CodeModel([PackageDef("p", (simple_class("A"),))])
     with pytest.raises(NotFoundError) as excinfo:
         resolve(model, qn("p", "Z"))
     assert excinfo.value.args == ("class 'p.Z' is not declared",)
@@ -815,7 +843,7 @@ def test_resolve_missing_raises_not_found():
 
 
 def test_attribute_creates_edge_of_declared_kind():
-    model = build_model([PackageDef("p", (
+    model = CodeModel([PackageDef("p", (
         simple_class("D"),
         ClassDef("C", attributes=(AttributeDef("x", qn("p", "D"), AGGREGATION),)),
     ))])
@@ -825,7 +853,7 @@ def test_attribute_creates_edge_of_declared_kind():
 
 
 def test_two_methods_using_same_target_deduplicate_to_one_edge():
-    model = build_model([PackageDef("p", (
+    model = CodeModel([PackageDef("p", (
         simple_class("D"),
         ClassDef("C", methods=(
             MethodDef("m1", uses=frozenset({qn("p", "D")})),
@@ -838,14 +866,14 @@ def test_two_methods_using_same_target_deduplicate_to_one_edge():
 
 
 def test_model_without_references_has_nodes_only():
-    model = build_model([PackageDef("p", (simple_class("A"), simple_class("B")))])
+    model = CodeModel([PackageDef("p", (simple_class("A"), simple_class("B")))])
     nodes, edges = class_graph(model)
     assert len(nodes) == 2
     assert edges == ()
 
 
 def test_self_typed_attribute_edge_is_recorded():
-    model = build_model([PackageDef("p", (
+    model = CodeModel([PackageDef("p", (
         ClassDef("C", attributes=(AttributeDef("me", qn("p", "C"), ASSOCIATION),)),))])
     _, edges = class_graph(model)
     assert len(edges) == 1 and edges[0].source == edges[0].target
@@ -889,7 +917,7 @@ def test_inherit_edges_admit_topological_order():
 
 
 def test_cross_package_use_creates_package_edge():
-    model = build_model([
+    model = CodeModel([
         PackageDef("p", (ClassDef("A", methods=(MethodDef("m", uses=frozenset({qn("q", "B")})),)),)),
         PackageDef("q", (simple_class("B"),)),
     ])
@@ -898,7 +926,7 @@ def test_cross_package_use_creates_package_edge():
 
 
 def test_intra_package_edges_are_excluded():
-    model = build_model([PackageDef("p", (
+    model = CodeModel([PackageDef("p", (
         simple_class("B"),
         ClassDef("A", methods=(MethodDef("m", uses=frozenset({qn("p", "B")})),)),
     ))])
@@ -906,7 +934,7 @@ def test_intra_package_edges_are_excluded():
 
 
 def test_mutual_dependencies_give_a_two_cycle():
-    model = build_model([
+    model = CodeModel([
         PackageDef("p", (ClassDef("A", methods=(MethodDef("m", uses=frozenset({qn("q", "B")})),)),)),
         PackageDef("q", (ClassDef("B", is_abstract=False),
                          ClassDef("C", methods=(MethodDef("m", uses=frozenset({qn("p", "A")})),)))),

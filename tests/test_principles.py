@@ -14,11 +14,11 @@ from designlens.model import (
     INHERIT,
     AttributeDef,
     ClassDef,
+    CodeModel,
     DependencyEdge,
     MethodDef,
     PackageDef,
     QualifiedName,
-    build_model,
     class_graph,
     package_graph,
 )
@@ -99,6 +99,15 @@ def test_detect_cycles_rejects_a_class_graph():
     # a node with a class segment marks a class graph, whose edges may be self-loops
     for graph in [((qn("p", "A"),), ()), ((qn("p"), qn("p", "A")), ())]:
         with pytest.raises(ValueError, match="runs on a package graph"):
+            detect_cycles(graph)
+
+
+def test_detect_cycles_rejects_an_edge_whose_endpoint_is_not_a_node():
+    a, b = qn("a"), qn("b")
+    for graph, stray in [(((a,), (DependencyEdge(b, a, "use"),)), "b"),
+                         (((a,), (DependencyEdge(a, b, "use"),)), "b"),
+                         (((a, b), (DependencyEdge(a, qn("c", "C"), "use"),)), "c.C")]:
+        with pytest.raises(ValueError, match=f"^edge endpoint '{stray}' is not a node"):
             detect_cycles(graph)
 
 
@@ -198,7 +207,7 @@ def coupling_model(ca_p, ce_p, ca_q, ce_q):
         MethodDef("m", uses=frozenset(p_targets)),)),)))
     packages.append(PackageDef("q", (ClassDef("Q0", methods=(
         MethodDef("m", uses=frozenset(q_targets)),)),)))
-    return build_model(packages)
+    return CodeModel(packages)
 
 
 def raw_package_references(model):
@@ -278,7 +287,7 @@ def _layered_chain_model(widths):
         classes = tuple(ClassDef(f"C{i}", methods=(MethodDef("m", uses=uses),))
                         for i in range(width))
         packages.append(PackageDef(f"layer{layer}", classes))
-    return build_model(packages)
+    return CodeModel(packages)
 
 
 def test_monotone_layered_models_have_no_sdp_violations():
@@ -297,7 +306,7 @@ def test_monotone_layered_models_have_no_sdp_violations():
 
 def test_sdp_skips_undefined_instability():
     # q is referenced only via inheritance from p; make p isolated instead:
-    model = build_model([
+    model = CodeModel([
         PackageDef("alone", (ClassDef("A"),)),
         PackageDef("p", (ClassDef("P", methods=(
             MethodDef("m", uses=frozenset({qn("q", "Q")})),)),)),
@@ -342,7 +351,7 @@ def _fixed_package(name, abstract_count, concrete_count, ca, ce, packages):
 def test_concrete_stable_package_lands_in_the_zone_of_pain():
     packages = []
     _fixed_package("rigid", 0, 3, 2, 0, packages)  # A=0, I=0, D=1
-    model = build_model(packages)
+    model = CodeModel(packages)
     metrics = compute_all(model)
     findings = sap_zones(metrics, Thresholds())
     pain = [f for f in findings if f.rule == RULE_SAP_PAIN]
@@ -353,7 +362,7 @@ def test_concrete_stable_package_lands_in_the_zone_of_pain():
 def test_abstract_unused_package_lands_in_the_zone_of_uselessness():
     packages = []
     _fixed_package("ivory", 3, 0, 0, 2, packages)  # A=1, I=1, D=1
-    model = build_model(packages)
+    model = CodeModel(packages)
     findings = sap_zones(compute_all(model), Thresholds())
     assert [f.rule for f in findings if f.locus == "ivory"] == [RULE_SAP_USELESS]
 
@@ -361,7 +370,7 @@ def test_abstract_unused_package_lands_in_the_zone_of_uselessness():
 def test_package_on_the_main_sequence_is_clean():
     packages = []
     _fixed_package("balanced", 1, 1, 1, 1, packages)  # A=1/2, I=1/2, D=0
-    model = build_model(packages)
+    model = CodeModel(packages)
     metrics = compute_all(model)
     _, per_package = metrics
     assert per_package["balanced"].distance == 0
@@ -371,7 +380,7 @@ def test_package_on_the_main_sequence_is_clean():
 def test_sap_thresholds_are_respected():
     packages = []
     _fixed_package("rigid", 0, 3, 2, 0, packages)
-    metrics = compute_all(build_model(packages))
+    metrics = compute_all(CodeModel(packages))
     strict = Thresholds(sap_distance_min=Fraction(11, 10))  # unreachable distance
     assert [f for f in sap_zones(metrics, strict) if f.locus == "rigid"] == []
 
@@ -400,7 +409,7 @@ SAP_BOUNDARIES = [
 def test_a_package_on_a_sap_bound_is_flagged(counts, values, rule):
     packages = []
     _fixed_package("p", *counts, packages)
-    metrics = compute_all(build_model(packages))
+    metrics = compute_all(CodeModel(packages))
     _, per_package = metrics
     pm = per_package["p"]
     assert (pm.abstractness, pm.instability, pm.distance) == values
@@ -445,7 +454,7 @@ def low_cohesion_example_model():
                    methods=(MethodDef("m1", reads=frozenset("abcd")),
                             MethodDef("m2", reads=frozenset("abc")),
                             MethodDef("m3", reads=frozenset("xyz"))))
-    return build_model([PackageDef("p", (cls,))])
+    return CodeModel([PackageDef("p", (cls,))])
 
 
 def test_low_cohesion_class_with_enough_methods_gets_srp_advisory():
@@ -462,7 +471,7 @@ def test_cohesive_class_gets_no_advisory():
     cls = ClassDef("Tight",
                    attributes=(AttributeDef("a"),),
                    methods=tuple(MethodDef(f"m{i}", reads=frozenset("a")) for i in range(3)))
-    model = build_model([PackageDef("p", (cls,))])
+    model = CodeModel([PackageDef("p", (cls,))])
     assert srp_advisories(model, compute_all(model), Thresholds()) == []
 
 
@@ -471,7 +480,7 @@ def test_small_class_is_below_the_method_gate():
                    attributes=(AttributeDef("a"), AttributeDef("b")),
                    methods=(MethodDef("m1", reads=frozenset("a")),
                             MethodDef("m2", reads=frozenset("b"))))
-    model = build_model([PackageDef("p", (cls,))])
+    model = CodeModel([PackageDef("p", (cls,))])
     metrics = compute_all(model)
     per_class, _ = metrics
     assert per_class[qn("p", "Small")].lcom == 1
@@ -482,7 +491,7 @@ def test_small_class_is_below_the_method_gate():
 
 
 def test_abstract_class_using_concrete_class_is_flagged():
-    model = build_model([PackageDef("p", (
+    model = CodeModel([PackageDef("p", (
         ClassDef("B"),
         ClassDef("A", is_abstract=True, methods=(
             MethodDef("m", uses=frozenset({qn("p", "B")})),)),
@@ -493,7 +502,7 @@ def test_abstract_class_using_concrete_class_is_flagged():
 
 
 def test_abstract_to_abstract_dependency_is_fine():
-    model = build_model([PackageDef("p", (
+    model = CodeModel([PackageDef("p", (
         ClassDef("B", is_abstract=True),
         ClassDef("A", is_abstract=True, methods=(
             MethodDef("m", uses=frozenset({qn("p", "B")})),)),
@@ -502,7 +511,7 @@ def test_abstract_to_abstract_dependency_is_fine():
 
 
 def test_concrete_to_concrete_dependency_is_fine():
-    model = build_model([PackageDef("p", (
+    model = CodeModel([PackageDef("p", (
         ClassDef("B"),
         ClassDef("A", methods=(MethodDef("m", uses=frozenset({qn("p", "B")})),)),
     ))])
@@ -510,7 +519,7 @@ def test_concrete_to_concrete_dependency_is_fine():
 
 
 def test_inherit_edges_are_outside_dip_scope():
-    model = build_model([PackageDef("p", (
+    model = CodeModel([PackageDef("p", (
         ClassDef("B"),
         ClassDef("A", is_abstract=True, parents=(qn("p", "B"),)),
     ))])
@@ -538,7 +547,7 @@ def test_dip_matches_the_class_graph_reference_on_random_models():
 
 def test_one_dip_finding_per_distinct_edge_in_kind_order():
     b = qn("p", "B")
-    model = build_model([PackageDef("p", (
+    model = CodeModel([PackageDef("p", (
         ClassDef("B"),
         ClassDef("A", is_abstract=True,
                  attributes=(AttributeDef("linked", b, ASSOCIATION),
@@ -569,7 +578,7 @@ def test_cyclic_fixture_yields_exactly_one_adp_group(cyclic_source):
 
 
 def test_empty_package_produces_a_warning():
-    model = build_model([PackageDef("void", ()), PackageDef("p", (ClassDef("A"),))])
+    model = CodeModel([PackageDef("void", ()), PackageDef("p", (ClassDef("A"),))])
     findings = run_all(model, compute_all(model))
     assert [(f.rule, f.locus, f.severity) for f in findings] == \
         [(RULE_EMPTY_PACKAGE, "void", "warning")]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from designlens.minioo import parse_minioo
 from designlens.metrics import compute_all, format_rational
-from designlens.model import ClassDef, CodeModel, PackageDef, build_model
+from designlens.model import ClassDef, CodeModel, PackageDef
 from designlens.principles import SEVERITY_BY_RULE, Finding, run_all
 from designlens.report import (
     CLASS_DESIGN_METRICS,
@@ -90,7 +90,7 @@ def test_every_subject_appears_exactly_once_per_layer():
 
 
 def test_aggregates_over_empty_value_sets_are_absent():
-    report = full_report(build_model([PackageDef("solo", (ClassDef("A"),))]))
+    report = full_report(CodeModel([PackageDef("solo", (ClassDef("A"),))]))
     packaging = report[2]
     # instability/distance undefined for the single isolated package
     assert "instability" not in packaging.aggregates
@@ -129,20 +129,20 @@ def test_json_for_empty_report_is_stable(reference_source):
 
 def test_one_third_renders_as_four_decimals():
     # one abstract class out of three: abstractness 1/3 -> 0.3333 in JSON
-    model = build_model([PackageDef("p", (
+    model = CodeModel([PackageDef("p", (
         ClassDef("A", is_abstract=True), ClassDef("B"), ClassDef("C")))])
     output = render(full_report(model), "json")
     assert '"name":"abstractness","value":0.3333' in output
 
 
 def test_json_is_injective_on_distinct_reports():
-    model_a = build_model([PackageDef("p", (ClassDef("A"),))])
-    model_b = build_model([PackageDef("p", (ClassDef("A", is_abstract=True),))])
+    model_a = CodeModel([PackageDef("p", (ClassDef("A"),))])
+    model_b = CodeModel([PackageDef("p", (ClassDef("A", is_abstract=True),))])
     assert render(full_report(model_a), "json") != render(full_report(model_b), "json")
 
 
 def test_json_renders_undefined_as_null():
-    output = render(full_report(build_model([PackageDef("solo", (ClassDef("A"),))])), "json")
+    output = render(full_report(CodeModel([PackageDef("solo", (ClassDef("A"),))])), "json")
     assert '"name":"instability","value":null' in output
 
 
@@ -164,7 +164,7 @@ def test_csv_sections_and_quoting(cyclic_source):
 
 
 def test_csv_renders_undefined_as_empty_cell():
-    output = render(full_report(build_model([PackageDef("solo", (ClassDef("A"),))])), "csv")
+    output = render(full_report(CodeModel([PackageDef("solo", (ClassDef("A"),))])), "csv")
     assert "solo,instability,\n" in output
 
 
@@ -172,7 +172,7 @@ def test_csv_renders_undefined_as_empty_cell():
 
 
 def test_text_renders_undefined_as_dash():
-    output = render(full_report(build_model([PackageDef("solo", (ClassDef("A"),))])), "text")
+    output = render(full_report(CodeModel([PackageDef("solo", (ClassDef("A"),))])), "text")
     row = next(line for line in output.splitlines() if line.split()[:1] == ["solo"])
     # ca=0, ce=0, instability undefined, abstractness 0, distance undefined
     assert row.split() == ["solo", "0", "0", "-", "0.0000", "-"]
