@@ -10,7 +10,7 @@ import re
 import sys
 from array import array
 from bisect import bisect_right
-from typing import Any, NamedTuple, NoReturn
+from typing import NamedTuple, NoReturn
 
 from .frontends import _shared
 from .model import (AGGREGATION, ASSOCIATION, MAX_WEIGHT, NO_TARGET, AttributeDef, ClassDef,
@@ -22,11 +22,10 @@ _ATTRIBUTE_KINDS = {"assoc": ASSOCIATION, "aggr": AGGREGATION}
 
 
 class _Offset(int):
-    """A MiniOO position: an `int`, its source offset, of a class each parse makes.  That
-    class is the file the parse read: its `path`, and `starts`, the offset each line starts
-    at, filled in when the parse ends; it keeps no source text.  The line and column are
-    resolved only when read.  It equals, hashes, prints, pickles and copies as its
-    `SourcePosition`."""
+    """A MiniOO declaration's offset: an `int` of a class each parse makes, which is the
+    file the parse read: its `path`, and `starts`, the offset each line starts at, filled
+    in when the parse ends; it keeps no source text.  It is `resolved()` only when the
+    `position` is read, and it pickles and copies as its `SourcePosition`."""
 
     __slots__ = ()
     path: str | None  # class attributes of each parse's subclass
@@ -37,27 +36,6 @@ class _Offset(int):
         starts = self.starts
         line = bisect_right(starts, self)
         return SourcePosition(line, self - starts[line - 1] + 1, self.path)
-
-    def __getattr__(self, name: str) -> Any:  # `line` and `column`
-        return getattr(self.resolved(), name)
-
-    def __bool__(self) -> bool:
-        return True  # a position, at offset 0 too
-
-    def __eq__(self, other: object) -> bool:
-        return self.resolved() == other
-
-    def __ne__(self, other: object) -> bool:
-        return self.resolved() != other
-
-    def __hash__(self) -> int:
-        return hash(self.resolved())
-
-    def __repr__(self) -> str:
-        return repr(self.resolved())
-
-    def __format__(self, spec: str) -> str:
-        return format(self.resolved(), spec)
 
     def __reduce__(self) -> tuple:
         return SourcePosition, tuple(self.resolved())
@@ -137,8 +115,8 @@ class _MiniOOParser:
         self.bad: list[tuple[int, str, str]] = []  # the lexer's (offset, expected, found)
         self._next = _TOKEN_RE.finditer(source).__next__
         self._advance()
-        self.errors: list[ParseError] = []
-        # every position of the parse is one `at(offset)`; only they refer to this class
+        self.errors: list = []  # the parser's (offset, expected, found) until the parse ends
+        # every declaration's offset is one `at(offset)`; only they refer to this class
         self.at = type("_Offset", (_Offset,),
                        {"__slots__": (), "path": path, "starts": array("q", [0])})
         self.sets: dict[frozenset, frozenset] = {}
@@ -169,7 +147,7 @@ class _MiniOOParser:
 
     def _error(self, expected: str) -> None:
         found = "end of input" if self.kind == "eof" else _echo(self.text)
-        self.errors.append(ParseError(self.at(self.match.start(self.kind)), expected, found))
+        self.errors.append((self.match.start(self.kind), expected, found))
 
     def _fail(self, expected: str) -> NoReturn:
         self._error(expected)
@@ -217,10 +195,10 @@ class _MiniOOParser:
                 self._synchronize()
         if not packages and not self.errors and not self.bad:
             self._error("at least one package declaration")
-        # every lexer error is known once `eof` is current; they are reported first
-        self.errors[:0] = [ParseError(self.at(offset), expected, found)
-                           for offset, expected, found in self.bad]
         self.at.starts.extend(map(re.Match.end, re.finditer("\n", self.source)))
+        # every lexer error is known once `eof` is current; they are reported first
+        self.errors = [ParseError(self.at(offset).resolved(), expected, found)
+                       for offset, expected, found in self.bad + self.errors]
         return packages
 
     def _package(self) -> PackageDef:

@@ -9,8 +9,9 @@ graph and DIP read; the class graph is built only on request.
 
 Declarations read from MiniOO source carry the `position` they were declared
 at, and those decoded from a named interchange file carry the file, so a
-validation error can name it.  Positions are left out of equality, hashing
-and repr: a model is the same whichever frontend it was read from.
+validation error can name it; a MiniOO declaration keeps its source offset and
+works out its `position` from it when read.  Positions are left out of equality,
+hashing and repr: a model is the same whichever frontend it was read from.
 """
 
 from __future__ import annotations
@@ -86,9 +87,8 @@ class QualifiedName(Checked, _Name):
 
 
 class SourcePosition(NamedTuple):
-    """Where a declaration or an error was read.  A MiniOO parse gives each one a
-    stand-in that keeps the source offset, works out the line and column when they
-    are read, and equals, hashes, prints and pickles as this class."""
+    """Where a declaration or an error was read.  A MiniOO declaration keeps its
+    source offset instead, and its `position` is this, worked out when it is read."""
 
     line: int | None    # 1-based; None in an interchange document
     column: int | None  # 1-based, in Unicode scalar values
@@ -103,13 +103,13 @@ def _stray(items: Iterable) -> str:
 
 class _Slotted:
     """The base of the declarations and `CodeModel`: slotted and immutable.  `==`, `hash`
-    and `repr` read `_fields`: every slot but a declaration's `position` and the model's
-    private ones.  Pickling and copying restore every slot without calling `__init__`."""
+    and `repr` read `_fields`, the slots not named `_…`.  Pickling and copying restore
+    every slot without calling `__init__`."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_" and name != "position")
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
         cls._values = attrgetter(*cls._fields)
 
     def __eq__(self, other: object) -> bool:
@@ -135,16 +135,28 @@ class _Slotted:
         for name, value in zip(self.__slots__, state):
             object.__setattr__(self, name, value)
 
+
+class _Declaration:
+    """A declaration keeps the position it was given in `_position`.  Reading `position`
+    resolves a MiniOO offset, the value with `resolved()`, and gives any other as kept."""
+
+    __slots__ = ()
+
+    @property
+    def position(self) -> SourcePosition | None:
+        position = self._position
+        return position.resolved() if hasattr(position, "resolved") else position
+
     def _replace(self, **changes: object) -> Any:
-        """A copy with `changes`, made by the constructor, so it checks them as it checks any."""
-        kept = {name: getattr(self, name) for name in self.__slots__ if name[0] != "_"}
-        return type(self)(**{**kept, **changes})
+        """A copy with `changes`, made by the checking constructor; the position stays as kept."""
+        kept = {name: getattr(self, name) for name in self._fields}
+        return type(self)(**{**kept, "position": self._position, **changes})
 
 
-class AttributeDef(_Slotted):
+class AttributeDef(_Declaration, _Slotted):
     """A class attribute; `target` is None for primitive-typed attributes."""
 
-    __slots__ = ("name", "target", "kind", "position")
+    __slots__ = ("name", "target", "kind", "_position")
 
     def __init__(self, name: str, target: QualifiedName | None = None, kind: str = NO_TARGET,
                  position: SourcePosition | None = None) -> None:
@@ -162,10 +174,10 @@ class AttributeDef(_Slotted):
         set_position(self, position)
 
 
-class MethodDef(_Slotted):
+class MethodDef(_Declaration, _Slotted):
     """A method with its complexity weight, instance-variable read-set, and usage targets."""
 
-    __slots__ = ("name", "is_abstract", "weight", "reads", "uses", "position")
+    __slots__ = ("name", "is_abstract", "weight", "reads", "uses", "_position")
 
     def __init__(self, name: str, is_abstract: bool = False, weight: int = 1,
                  reads: frozenset[str] = frozenset(), uses: frozenset[QualifiedName] = frozenset(),
@@ -187,8 +199,8 @@ class MethodDef(_Slotted):
         set_reads(self, reads); set_uses(self, uses); set_position(self, position)
 
 
-class ClassDef(_Slotted):
-    __slots__ = ("name", "is_abstract", "parents", "attributes", "methods", "position")
+class ClassDef(_Declaration, _Slotted):
+    __slots__ = ("name", "is_abstract", "parents", "attributes", "methods", "_position")
 
     def __init__(self, name: str, is_abstract: bool = False,
                  parents: tuple[QualifiedName, ...] = (), attributes: tuple[AttributeDef, ...] = (),
@@ -207,8 +219,8 @@ class ClassDef(_Slotted):
         set_attributes(self, attributes); set_methods(self, methods); set_position(self, position)
 
 
-class PackageDef(_Slotted):
-    __slots__ = ("name", "classes", "position")
+class PackageDef(_Declaration, _Slotted):
+    __slots__ = ("name", "classes", "_position")
 
     def __init__(self, name: str, classes: tuple[ClassDef, ...] = (),
                  position: SourcePosition | None = None) -> None:
@@ -305,12 +317,15 @@ def validate_packages(
     packages: Iterable[PackageDef],
 ) -> tuple[list[ValidationError], dict[QualifiedName, ClassDef]]:
     """Check every model invariant.  Returns the complete error list (empty if valid)
-    and the index of each class's first declaration by name, in declaration order."""
+    and the index of each class's first declaration by name, in declaration order.
+    Raises TypeError for an element that is not the declaration its place holds."""
     packages = list(packages)
     errors: list[ValidationError] = []
 
     seen_packages: set[str] = set()
     for pkg in packages:
+        if not isinstance(pkg, PackageDef):
+            raise TypeError(f"{pkg!r} is not a PackageDef")
         if pkg.name in seen_packages:
             errors.append(ValidationError(
                 DUPLICATE_PACKAGE, pkg.name,
@@ -322,6 +337,8 @@ def validate_packages(
     for pkg in packages:
         seen_classes: set[str] = set()
         for cls in pkg.classes:
+            if not isinstance(cls, ClassDef):
+                raise TypeError(f"package '{pkg.name}': {cls!r} is not a ClassDef")
             qn = QualifiedName(pkg.name, cls.name)
             if cls.name in seen_classes:
                 errors.append(ValidationError(
@@ -336,6 +353,8 @@ def validate_packages(
     for qn, cls in named:
         attr_names: set[str] = set()
         for attr in cls.attributes:
+            if not isinstance(attr, AttributeDef):
+                raise TypeError(f"class '{qn}': {attr!r} is not an AttributeDef")
             if attr.name in attr_names:
                 errors.append(ValidationError(
                     DUPLICATE_MEMBER, f"{qn}.{attr.name}",
@@ -348,6 +367,8 @@ def validate_packages(
 
         method_names: set[str] = set()
         for method in cls.methods:
+            if not isinstance(method, MethodDef):
+                raise TypeError(f"class '{qn}': {method!r} is not a MethodDef")
             if method.name in method_names:
                 errors.append(ValidationError(
                     DUPLICATE_MEMBER, f"{qn}.{method.name}",

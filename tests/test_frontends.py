@@ -5,6 +5,7 @@ import json
 import pickle
 import random
 import re
+import sys
 import tracemalloc
 import weakref
 from array import array
@@ -326,7 +327,8 @@ def test_no_position_keeps_the_source_text_alive():
 
 
 def test_a_position_at_offset_zero_is_true_and_prints_and_collects_as_a_position():
-    # a position is an int of a class made per parse: it must not act as its offset
+    # an error at offset 0 has a true position; a declaration's offset refers only to
+    # the class its parse made, which is freed with the declarations
     with pytest.raises(ModelError) as excinfo:
         parse_minioo_declarations("x", "m.minioo")
     position = excinfo.value.errors[0].position
@@ -334,10 +336,12 @@ def test_a_position_at_offset_zero_is_true_and_prints_and_collects_as_a_position
     assert position and position == expected
     assert str(position) == format(position) == f"{position}" == repr(expected)
     assert str(ValidationError("X", "p", "m", position)) == "1:1: X at p: m"
-    assert gc.get_referents(position) == [type(position)]
     packages = parse_minioo_declarations("package p { class A { field x: int; } }")
-    per_parse = weakref.ref(type(packages[0].position))
-    assert type(packages[0].classes[0].position) is per_parse()
+    locator = packages[0]._position
+    assert gc.get_referents(locator) == [type(locator)]
+    per_parse = weakref.ref(type(locator))
+    del locator
+    assert type(packages[0].classes[0]._position) is per_parse()
     del packages
     gc.collect()  # a class sits in reference cycles, so only the collector frees it
     assert per_parse() is None
@@ -357,6 +361,32 @@ def test_a_clean_parse_and_analysis_resolve_no_position(monkeypatch, reference_s
                    stderr=io.StringIO()) == cli.EXIT_OK
     assert resolved == []
     assert packages[1].position.line == 5 and len(resolved) == 1
+
+
+def test_every_position_read_from_a_parse_is_a_source_position(monkeypatch, reference_source):
+    # a declaration keeps only its offset, which `_replace` passes on unresolved; what
+    # is read as a position, of a declaration or an error, is a plain SourcePosition
+    resolved = []
+
+    def counted(starts, offset):
+        resolved.append(offset)
+        return bisect_right(starts, offset)
+
+    monkeypatch.setattr(designlens.minioo, "bisect_right", counted)
+    declarations = list(_declarations(parse_minioo_declarations(reference_source, "r.minioo")))
+    replaced = [declaration._replace(name="renamed") for declaration in declarations]
+    assert resolved == []
+    assert all(sys.getsizeof(declaration._position) <= 48 for declaration in declarations)
+    positions = [declaration.position for declaration in declarations]
+    assert [declaration.position for declaration in replaced] == positions
+    assert all(type(position) is SourcePosition for position in positions)
+    with pytest.raises(ModelError) as syntax:
+        parse_minioo_declarations("é package p { class A { field x: ; } }", "s.minioo")
+    with pytest.raises(ModelError) as semantic:
+        parse_minioo("package p { class A extends q.B { } }")
+    errors = syntax.value.errors + semantic.value.errors
+    assert [type(error) for error in errors] == [ParseError, ParseError, ValidationError]
+    assert all(type(error.position) is SourcePosition for error in errors)
 
 
 def test_semantic_errors_carry_source_positions():

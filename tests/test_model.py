@@ -263,6 +263,26 @@ def test_a_parent_target_or_used_class_that_is_not_a_qualified_name_is_a_type_er
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("packages,message", [
+    (["p"], "'p' is not a PackageDef"),
+    ([PackageDef("p", [ClassDef("A"), AttributeDef("x")])],
+     "package 'p': AttributeDef(name='x', target=None, kind='none') is not a ClassDef"),
+    ([PackageDef("p", [ClassDef("A", attributes=["x"])])],
+     "class 'p.A': 'x' is not an AttributeDef"),
+    ([PackageDef("p", [ClassDef("A", attributes=[MethodDef("m")])])],
+     "class 'p.A': MethodDef(name='m', is_abstract=False, weight=1, reads=frozenset(), "
+     "uses=frozenset()) is not an AttributeDef"),
+    ([PackageDef("p", [ClassDef("A", methods=[MethodDef("m"), AttributeDef("x")])])],
+     "class 'p.A': AttributeDef(name='x', target=None, kind='none') is not a MethodDef"),
+])
+def test_an_element_that_is_not_the_declaration_its_place_holds_is_a_type_error(
+        packages, message):
+    # validation read the element's fields, so the model ended in an AttributeError
+    with pytest.raises(TypeError) as caught:
+        CodeModel(packages)
+    assert str(caught.value) == message
+
+
 # -- the constructors against the generated ones they replaced ---------------------
 
 
@@ -471,7 +491,8 @@ def test_each_constructor_is_written_once_with_the_signature_of_its_fields(kind)
     assert [(p.name, p.default, p.kind) for p in parameters] == [
         (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default,
          inspect.Parameter.POSITIONAL_OR_KEYWORD) for f in dataclasses.fields(_REFERENCE[kind])]
-    assert [p.name for p in parameters] == [*kind._fields, "position"] == list(kind.__slots__)
+    assert [p.name for p in parameters] == [*kind._fields, "position"]
+    assert list(kind.__slots__) == [*kind._fields, "_position"]
     assert kind.__init__.__code__.co_filename == model_module.__file__
     assert not hasattr(kind, "__post_init__")
 
