@@ -23,7 +23,7 @@ from typing import Callable, NoReturn, TextIO
 from .frontends import decode_interchange, reject_constant, unique_keys
 from .metrics import compute_all
 from .minioo import ParseError, parse_minioo_declarations
-from .model import CodeModel, ModelError, PackageDef, ValidationError
+from .model import CodeModel, ModelError, PackageDef, ValidationError, echo
 from .principles import (
     ADVISORY,
     RULE_ADP,
@@ -120,9 +120,12 @@ def load_config(path: str | None) -> tuple[Thresholds, _Gates, frozenset[str]]:
         raise ConfigError("config must be a JSON object")
     for key in data:
         if key not in ("thresholds", "gates", "fail_on"):
-            raise ConfigError(f"unknown config key '{key}'")
-    thresholds = _load_thresholds(data.get("thresholds", {}))
-    gates = _load_gates(data.get("gates", []))
+            raise ConfigError(f"unknown config key {echo(key)}")
+    try:  # `Thresholds` checks each number's type and sign, a gate limit's too
+        thresholds = _load_thresholds(data.get("thresholds", {}))
+        gates = _load_gates(data.get("gates", []))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
     fail_on = frozenset(_parse_fail_on_token(token, context="fail_on")
                         for token in _string_list(data.get("fail_on", []), "fail_on"))
     return thresholds, gates, fail_on
@@ -135,7 +138,7 @@ def _config_number(text: str) -> Fraction:
     magnitude = exponent.lstrip("+-0")  # converted only when it has few digits
     if (len(magnitude) > len(str(_MAX_NUMBER_DIGITS))
             or len(mantissa) + int(magnitude or 0) > _MAX_NUMBER_DIGITS):
-        raise ValueError(f"number {text:.40} takes more than {_MAX_NUMBER_DIGITS} digits")
+        raise ValueError(f"number {echo(text)} takes more than {_MAX_NUMBER_DIGITS} digits")
     return Fraction(text)
 
 
@@ -144,11 +147,8 @@ def _load_thresholds(data: object) -> Thresholds:
         raise ConfigError("'thresholds' must be an object")
     for key in data:
         if key not in Thresholds._fields:
-            raise ConfigError(f"unknown config key 'thresholds.{key}'")
-    try:
-        return Thresholds(**data)
-    except (TypeError, ValueError) as exc:  # the record checks each value's type and sign
-        raise ConfigError(str(exc)) from None
+            raise ConfigError(f"unknown config key {echo(f'thresholds.{key}')}")
+    return Thresholds(**data)
 
 
 def _load_gates(data: object) -> _Gates:
@@ -161,11 +161,10 @@ def _load_gates(data: object) -> _Gates:
             raise ConfigError(f"'{where}' must be [name, comparator, limit]")
         name, comparator, limit = entry
         if name not in GATE_NAMES:
-            raise ConfigError(f"'{where}': unknown gate '{name}'")
+            raise ConfigError(f"'{where}': unknown gate {echo(name)}")
         if comparator not in COMPARATORS:
             raise ConfigError(f"'{where}': comparator must be one of {', '.join(COMPARATORS)}")
-        if isinstance(limit, bool) or not isinstance(limit, (int, Fraction)) or limit < 0:
-            raise ConfigError(f"'{where}': limit must be a non-negative number")
+        Thresholds.check_number(limit, f"'{where}': limit")
         gates.append((name, comparator, limit))
     return tuple(gates)
 
@@ -180,7 +179,7 @@ def _parse_fail_on_token(token: str, context: str) -> str:
     normalized = token.strip().lower()
     if normalized in _RULE_TOKENS or normalized in _SEVERITY_TOKENS:
         return normalized
-    raise ConfigError(f"'{context}': unknown rule or severity '{token}'")
+    raise ConfigError(f"'{context}': unknown rule or severity {echo(token)}")
 
 
 def run(argv: list[str], stdout: TextIO | None = None, stderr: TextIO | None = None) -> int:

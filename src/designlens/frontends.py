@@ -10,10 +10,13 @@ import sys
 from typing import Any, Callable, Iterable, KeysView, NoReturn
 
 from .model import (
-    AGGREGATION,
-    ASSOCIATION,
+    FLAG,
+    IDENTIFIER,
+    KIND,
     MAX_WEIGHT,
     NO_TARGET,
+    TARGET_KINDS,
+    WEIGHT,
     AttributeDef,
     ClassDef,
     CodeModel,
@@ -23,6 +26,8 @@ from .model import (
     QualifiedName,
     SourcePosition,
     ValidationError,
+    echo,
+    rejected,
 )
 
 MALFORMED_DOCUMENT = "MalformedDocument"
@@ -57,10 +62,6 @@ def _locus(path: _Path) -> str:
     if parent is None:
         return key
     return f"{_locus(parent)}[{key}]" if type(key) is int else f"{_locus(parent)}.{key}"
-
-
-# Each attribute kind, to the one string object every attribute of that kind keeps.
-_KINDS = {kind: kind for kind in (ASSOCIATION, AGGREGATION, NO_TARGET)}
 
 
 class _Rejected(Exception):
@@ -106,13 +107,10 @@ class _Schema:
             raise _Rejected
         self.errors.append(ValidationError(SCHEMA_ERROR, _locus(path), message, self.position))
 
-    def expected(self, path: _Path, what: str, value: Any) -> None:
-        self.error(path, f"expected {what}, got {type(value).__name__}")
-
     def fields(self, value: Any, path: _Path, keys: KeysView[str]) -> dict | None:
         """`value`, an object with every field of `keys`; reports each missing or unknown one."""
         if type(value) is not dict:
-            return self.expected(path, "an object", value)
+            return self.error(path, rejected("an object", value))
         if value.keys() == keys:
             return value
         for key in value:
@@ -128,7 +126,7 @@ class _Schema:
         """An array, each element replaced by what `check` returns for it; an element
         of type `built` is taken as it is."""
         if type(value) is not list:
-            return self.expected((parent, key), "an array", value)
+            return self.error((parent, key), rejected("an array", value))
         path = (parent, key)
         for index, item in enumerate(value):
             if type(item) is not built:
@@ -137,21 +135,19 @@ class _Schema:
 
     def name(self, value: Any, parent: _Path, key: str | int) -> str | None:
         """An ASCII identifier, interned."""
-        if type(value) is not str:
-            return self.expected((parent, key), "a string", value)
-        if value.isascii() and value.isidentifier():
+        if type(value) is str and value.isascii() and value.isidentifier():
             return sys.intern(value)
-        return self.error((parent, key), f"not a valid identifier: {value!r}")
+        return self.error((parent, key), rejected(IDENTIFIER, value))
 
     def qualified(self, value: Any, parent: _Path, key: str | int) -> QualifiedName | None:
         """A `pkg.Class` name, one object per distinct string."""
         if type(value) is not str:  # before the lookup: an array or object is unhashable
-            return self.expected((parent, key), "a string", value)
+            return self.error((parent, key), rejected("a string", value))
         name = self.names.get(value)
         if name is None:
             package, dot, cls = value.partition(".")
             if not (dot and value.isascii() and package.isidentifier() and cls.isidentifier()):
-                return self.error((parent, key), f"expected 'pkg.Class', got {value!r}")
+                return self.error((parent, key), rejected("'pkg.Class'", value))
             name = self.names[value] = QualifiedName(sys.intern(package), sys.intern(cls))
         return name
 
@@ -176,7 +172,7 @@ class _Schema:
         name = self.name(obj["name"], path, "name")
         is_abstract = obj["abstract"]
         if type(is_abstract) is not bool:
-            self.expected((path, "abstract"), "a boolean", is_abstract)
+            self.error((path, "abstract"), rejected(FLAG, is_abstract))
         parents = self.items(obj["parents"], path, "parents", self.qualified)
         attributes = self.items(obj["attributes"], path, "attributes", self.attribute,
                                 AttributeDef)
@@ -193,14 +189,10 @@ class _Schema:
         target, kind = obj["target"], obj["kind"]
         if target is not None and (target := self.qualified(target, path, "target")) is None:
             return None
-        shared = _KINDS.get(kind) if type(kind) is str else None
-        if shared is None:
-            self.error((path, "kind"),
-                       f"expected 'association', 'aggregation' or 'none', got {kind!r}")
-        elif (shared == NO_TARGET) != (target is None):
-            self.error((path, "kind"), "kind 'none' is required exactly when target is null")
-        if self.errors is None:
-            return AttributeDef(name, target, shared, self.position)
+        if (kind != NO_TARGET) if target is None else (kind not in TARGET_KINDS):
+            self.error((path, "kind"), rejected(KIND, kind))
+        if self.errors is None:  # each attribute of a kind keeps the one string object
+            return AttributeDef(name, target, sys.intern(kind), self.position)
 
     def method(self, value: Any, parent: _Path, key: int | None) -> MethodDef | None:
         obj = self.fields(value, path := (parent, key), _METHOD_KEYS)
@@ -209,11 +201,9 @@ class _Schema:
         name = self.name(obj["name"], path, "name")
         is_abstract, weight = obj["abstract"], obj["weight"]
         if type(is_abstract) is not bool:
-            self.expected((path, "abstract"), "a boolean", is_abstract)
-        if type(weight) is not int or weight < 1:
-            self.error((path, "weight"), f"expected a positive integer, got {weight!r}")
-        elif weight > MAX_WEIGHT:
-            self.error((path, "weight"), f"expected a weight of at most {MAX_WEIGHT}")
+            self.error((path, "abstract"), rejected(FLAG, is_abstract))
+        if type(weight) is not int or not 1 <= weight <= MAX_WEIGHT:
+            self.error((path, "weight"), rejected(WEIGHT, weight))
         reads = self.items(obj["reads"], path, "reads", self.name)
         uses = self.items(obj["uses"], path, "uses", self.qualified)
         if self.errors is None:
@@ -228,7 +218,7 @@ def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
         seen: set[str] = set()
         for key, _ in pairs:
             if key in seen:
-                raise ValueError(f"duplicate key {key!r}")
+                raise ValueError(f"duplicate key {echo(key)}")
             seen.add(key)
     return obj
 

@@ -13,8 +13,9 @@ from bisect import bisect_right
 from typing import NamedTuple, NoReturn
 
 from .frontends import _shared
-from .model import (AGGREGATION, ASSOCIATION, MAX_WEIGHT, NO_TARGET, AttributeDef, ClassDef,
-                    CodeModel, MethodDef, ModelError, PackageDef, QualifiedName, SourcePosition)
+from .model import (AGGREGATION, ASSOCIATION, MAX_WEIGHT, NO_TARGET, WEIGHT, AttributeDef,
+                    ClassDef, CodeModel, MethodDef, ModelError, PackageDef, QualifiedName,
+                    SourcePosition, echo)
 
 _PRIMITIVES = ("int", "real", "text", "bool")
 _MAX_WEIGHT_DIGITS = len(str(MAX_WEIGHT))
@@ -87,15 +88,10 @@ _MEMBER = (
 _ITEM = rf"[ \t\r\n,]*+(?://[^\n]*+[ \t\r\n,]*+)*+({_NAME})(?:{_SKIP}\.{_SKIP}({_NAME}))?"
 
 
-def _echo(text: str) -> str:
-    """An offending token as a syntax error repeats it: quoted, cut to 40 characters."""
-    return repr(text[:40])
-
-
-def _too_heavy(weight: str) -> bool:
-    """Whether a weight, an INT of no leading zero, is over MAX_WEIGHT; one with more
-    digits than MAX_WEIGHT is never converted."""
-    return len(weight) > _MAX_WEIGHT_DIGITS or int(weight) > MAX_WEIGHT
+def _bad_weight(weight: str) -> bool:
+    """Whether an INT, [0-9]+, is no weight: a weight has no leading zero and is at most
+    MAX_WEIGHT; one of more digits than MAX_WEIGHT is never converted."""
+    return weight[0] == "0" or len(weight) > _MAX_WEIGHT_DIGITS or int(weight) > MAX_WEIGHT
 
 
 class _Panic(Exception):
@@ -137,7 +133,7 @@ class _MiniOOParser:
         while kind == "bad":
             start, text = match.start(kind), match[kind]
             if text[0].isalpha() or text[0] == "_":  # a word with a non-ASCII character
-                self.bad.append((start, "a name", _echo(text)))
+                self.bad.append((start, "a name", echo(text)))
             else:  # an illegal character, or a non-ASCII digit: rescan after it
                 self.bad.append((start, "a token", repr(text[0])))
                 self._next = _TOKEN_RE.finditer(self.source, start + 1).__next__
@@ -146,7 +142,7 @@ class _MiniOOParser:
         self.kind, self.text, self.match = kind, match[kind], match
 
     def _error(self, expected: str) -> None:
-        found = "end of input" if self.kind == "eof" else _echo(self.text)
+        found = "end of input" if self.kind == "eof" else echo(self.text)
         self.errors.append((self.match.start(self.kind), expected, found))
 
     def _fail(self, expected: str) -> NoReturn:
@@ -254,7 +250,7 @@ class _MiniOOParser:
                 target = None if first is None else qualified(package, first, second)
                 kind = NO_TARGET if first is None else _ATTRIBUTE_KINDS.get(kind, ASSOCIATION)
                 attributes.append(AttributeDef(intern(field), target, kind, at(member.start(1))))
-            elif weight is not None and len(weight) >= _MAX_WEIGHT_DIGITS and _too_heavy(weight):
+            elif weight is not None and len(weight) >= _MAX_WEIGHT_DIGITS and _bad_weight(weight):
                 break  # `_method` reports the weight
             else:
                 read_set = read_sets.get(reads)
@@ -312,11 +308,8 @@ class _MiniOOParser:
         self._name("a method name")
         if self.text == "weight":
             self._advance()
-            # INT must match [1-9][0-9]*
-            if self.kind != "int" or self.text[0] == "0":
-                self._fail("a positive integer")
-            if _too_heavy(self.text):
-                self._fail(f"a weight of at most {MAX_WEIGHT}")
+            if self.kind != "int" or _bad_weight(self.text):
+                self._fail(WEIGHT)
             self._advance()
         if self.text == "reads":
             self._advance()

@@ -39,6 +39,13 @@ NO_TARGET = "none"
 # Python converts to text (sys.get_int_max_str_digits()).
 MAX_WEIGHT = 2**63 - 1
 
+# Each value rule as `rejected` states it: the constructors, the schema and MiniOO say this.
+IDENTIFIER = "an ASCII identifier"
+WEIGHT = f"an integer from 1 to {MAX_WEIGHT}"
+FLAG = "a bool"
+KIND = "'none' without a target, 'association' or 'aggregation' with one"
+TARGET_KINDS = (ASSOCIATION, AGGREGATION)  # the kinds of an attribute with a target
+
 # Validation error codes (stable, part of the public contract).
 DUPLICATE_PACKAGE = "DuplicatePackage"
 DUPLICATE_CLASS = "DuplicateClass"
@@ -47,6 +54,16 @@ UNRESOLVED_REFERENCE = "UnresolvedReference"
 INHERITANCE_CYCLE = "InheritanceCycle"
 ABSTRACT_METHOD_IN_CONCRETE_CLASS = "AbstractMethodInConcreteClass"
 UNKNOWN_READ_ATTRIBUTE = "UnknownReadAttribute"
+
+
+def echo(value: object) -> str:
+    """A refused value as errors repeat it: a str's first 40 characters, quoted, else its repr's."""
+    return repr(value[:40]) if isinstance(value, str) else repr(value)[:40]
+
+
+def rejected(rule: str, value: object) -> str:
+    """The message for a `value` that breaks `rule`, one of the rules above."""
+    return f"expected {rule}, got {echo(value)}"
 
 
 class Checked:
@@ -77,9 +94,9 @@ class QualifiedName(Checked, _Name):
     def __new__(_type, package: str, cls: str = "") -> QualifiedName:
         # a name is an ASCII identifier; `str.isascii` raises TypeError for a non-str
         if not (str.isascii(package) and str.isidentifier(package)):
-            raise ValueError(f"invalid package segment {package!r}")
+            raise ValueError(f"package segment: {rejected(IDENTIFIER, package)}")
         if cls != "" and not (str.isascii(cls) and str.isidentifier(cls)):
-            raise ValueError(f"invalid class segment {cls!r}")
+            raise ValueError(f"class segment: {rejected(IDENTIFIER, cls)}")
         return tuple.__new__(_type, (package, cls))
 
     def __str__(self) -> str:
@@ -96,9 +113,9 @@ class SourcePosition(NamedTuple):
 
 
 def _stray(items: Iterable) -> str:
-    """The smallest repr among the items that are not a `QualifiedName`: a set's order
+    """The smallest echo among the items that are not a `QualifiedName`: a set's order
     depends on the hash seed, so an error names the same one in every process."""
-    return min(repr(item) for item in items if type(item) is not QualifiedName)
+    return min(echo(item) for item in items if type(item) is not QualifiedName)
 
 
 class _Slotted:
@@ -161,14 +178,11 @@ class AttributeDef(_Declaration, _Slotted):
     def __init__(self, name: str, target: QualifiedName | None = None, kind: str = NO_TARGET,
                  position: SourcePosition | None = None) -> None:
         if not (str.isascii(name) and str.isidentifier(name)):
-            raise ValueError(f"attribute {name!r}: not an identifier")
-        if target is None:
-            if kind != NO_TARGET:
-                raise ValueError(f"attribute {name!r}: kind {kind!r} requires a target")
-        elif kind not in (ASSOCIATION, AGGREGATION):
-            raise ValueError(f"attribute {name!r}: invalid kind {kind!r} for a class target")
-        elif type(target) is not QualifiedName:
-            raise TypeError(f"attribute {name!r}: target {target!r} is not a QualifiedName")
+            raise ValueError(f"attribute name: {rejected(IDENTIFIER, name)}")
+        if (kind != NO_TARGET) if target is None else (kind not in TARGET_KINDS):
+            raise ValueError(f"attribute {echo(name)}: kind: {rejected(KIND, kind)}")
+        if target is not None and type(target) is not QualifiedName:
+            raise TypeError(f"attribute {echo(name)}: target {echo(target)} is not a QualifiedName")
         set_name, set_target, set_kind, set_position = _SET_ATTRIBUTE
         set_name(self, name); set_target(self, target); set_kind(self, kind)
         set_position(self, position)
@@ -183,17 +197,16 @@ class MethodDef(_Declaration, _Slotted):
                  reads: frozenset[str] = frozenset(), uses: frozenset[QualifiedName] = frozenset(),
                  position: SourcePosition | None = None) -> None:
         if not (str.isascii(name) and str.isidentifier(name)):
-            raise ValueError(f"method {name!r}: not an identifier")
+            raise ValueError(f"method name: {rejected(IDENTIFIER, name)}")
         reads = reads if type(reads) is frozenset else frozenset(reads)
         uses = uses if type(uses) is frozenset else frozenset(uses)
-        if type(weight) is not int:  # nor a bool
-            raise TypeError(f"method {name!r}: weight {weight!r} is not an int")
-        if not 1 <= weight <= MAX_WEIGHT:
-            raise ValueError(f"method {name!r}: weight must be from 1 to {MAX_WEIGHT}")
+        if type(weight) is not int or not 1 <= weight <= MAX_WEIGHT:  # nor a bool
+            raise (ValueError if type(weight) is int else TypeError)(
+                f"method {echo(name)}: weight: {rejected(WEIGHT, weight)}")
         if type(is_abstract) is not bool:
-            raise TypeError(f"method {name!r}: is_abstract {is_abstract!r} is not a bool")
+            raise TypeError(f"method {echo(name)}: is_abstract: {rejected(FLAG, is_abstract)}")
         if uses and not all(type(used) is QualifiedName for used in uses):
-            raise TypeError(f"method {name!r}: used class {_stray(uses)} is not a QualifiedName")
+            raise TypeError(f"method {echo(name)}: used class {_stray(uses)} is not a QualifiedName")
         set_name, set_abstract, set_weight, set_reads, set_uses, set_position = _SET_METHOD
         set_name(self, name); set_abstract(self, is_abstract); set_weight(self, weight)
         set_reads(self, reads); set_uses(self, uses); set_position(self, position)
@@ -206,14 +219,14 @@ class ClassDef(_Declaration, _Slotted):
                  parents: tuple[QualifiedName, ...] = (), attributes: tuple[AttributeDef, ...] = (),
                  methods: tuple[MethodDef, ...] = (), position: SourcePosition | None = None) -> None:
         if not (str.isascii(name) and str.isidentifier(name)):
-            raise ValueError(f"class {name!r}: not an identifier")
+            raise ValueError(f"class name: {rejected(IDENTIFIER, name)}")
         parents = parents if type(parents) is tuple else tuple(parents)
         attributes = attributes if type(attributes) is tuple else tuple(attributes)
         methods = methods if type(methods) is tuple else tuple(methods)
         if type(is_abstract) is not bool:
-            raise TypeError(f"class {name!r}: is_abstract {is_abstract!r} is not a bool")
+            raise TypeError(f"class {echo(name)}: is_abstract: {rejected(FLAG, is_abstract)}")
         if parents and not all(type(parent) is QualifiedName for parent in parents):
-            raise TypeError(f"class {name!r}: parent {_stray(parents)} is not a QualifiedName")
+            raise TypeError(f"class {echo(name)}: parent {_stray(parents)} is not a QualifiedName")
         set_name, set_abstract, set_parents, set_attributes, set_methods, set_position = _SET_CLASS
         set_name(self, name); set_abstract(self, is_abstract); set_parents(self, parents)
         set_attributes(self, attributes); set_methods(self, methods); set_position(self, position)
@@ -225,7 +238,7 @@ class PackageDef(_Declaration, _Slotted):
     def __init__(self, name: str, classes: tuple[ClassDef, ...] = (),
                  position: SourcePosition | None = None) -> None:
         if not (str.isascii(name) and str.isidentifier(name)):
-            raise ValueError(f"package {name!r}: not an identifier")
+            raise ValueError(f"package name: {rejected(IDENTIFIER, name)}")
         classes = classes if type(classes) is tuple else tuple(classes)
         set_name, set_classes, set_position = _SET_PACKAGE
         set_name(self, name); set_classes(self, classes); set_position(self, position)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .metrics import Metrics
-from .model import Checked, CodeModel, Graph, edge_table, package_graph, resolve
+from .model import Checked, CodeModel, Graph, edge_table, package_graph, rejected, resolve
 from .tarjan import cycles
 
 RULE_ADP = "ADP"
@@ -60,19 +60,24 @@ class Thresholds(Checked, _Thresholds):
     """Tunable detection thresholds; the defaults are conventions, not claims."""
 
     __slots__ = ()
+    NUMBER = "a non-negative int or Fraction"  # a float would make a bound inexact
 
     def __new__(cls, *args: int | Fraction, **kwargs: int | Fraction) -> Thresholds:
         self = _Thresholds.__new__(cls, *args, **kwargs)
         for name, value in zip(self._fields, self):
-            if name.startswith("srp") and type(value) is not int:  # nor a bool
-                raise TypeError(f"thresholds: {name} {value!r:.40} is not an int")
-            if type(value) not in (int, Fraction):  # a float would make the bounds inexact
-                raise TypeError(f"thresholds: {name} {value!r:.40} is not an int or a Fraction")
-            if value < 0:
-                raise ValueError(f"thresholds: {name} must be non-negative")
+            if name.startswith("srp") and type(value) is not int:  # a count, nor a bool
+                raise TypeError(f"thresholds: {name}: {rejected('an int', value)}")
+            Thresholds.check_number(value, f"thresholds: {name}")
         if not self.sap_extreme < Fraction(1, 2):
             raise ValueError("thresholds: sap_extreme must be below 0.5")
         return self
+
+    @staticmethod
+    def check_number(value: object, where: str) -> None:
+        """Raise TypeError for a value not of a type `NUMBER` names, ValueError for one below 0."""
+        if type(value) not in (int, Fraction) or value < 0:
+            raise (ValueError if type(value) in (int, Fraction) else TypeError)(
+                f"{where}: {rejected(Thresholds.NUMBER, value)}")
 
 
 def _finding(rule: str, locus: str, evidence: dict) -> Finding:

@@ -376,6 +376,45 @@ def test_deeply_nested_json_input_exits_three(tmp_path):
     assert err == f"{path}: MalformedDocument at document: JSON nesting is too deep\n"
 
 
+_LONG = "x" * 100_000
+
+
+def _long_document():
+    method = {"name": "m", "abstract": False, "weight": list(range(20_000)), "reads": [],
+              "uses": [_LONG]}
+    return json.dumps({"packages": [{"name": "p", "classes": [
+        {"name": "1" + _LONG, "abstract": False, "parents": [], "attributes": [],
+         "methods": [method]}]}]})
+
+
+@pytest.mark.parametrize("document,config,argv,code,lines", [
+    (_long_document(), None, (), EXIT_INPUT, 3),
+    ('{"packages":[],"%s":1,"%s":2}' % (_LONG, _LONG), None, (), EXIT_INPUT, 1),
+    (None, {_LONG: 1}, (), EXIT_USAGE, 1),
+    (None, {"thresholds": {_LONG: 1}}, (), EXIT_USAGE, 1),
+    (None, {"thresholds": {"sap_extreme": _LONG}}, (), EXIT_USAGE, 1),
+    (None, {"gates": [[_LONG, "<=", 1]]}, (), EXIT_USAGE, 1),
+    (None, {"gates": [["max_dit", "<=", _LONG]]}, (), EXIT_USAGE, 1),
+    (None, {"fail_on": [_LONG]}, (), EXIT_USAGE, 1),
+    (None, '{"fail_on":[],"%s":1,"%s":2}' % (_LONG, _LONG), (), EXIT_USAGE, 1),
+    (None, None, ("--fail-on", _LONG), EXIT_USAGE, 1),
+], ids=["document", "document-duplicate-key", "config-key", "threshold-key", "threshold",
+        "gate-name", "gate-limit", "fail-on", "config-duplicate-key", "fail-on-option"])
+def test_a_refused_input_is_repeated_at_most_40_characters_long(tmp_path, document, config,
+                                                                 argv, code, lines):
+    # each of these used to repeat the whole value: 100 KB and more on one line
+    path = tmp_path / "model.json"
+    path.write_text(document or '{"packages":[]}', encoding="utf-8")
+    if config is not None:
+        (tmp_path / "config.json").write_text(
+            config if type(config) is str else json.dumps(config), encoding="utf-8")
+        argv += ("--config", str(tmp_path / "config.json"))
+    exit_code, out, err = invoke("analyze", str(path), *argv)
+    assert (exit_code, out, len(err.splitlines())) == (code, "", lines)
+    for line in err.splitlines():  # the file's path, the locus, the rule and 40 characters
+        assert len(line.removeprefix(f"{path}: ")) <= 180, line[:200]
+
+
 def test_duplicate_json_key_input_exits_three(tmp_path):
     path = tmp_path / "dup.json"
     path.write_text('{"packages":[],"packages":[{"name":"p","classes":[]}]}', encoding="utf-8")
@@ -430,12 +469,12 @@ def test_method_weight_bound_in_both_frontends(tmp_path, suffix):
     assert "Traceback" not in err
     if suffix == ".minioo":
         assert err.splitlines() == [
-            f"{path}:1:39: expected a weight of at most {MAX_WEIGHT}, found '{MAX_WEIGHT + 1}'",
-            f"{path}:1:76: expected a weight of at most {MAX_WEIGHT}, found '{MAX_WEIGHT + 1}'"]
+            f"{path}:1:39: expected an integer from 1 to {MAX_WEIGHT}, found '{MAX_WEIGHT + 1}'",
+            f"{path}:1:76: expected an integer from 1 to {MAX_WEIGHT}, found '{MAX_WEIGHT + 1}'"]
     else:
         assert err.splitlines() == [
             f"{path}: SchemaError at packages[0].classes[0].methods[{index}].weight: "
-            f"expected a weight of at most {MAX_WEIGHT}" for index in (0, 1)]
+            f"expected an integer from 1 to {MAX_WEIGHT}, got {MAX_WEIGHT + 1}" for index in (0, 1)]
 
 
 def test_minioo_weight_beyond_python_int_text_limit_is_a_syntax_error(tmp_path):
@@ -443,13 +482,13 @@ def test_minioo_weight_beyond_python_int_text_limit_is_a_syntax_error(tmp_path):
     path = _weighted_input(tmp_path, ".minioo", "9" * 5000)
     code, out, err = invoke("analyze", str(path))
     assert (code, out) == (EXIT_INPUT, "")
-    assert err.startswith(f"{path}:1:39: expected a weight of at most {MAX_WEIGHT}, found '999")
+    assert err.startswith(f"{path}:1:39: expected an integer from 1 to {MAX_WEIGHT}, found '999")
     assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("source,expected", [
     ("package p { class A { method m weight " + "9" * 5000 + "; } }",
-     [f"1:39: expected a weight of at most {MAX_WEIGHT}, found '{'9' * 40}'"]),
+     [f"1:39: expected an integer from 1 to {MAX_WEIGHT}, found '{'9' * 40}'"]),
     ("package p { class A { " + "x" * 5000 + "; } }",
      [f"1:23: expected 'field', 'method' or '}}', found '{'x' * 40}'"]),
     ("package p { class A { " + "\u00e9" * 5000 + "; } }",
@@ -948,7 +987,7 @@ def test_config_numbers_are_bounded_in_digits(tmp_path, sign):
         code, out, err = invoke("analyze", REFERENCE, "--config", str(config))
         assert (code, out) == (EXIT_USAGE, "")
         number = f"1e{exponent}"[:40]
-        assert err == f"error: config is rejected: number {number} takes more than 1000 digits\n"
+        assert err == f"error: config is rejected: number '{number}' takes more than 1000 digits\n"
 
 
 @pytest.mark.parametrize("kind,reason", [
@@ -978,7 +1017,8 @@ def test_unknown_config_key_is_rejected(tmp_path):
 @pytest.mark.parametrize("document,needle", [
     ('{"gates":[["no_such_gate","<=",1]]}', "no_such_gate"),
     ('{"gates":[["max_dit","<",1]]}', "comparator"),
-    ('{"gates":[["max_dit","<=",-1]]}', "non-negative"),
+    ('{"gates":[["max_dit","<=",-1]]}',
+     "'gates[0]': limit: expected a non-negative int or Fraction, got -1"),
     ('{"thresholds":{"srp_lcom_min":-2}}', "srp_lcom_min"),
     ('{"thresholds":{"sap_extreme":0.5}}', "sap_extreme"),
     ('{"thresholds":{"mystery":1}}', "mystery"),
@@ -988,7 +1028,7 @@ def test_unknown_config_key_is_rejected(tmp_path):
     pytest.param('{"fail_on":["adp"],"fail_on":[]}', "duplicate key 'fail_on'", id="duplicate-key"),
     ('{"thresholds":[]}', "'thresholds' must be an object"),
     ('{"thresholds":{"sap_extreme":"high"}}',
-     "thresholds: sap_extreme 'high' is not an int or a Fraction"),
+     "thresholds: sap_extreme: expected a non-negative int or Fraction, got 'high'"),
     ('{"gates":[["max_dit","<="]]}', "'gates[0]' must be [name, comparator, limit]"),
     ('{"fail_on":"adp"}', "'fail_on' must be an array of strings"),
     ('{"gates":{}}', "'gates' must be an array"),
@@ -1006,13 +1046,16 @@ def test_malformed_configs_are_usage_errors(tmp_path, document, needle):
 
 
 @pytest.mark.parametrize("thresholds,message", [
-    ('{"srp_lcom_min":-2}', "thresholds: srp_lcom_min must be non-negative"),
-    ('{"sap_distance_min":-0.5}', "thresholds: sap_distance_min must be non-negative"),
-    ('{"srp_method_min":2.0}', "thresholds: srp_method_min Fraction(2, 1) is not an int"),
-    ('{"sap_distance_min":true}', "thresholds: sap_distance_min True is not an int or a Fraction"),
+    ('{"srp_lcom_min":-2}',
+     "thresholds: srp_lcom_min: expected a non-negative int or Fraction, got -2"),
+    ('{"sap_distance_min":-0.5}',
+     "thresholds: sap_distance_min: expected a non-negative int or Fraction, got Fraction(-1, 2)"),
+    ('{"srp_method_min":2.0}', "thresholds: srp_method_min: expected an int, got Fraction(2, 1)"),
+    ('{"sap_distance_min":true}',
+     "thresholds: sap_distance_min: expected a non-negative int or Fraction, got True"),
     ('{"sap_extreme":0.5}', "thresholds: sap_extreme must be below 0.5"),
     ('{"sap_extreme":"' + "x" * 100 + '"}',
-     "thresholds: sap_extreme '" + "x" * 39 + " is not an int or a Fraction"),
+     "thresholds: sap_extreme: expected a non-negative int or Fraction, got '" + "x" * 40 + "'"),
     ('{"mystery":1}', "unknown config key 'thresholds.mystery'"),
 ])
 def test_a_refused_threshold_is_one_error_line_with_the_record_message(tmp_path, thresholds,

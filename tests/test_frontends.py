@@ -14,7 +14,7 @@ from typing import Any, Iterator, NoReturn
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import designlens
@@ -38,9 +38,13 @@ from designlens.minioo import (
 from designlens.model import (
     AGGREGATION,
     ASSOCIATION,
+    FLAG,
+    IDENTIFIER,
+    KIND,
     MAX_WEIGHT,
     NO_TARGET,
     UNRESOLVED_REFERENCE,
+    WEIGHT,
     AttributeDef,
     ClassDef,
     CodeModel,
@@ -172,7 +176,7 @@ def test_interface_style_class_parses():
 def test_weight_zero_is_a_syntax_error():
     with pytest.raises(ModelError) as excinfo:
         parse_minioo("package p { class A { method m weight 0; } }")
-    assert excinfo.value.errors[0].expected == "a positive integer"
+    assert excinfo.value.errors[0].expected == f"an integer from 1 to {MAX_WEIGHT}"
 
 
 @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # superscript two, Arabic-Indic three
@@ -182,7 +186,7 @@ def test_non_ascii_digit_weight_is_a_positioned_syntax_error(tmp_path, digit):
         parse_minioo(source)
     assert [str(error) for error in excinfo.value.errors] == [
         f"1:39: expected a token, found '{digit}'",
-        "1:40: expected a positive integer, found ';'",
+        f"1:40: expected an integer from 1 to {MAX_WEIGHT}, found ';'",
     ]
     path = tmp_path / "digit.minioo"
     path.write_text(source, encoding="utf-8")
@@ -270,7 +274,8 @@ def test_errors_are_located_by_line_and_code_point_column(source, expected):
      ["2:19: expected a name, found '\u00e9x'", "2:44: expected a token, found '\U0001F600'",
       "2:21: expected a field name, found ':'", "2:45: expected an attribute name, found ')'"]),
     ("// \u00fcber \u2603\npackage b {\n  class B { field x int; method m weight 0; }\n}",
-     ["3:21: expected ':', found 'int'", "3:42: expected a positive integer, found '0'"]),
+     ["3:21: expected ':', found 'int'",
+      f"3:42: expected an integer from 1 to {MAX_WEIGHT}, found '0'"]),
     ("package b {\n  class B extends a.Gone { field x: int; }\n  class B { }\n}\n  // \u00e9\n",
      ["3:9: DuplicateClass at b.B: class 'B' is declared more than once in package 'b'",
       "2:9: UnresolvedReference at b.B: parent class 'a.Gone' is not declared"]),
@@ -684,9 +689,10 @@ _REFERENCE_MAX_WEIGHT_DIGITS = len(str(MAX_WEIGHT))
 _REFERENCE_ATTRIBUTE_KINDS = {"assoc": ASSOCIATION, "aggr": AGGREGATION}
 
 
-def _reference_echo(text: str) -> str:
-    """An offending token as a syntax error repeats it: quoted, cut to 40 characters."""
-    return repr(text[:40])
+def _reference_echo(value: Any) -> str:
+    """An offending token or value as an error repeats it: a string quoted, cut to 40
+    characters; any other value's repr, cut to 40 characters."""
+    return repr(value[:40]) if isinstance(value, str) else repr(value)[:40]
 
 
 def reference_token_stream(source: str,
@@ -880,10 +886,10 @@ class ReferenceParser:
             kind, text, _ = self.tok
             # INT must match [1-9][0-9]*; one longer than MAX_WEIGHT is never converted
             if kind != "int" or text[0] == "0":
-                self._fail("a positive integer")
+                self._fail(f"an integer from 1 to {MAX_WEIGHT}")
             weight = int(text) if len(text) <= _REFERENCE_MAX_WEIGHT_DIGITS else MAX_WEIGHT + 1
             if weight > MAX_WEIGHT:
-                self._fail(f"a weight of at most {MAX_WEIGHT}")
+                self._fail(f"an integer from 1 to {MAX_WEIGHT}")
             self._advance()
         reads: list[str] = []
         if self._match("reads"):
@@ -1140,12 +1146,12 @@ def test_mistyped_method_fields_report_their_paths(field, value, path):
 
 
 @pytest.mark.parametrize("field,value,locus,message", [
-    ("name", "1A", "packages[0].classes[0].name", "not a valid identifier: '1A'"),
-    ("parents", [3], "packages[0].classes[0].parents[0]", "expected a string, got int"),
+    ("name", "1A", "packages[0].classes[0].name", "expected an ASCII identifier, got '1A'"),
+    ("parents", [3], "packages[0].classes[0].parents[0]", "expected a string, got 3"),
     ("attributes", [{"name": "x", "target": None, "kind": "friend"}],
      "packages[0].classes[0].attributes[0].kind",
-     "expected 'association', 'aggregation' or 'none', got 'friend'"),
-    ("parents", [[]], "packages[0].classes[0].parents[0]", "expected a string, got list"),
+     "expected 'none' without a target, 'association' or 'aggregation' with one, got 'friend'"),
+    ("parents", [[]], "packages[0].classes[0].parents[0]", "expected a string, got []"),
 ])
 def test_mistyped_class_fields_report_their_paths_and_messages(field, value, locus, message):
     cls = {"name": "A", "abstract": False, "parents": [], "attributes": [], "methods": []}
@@ -1168,8 +1174,8 @@ _METHOD_PATH = "packages[0].classes[0].methods[0]"
     (json.dumps({"packages": [{"name": "p", "classes": [
         {"name": "A", "abstract": False, "parents": [], "attributes": [], "methods": [
             {"name": "m", "abstract": False, "weight": 1, "reads": ["x", 3], "uses": [{}]}]}]}]}),
-     [(f"{_METHOD_PATH}.reads[1]", "expected a string, got int"),
-      (f"{_METHOD_PATH}.uses[0]", "expected a string, got dict")]),
+     [(f"{_METHOD_PATH}.reads[1]", "expected an ASCII identifier, got 3"),
+      (f"{_METHOD_PATH}.uses[0]", "expected a string, got {}")]),
 ], ids=["root-empty-key", "root-dotted-key", "package-odd-keys", "read-and-use-types"])
 def test_unusual_keys_and_elements_are_located_exactly(document, expected):
     with pytest.raises(ModelError) as excinfo:
@@ -1309,7 +1315,7 @@ class _ReferenceWalker:
 
     def obj(self, value: Any, path: str, keys: tuple[str, ...]) -> dict | None:
         if not isinstance(value, dict):
-            self.error(path or "document", f"expected an object, got {type(value).__name__}")
+            self.error(path or "document", f"expected an object, got {_reference_echo(value)}")
             return None
         for key in value:
             if key not in keys:
@@ -1321,26 +1327,25 @@ class _ReferenceWalker:
 
     def array(self, value: Any, path: str) -> list | None:
         if not isinstance(value, list):
-            self.error(path, f"expected an array, got {type(value).__name__}")
+            self.error(path, f"expected an array, got {_reference_echo(value)}")
             return None
         return value
 
     def string(self, value: Any, path: str) -> str | None:
         if not isinstance(value, str):
-            self.error(path, f"expected a string, got {type(value).__name__}")
+            self.error(path, f"expected a string, got {_reference_echo(value)}")
             return None
         return value
 
     def identifier(self, value: Any, path: str) -> str | None:
-        text = self.string(value, path)
-        if text is not None and not IDENTIFIER_RE.match(text):
-            self.error(path, f"not a valid identifier: {text!r}")
+        if not isinstance(value, str) or not IDENTIFIER_RE.match(value):
+            self.error(path, f"expected an ASCII identifier, got {_reference_echo(value)}")
             return None
-        return text
+        return value
 
     def boolean(self, value: Any, path: str) -> bool | None:
         if not isinstance(value, bool):
-            self.error(path, f"expected a boolean, got {type(value).__name__}")
+            self.error(path, f"expected a bool, got {_reference_echo(value)}")
             return None
         return value
 
@@ -1350,7 +1355,7 @@ class _ReferenceWalker:
             return None
         package, dot, cls = text.partition(".")
         if not dot or not IDENTIFIER_RE.match(package) or not IDENTIFIER_RE.match(cls):
-            self.error(path, f"expected 'pkg.Class', got {text!r}")
+            self.error(path, f"expected 'pkg.Class', got {_reference_echo(text)}")
             return None
         return QualifiedName(package, cls)
 
@@ -1425,6 +1430,10 @@ def _reference_class(walker: _ReferenceWalker, value: Any, path: str) -> ClassDe
     return ClassDef(name, is_abstract, tuple(parents), tuple(attributes), tuple(methods))
 
 
+_REFERENCE_KIND_ERROR = (
+    "expected 'none' without a target, 'association' or 'aggregation' with one, got ")
+
+
 def _reference_attribute(walker: _ReferenceWalker, value: Any, path: str) -> AttributeDef | None:
     obj = walker.obj(value, path, ("name", "target", "kind"))
     if obj is None:
@@ -1437,10 +1446,10 @@ def _reference_attribute(walker: _ReferenceWalker, value: Any, path: str) -> Att
             return None
     kind = obj["kind"]
     if kind not in (ASSOCIATION, AGGREGATION, NO_TARGET):
-        walker.error(f"{path}.kind", f"expected 'association', 'aggregation' or 'none', got {kind!r}")
+        walker.error(f"{path}.kind", _REFERENCE_KIND_ERROR + _reference_echo(kind))
         return None
     if (kind == NO_TARGET) != (obj["target"] is None):
-        walker.error(f"{path}.kind", "kind 'none' is required exactly when target is null")
+        walker.error(f"{path}.kind", _REFERENCE_KIND_ERROR + _reference_echo(kind))
         return None
     if name is None:
         return None
@@ -1455,7 +1464,8 @@ def _reference_method(walker: _ReferenceWalker, value: Any, path: str) -> Method
     is_abstract = walker.boolean(obj["abstract"], f"{path}.abstract")
     weight = obj["weight"]
     if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
-        walker.error(f"{path}.weight", f"expected a positive integer, got {weight!r}")
+        walker.error(f"{path}.weight",
+                     f"expected an integer from 1 to {MAX_WEIGHT}, got {_reference_echo(weight)}")
         weight = None
     reads: list[str | None] = []
     read_array = walker.array(obj["reads"], f"{path}.reads")
@@ -1484,6 +1494,110 @@ def test_decoder_matches_the_reference_on_mutated_documents(document):
     # the same declarations, or the same errors in the same order
     expected = _decoded(reference_decode_interchange, document)
     assert _decoded(decode_interchange, document) == expected
+
+
+# -- each value rule in one wording, wherever it is checked ---------------------------
+
+# the JSON path of each object of `_ruled_document`
+_RULED_PATHS = {"package": "packages[0]", "class": "packages[0].classes[0]",
+                "attribute": "packages[0].classes[0].attributes[0]", "method": _METHOD_PATH}
+# each field a value rule governs, as (object, key): its rule, and a constructor call with a
+# value in that field (and, for a kind, the attribute's target)
+_RULED_FIELDS = {
+    ("package", "name"): (IDENTIFIER, lambda value, target: PackageDef(value)),
+    ("class", "name"): (IDENTIFIER, lambda value, target: ClassDef(value)),
+    ("attribute", "name"): (IDENTIFIER, lambda value, target: AttributeDef(value)),
+    ("method", "name"): (IDENTIFIER, lambda value, target: MethodDef(value)),
+    ("class", "abstract"): (FLAG, lambda value, target: ClassDef("A", value)),
+    ("method", "abstract"): (FLAG, lambda value, target: MethodDef("m", value)),
+    ("method", "weight"): (WEIGHT, lambda value, target: MethodDef("m", weight=value)),
+    ("attribute", "kind"): (KIND, lambda value, target: AttributeDef(
+        "a", None if target is None else QualifiedName("q", "B"), value)),
+}
+
+
+def _ruled_document(owner: str, key: str, value: Any, target: str | None = None) -> str:
+    """A valid document of package `p`, class `A`, attribute `a` (of `target`) and method
+    `m`, but for `value` as field `key` of object `owner`."""
+    objects = {
+        "attribute": {"name": "a", "target": target,
+                      "kind": NO_TARGET if target is None else ASSOCIATION},
+        "method": {"name": "m", "abstract": False, "weight": 1, "reads": [], "uses": []}}
+    objects["class"] = {"name": "A", "abstract": False, "parents": [],
+                        "attributes": [objects["attribute"]], "methods": [objects["method"]]}
+    objects["package"] = {"name": "p", "classes": [objects["class"]]}
+    objects[owner][key] = value
+    return json.dumps({"packages": [objects["package"]]})
+
+
+# (field, a value its rule refuses, the attribute's target)
+_REFUSED = st.one_of(
+    st.tuples(st.sampled_from([field for field in _RULED_FIELDS if field[1] == "name"]),
+              st.text(max_size=50).filter(lambda name: not IDENTIFIER_RE.match(name)),
+              st.none()),
+    st.tuples(st.just(("method", "weight")),
+              st.sampled_from([0, MAX_WEIGHT + 1, True, "1", 2.5, -1, None]), st.none()),
+    st.tuples(st.sampled_from([("class", "abstract"), ("method", "abstract")]),
+              st.sampled_from([0, 1, None, "true", 2.5, []]), st.none()),
+    st.sampled_from([(("attribute", "kind"), kind, target) for kind, target in [
+        (ASSOCIATION, None), (AGGREGATION, None), (NO_TARGET, "q.B"), ("friend", None),
+        ("friend", "q.B"), ("assoc", "q.B"), (None, None), (1, "q.B")]]),
+)
+# a MiniOO weight token for each refused weight that is one token
+_WEIGHT_TOKENS = {"0": "0", str(MAX_WEIGHT + 1): str(MAX_WEIGHT + 1), "True": "true"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_REFUSED)
+def test_each_rule_reads_the_same_in_a_document_a_constructor_and_minioo(case):
+    (owner, key), value, target = case
+    rule, build = _RULED_FIELDS[owner, key]
+    rejection = f"expected {rule}, got {_reference_echo(value)}"
+    with pytest.raises(ModelError) as decoded:
+        decode_interchange(_ruled_document(owner, key, value, target))
+    assert decoded.value.errors == [
+        ValidationError(SCHEMA_ERROR, f"{_RULED_PATHS[owner]}.{key}", rejection)]
+    with pytest.raises((TypeError, ValueError)) as built:
+        build(value, target)
+    assert str(built.value).endswith(f": {rejection}")
+    token = _WEIGHT_TOKENS.get(repr(value)) if key == "weight" else None
+    if token is not None:
+        with pytest.raises(ModelError) as parsed:
+            parse_minioo(f"package p {{ class A {{ method m weight {token}; }} }}")
+        assert [(e.expected, e.found) for e in parsed.value.errors] == [(rule, repr(token))]
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        ["m", "A_1", ASSOCIATION, AGGREGATION, NO_TARGET, 0, 1, MAX_WEIGHT, MAX_WEIGHT + 1]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(field=st.sampled_from(list(_RULED_FIELDS)), value=_JSON_VALUES,
+       target=st.sampled_from([None, "q.B"]))
+@example(field=("method", "weight"), value=MAX_WEIGHT + 1, target=None)
+@example(field=("attribute", "kind"), value=NO_TARGET, target="q.B")
+def test_a_value_a_constructor_refuses_is_a_schema_error_at_its_field(field, value, target):
+    # a constructor's ValueError escaping the decode's object hook would be a
+    # MalformedDocument, and a hook that refuses what the error walk passes, no error at all
+    owner, key = field
+    rule, build = _RULED_FIELDS[field]
+    target = target if key == "kind" else None
+    document = _ruled_document(owner, key, value, target)
+    try:
+        build(value, target)
+    except (TypeError, ValueError):
+        with pytest.raises(ModelError) as decoded:
+            decode_interchange(document)
+        assert decoded.value.errors == [ValidationError(
+            SCHEMA_ERROR, f"{_RULED_PATHS[owner]}.{key}",
+            f"expected {rule}, got {_reference_echo(value)}")]
+    else:  # and the schema takes what the constructor takes
+        decode_interchange(document)
 
 
 # -- canonical writing and round trips ------------------------------------------------

@@ -69,12 +69,18 @@ def test_qualified_name_rejects_bad_segments():
         QualifiedName("p", "has space")
 
 
+# the start of each rejection message, up to the rejected value
+_IDENTIFIER = "expected an ASCII identifier, got"
+_WEIGHT = f"expected an integer from 1 to {MAX_WEIGHT}, got"
+_KIND = "expected 'none' without a target, 'association' or 'aggregation' with one, got"
+
+
 def test_a_changed_qualified_name_is_checked_too():
     # a NamedTuple's own `_make`, and so its `_replace`, is `tuple.__new__`: a bad segment
     # passed, a class named it as a parent, and the interchange written was unreadable
-    with pytest.raises(ValueError, match="invalid class segment 'bad name'"):
+    with pytest.raises(ValueError, match=f"^class segment: {_IDENTIFIER} 'bad name'$"):
         QualifiedName("a", "B")._replace(cls="bad name")
-    with pytest.raises(ValueError, match="invalid package segment '1p'"):
+    with pytest.raises(ValueError, match=f"^package segment: {_IDENTIFIER} '1p'$"):
         QualifiedName._make(["1p", "B"])
     with pytest.raises(TypeError):
         QualifiedName._make(["a", "B", "C"])
@@ -200,7 +206,7 @@ def test_method_weight_must_be_positive():
 
 def test_method_weight_is_at_most_max_weight():
     assert MethodDef("m", weight=MAX_WEIGHT).weight == MAX_WEIGHT
-    with pytest.raises(ValueError, match="weight must be from 1 to 9223372036854775807"):
+    with pytest.raises(ValueError, match=f"^method 'm': weight: {_WEIGHT} 9223372036854775808$"):
         MethodDef("m", weight=MAX_WEIGHT + 1)
 
 
@@ -216,8 +222,9 @@ def test_attribute_kind_matches_target():
 def test_declaration_rejects_a_name_that_is_not_an_identifier(declaration, name):
     # such a name would fail later: in package_graph, mid-validation, or on the
     # interchange round trip
-    with pytest.raises(ValueError, match="not an identifier"):
+    with pytest.raises(ValueError) as caught:
         declaration(name)
+    assert str(caught.value) == f"{declaration.__name__[:-3].lower()} name: {_IDENTIFIER} {name!r}"
 
 
 
@@ -234,10 +241,12 @@ def test_a_name_that_is_not_a_string_is_a_type_error(declare, name):
 @pytest.mark.parametrize("declare,message", [
     # a float weight used to fail only in build_report; a bool weight or an int
     # is_abstract was written to interchange, which then refused to read it back
-    (lambda: MethodDef("m", weight=2.5), "method 'm': weight 2.5 is not an int"),
-    (lambda: MethodDef("m", weight=True), "method 'm': weight True is not an int"),
-    (lambda: MethodDef("m", is_abstract=1), "method 'm': is_abstract 1 is not a bool"),
-    (lambda: ClassDef("A", is_abstract=1), "class 'A': is_abstract 1 is not a bool"),
+    (lambda: MethodDef("m", weight=2.5),
+     f"method 'm': weight: expected an integer from 1 to {MAX_WEIGHT}, got 2.5"),
+    (lambda: MethodDef("m", weight=True),
+     f"method 'm': weight: expected an integer from 1 to {MAX_WEIGHT}, got True"),
+    (lambda: MethodDef("m", is_abstract=1), "method 'm': is_abstract: expected a bool, got 1"),
+    (lambda: ClassDef("A", is_abstract=1), "class 'A': is_abstract: expected a bool, got 1"),
 ])
 def test_a_weight_that_is_not_an_int_or_a_flag_that_is_not_a_bool_is_a_type_error(
         declare, message):
@@ -286,6 +295,10 @@ def test_an_element_that_is_not_the_declaration_its_place_holds_is_a_type_error(
 # -- the constructors against the generated ones they replaced ---------------------
 
 
+def _echo(value):
+    return repr(value[:40]) if isinstance(value, str) else repr(value)[:40]
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
 class _ReferenceAttribute:
     name: str
@@ -295,12 +308,12 @@ class _ReferenceAttribute:
 
     def __post_init__(self) -> None:
         if not (str.isascii(self.name) and str.isidentifier(self.name)):
-            raise ValueError(f"attribute {self.name!r}: not an identifier")
+            raise ValueError(f"attribute name: {_IDENTIFIER} {_echo(self.name)}")
         if self.target is None:
             if self.kind != model_module.NO_TARGET:
-                raise ValueError(f"attribute {self.name!r}: kind {self.kind!r} requires a target")
+                raise ValueError(f"attribute {_echo(self.name)}: kind: {_KIND} {_echo(self.kind)}")
         elif self.kind not in (ASSOCIATION, AGGREGATION):
-            raise ValueError(f"attribute {self.name!r}: invalid kind {self.kind!r} for a class target")
+            raise ValueError(f"attribute {_echo(self.name)}: kind: {_KIND} {_echo(self.kind)}")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -314,13 +327,13 @@ class _ReferenceMethod:
 
     def __post_init__(self) -> None:
         if not (str.isascii(self.name) and str.isidentifier(self.name)):
-            raise ValueError(f"method {self.name!r}: not an identifier")
+            raise ValueError(f"method name: {_IDENTIFIER} {_echo(self.name)}")
         if type(self.reads) is not frozenset:
             object.__setattr__(self, "reads", frozenset(self.reads))
         if type(self.uses) is not frozenset:
             object.__setattr__(self, "uses", frozenset(self.uses))
         if not 1 <= self.weight <= MAX_WEIGHT:
-            raise ValueError(f"method {self.name!r}: weight must be from 1 to {MAX_WEIGHT}")
+            raise ValueError(f"method {_echo(self.name)}: weight: {_WEIGHT} {_echo(self.weight)}")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -334,7 +347,7 @@ class _ReferenceClass:
 
     def __post_init__(self) -> None:
         if not (str.isascii(self.name) and str.isidentifier(self.name)):
-            raise ValueError(f"class {self.name!r}: not an identifier")
+            raise ValueError(f"class name: {_IDENTIFIER} {_echo(self.name)}")
         if type(self.parents) is not tuple:
             object.__setattr__(self, "parents", tuple(self.parents))
         if type(self.attributes) is not tuple:
@@ -351,7 +364,7 @@ class _ReferencePackage:
 
     def __post_init__(self) -> None:
         if not (str.isascii(self.name) and str.isidentifier(self.name)):
-            raise ValueError(f"package {self.name!r}: not an identifier")
+            raise ValueError(f"package name: {_IDENTIFIER} {_echo(self.name)}")
         if type(self.classes) is not tuple:
             object.__setattr__(self, "classes", tuple(self.classes))
 
@@ -442,8 +455,9 @@ def _names(values):
 # older one, in the order each constructor checks them: (field, whether a value
 # passes, the message's words after the declaration, a valid value)
 _NEW_REJECTIONS = (
-    ("weight", lambda value: type(value) is int, "weight .* is not an int", 1),
-    ("is_abstract", lambda value: type(value) is bool, "is_abstract .* is not a bool", False),
+    ("weight", lambda value: type(value) is int, f"weight: {_WEIGHT} .*", 1),
+    ("is_abstract", lambda value: type(value) is bool, "is_abstract: expected a bool, got .*",
+     False),
     ("target", lambda value: value is None or type(value) is QualifiedName,
      "target .* is not a QualifiedName", _USED),
     ("uses", _names, "used class .* is not a QualifiedName", ()),
@@ -499,13 +513,13 @@ def test_each_constructor_is_written_once_with_the_signature_of_its_fields(kind)
 
 def test_replace_still_runs_the_checks():
     method, cls = MethodDef("m", reads=frozenset({"b"})), ClassDef("A", position=_AT)
-    with pytest.raises(ValueError, match="weight must be from 1"):
+    with pytest.raises(ValueError, match=f"^method 'm': weight: {_WEIGHT} 0$"):
         method._replace(weight=0)
-    with pytest.raises(TypeError, match="is_abstract 1 is not a bool"):
+    with pytest.raises(TypeError, match="^class 'A': is_abstract: expected a bool, got 1$"):
         cls._replace(is_abstract=1)
-    with pytest.raises(ValueError, match="requires a target"):
+    with pytest.raises(ValueError, match=f"^attribute 'b': kind: {_KIND} 'association'$"):
         AttributeDef("b")._replace(kind=ASSOCIATION)
-    with pytest.raises(ValueError, match="not an identifier"):
+    with pytest.raises(ValueError, match=f"^package name: {_IDENTIFIER} 'bad name'$"):
         PackageDef("p")._replace(name="bad name")
     assert type(method._replace(uses=[_USED]).uses) is frozenset
     moved = cls._replace(parents=[_USED])

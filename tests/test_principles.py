@@ -417,10 +417,12 @@ def test_a_package_on_a_sap_bound_is_flagged(counts, values, rule):
 
 
 @pytest.mark.parametrize("name, value, message", [
-    ("srp_lcom_min", 1.5, "thresholds: srp_lcom_min 1.5 is not an int"),
-    ("srp_method_min", True, "thresholds: srp_method_min True is not an int"),
-    ("sap_distance_min", True, "thresholds: sap_distance_min True is not an int or a Fraction"),
-    ("sap_extreme", 0.2, "thresholds: sap_extreme 0.2 is not an int or a Fraction"),
+    ("srp_lcom_min", 1.5, "thresholds: srp_lcom_min: expected an int, got 1.5"),
+    ("srp_method_min", True, "thresholds: srp_method_min: expected an int, got True"),
+    ("sap_distance_min", True,
+     "thresholds: sap_distance_min: expected a non-negative int or Fraction, got True"),
+    ("sap_extreme", 0.2,
+     "thresholds: sap_extreme: expected a non-negative int or Fraction, got 0.2"),
 ])
 def test_thresholds_refuse_a_bool_or_a_float(name, value, message):
     with pytest.raises(TypeError) as excinfo:
@@ -433,13 +435,14 @@ def test_thresholds_refuse_a_bool_or_a_float(name, value, message):
 def test_a_negative_threshold_is_refused_by_name(name):
     with pytest.raises(ValueError) as excinfo:
         Thresholds(**{name: -1})
-    assert str(excinfo.value) == f"thresholds: {name} must be non-negative"
+    assert str(excinfo.value) == (
+        f"thresholds: {name}: expected a non-negative int or Fraction, got -1")
 
 
 def test_a_changed_threshold_is_checked_too():
     with pytest.raises(ValueError, match="sap_extreme must be below 0.5"):
         Thresholds()._replace(sap_extreme=Fraction(1, 2))
-    with pytest.raises(TypeError, match="srp_lcom_min 1.5 is not an int"):
+    with pytest.raises(TypeError, match="srp_lcom_min: expected an int, got 1.5"):
         Thresholds._make([1.5, 3, 0, 0])
     moved = Thresholds()._replace(srp_method_min=2)
     assert type(moved) is Thresholds and moved == Thresholds(srp_method_min=2)

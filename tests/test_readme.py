@@ -96,3 +96,15 @@ def test_readme_names_every_public_exception():
             if (isinstance(value, type) and issubclass(value, BaseException)
                     and value.__module__ == module.__name__ and not name.startswith("_")):
                 assert f"`{name}`" in README, f"{module.__name__}.{name}"
+
+
+def test_readme_gives_each_input_rule_in_the_words_of_its_owner():
+    # a rule's phrase changed in the code fails here until README's table says it
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| [^|]+ \| `([^`]+)` \|$", _section("Input rules"),
+                      re.MULTILINE)
+    owners = {"model": model, "Thresholds": principles.Thresholds}
+    assert [(owner, name) for owner, name, _ in rows] == [
+        ("model", "IDENTIFIER"), ("model", "WEIGHT"), ("model", "FLAG"), ("model", "KIND"),
+        ("Thresholds", "NUMBER")]
+    assert [getattr(owners[owner], name) for owner, name, _ in rows] == [
+        phrase for _, _, phrase in rows]
